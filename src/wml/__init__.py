@@ -20,7 +20,6 @@ from .stallings import (  # noqa: F401
     core_graph,
     fold,
     fringe,
-    membership_rewrite,
     wedge_marked,
 )
 from .surfaces import (  # noqa: F401

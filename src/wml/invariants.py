@@ -7,11 +7,11 @@ algebraic extensions of <w>, and every algebraic extension appears among
 the folded quotients of the core graph of <w>, so the fringe enumeration is
 a complete search space.
 
-The commutator length is found through the surface search: the least genus
-of an orientable one-boundary surface spelling w equals cl(w), and the
-matching-built surfaces realize the minimal genus on all pinned test words
-(the subdivision bound is configurable; discrepancies at higher bounds
-surface as changed answers, never silently).
+The commutator length is the least genus of an orientable one-boundary
+surface spelling w.  By Culler, *Using surfaces to solve equations in free
+groups* (Topology 20, 1981), a genus-minimal such surface can be glued from
+the boundary annulus by pairing every letter with an inverse letter, so the
+subdivision-1 matchings of :mod:`wml.surfaces` already realize cl(w).
 
 Resource caps raise :class:`~wml.errors.UndecidedError`; the report format
 records "undecided" rather than guessing a value.
@@ -22,12 +22,7 @@ from __future__ import annotations
 import math
 
 from .errors import UndecidedError
-from .stallings import (
-    DEFAULT_FRINGE_VERTEX_CAP,
-    core_graph,
-    fringe,
-    membership_rewrite,
-)
+from .stallings import DEFAULT_FRINGE_VERTEX_CAP, core_graph, fringe
 from .surfaces import minimal_single_boundary_genus
 from .whitehead import DEFAULT_ORBIT_CAP, in_proper_free_factor, is_primitive, \
     orbit_equivalent
@@ -45,8 +40,7 @@ def standard_surface_word(genus):
     return Word(letters, max(1, 2 * genus))
 
 
-def primitivity_rank(w, rank, fringe_cap=DEFAULT_FRINGE_VERTEX_CAP,
-                     orbit_cap=DEFAULT_ORBIT_CAP):
+def primitivity_rank(w, rank, fringe_cap=DEFAULT_FRINGE_VERTEX_CAP):
     """pi(w) together with the minimal-rank witnesses.
 
     Returns ``(pi, witnesses)`` where each witness is a pair
@@ -59,27 +53,24 @@ def primitivity_rank(w, rank, fringe_cap=DEFAULT_FRINGE_VERTEX_CAP,
         return 1, [(core_graph([root], rank), Word((1,) * exponent, 1))]
     witnesses = []
     best = INFINITY
-    for graph, basis in fringe(w, vertex_cap=fringe_cap):
+    # the fringe is sorted by subgroup rank, and every graph in it contains
+    # w, so none has rank 0 and every rewrite succeeds
+    for graph, _ in fringe(w, vertex_cap=fringe_cap):
         r = graph.subgroup_rank
         if r > best:
+            break
+        rewritten = graph.rewrite(w)
+        if is_primitive(rewritten, r):
             continue
-        rewritten = membership_rewrite(graph, w)
-        assert rewritten is not None
-        if r == 0 or is_primitive(rewritten, max(1, r)):
-            continue
-        if r < best:
-            best = r
-            witnesses = []
+        best = r
         witnesses.append((graph, rewritten))
-    if best is INFINITY:
-        return INFINITY, []
     return best, witnesses
 
 
 def is_algebraic_extension(graph, w, orbit_cap=DEFAULT_ORBIT_CAP):
     """Whether the subgroup is an algebraic extension of <w>: it contains w
     and w lies in no proper free factor of it."""
-    rewritten = membership_rewrite(graph, w)
+    rewritten = graph.rewrite(w)
     if rewritten is None:
         raise ValueError("the word is not a member of the subgroup")
     if rewritten.is_identity():
@@ -88,31 +79,60 @@ def is_algebraic_extension(graph, w, orbit_cap=DEFAULT_ORBIT_CAP):
     return not in_proper_free_factor(rewritten, r, orbit_cap=orbit_cap)
 
 
-def commutator_length(w, genus_cap=3, max_subdivision=2):
+def _least_genus(w):
+    """Uncapped cl(w) from the subdivision-1 surface search: 0 for the
+    identity, infinite when an exponent total is nonzero."""
+    if w.is_identity():
+        return 0
+    if any(w.abelianization()):
+        return INFINITY
+    return minimal_single_boundary_genus(w, 1)
+
+
+def _capped(genus, genus_cap):
+    """cl as reported: ">{genus_cap}" for a finite positive genus above the
+    cap."""
+    if genus in (0, INFINITY) or genus <= genus_cap:
+        return genus
+    return f">{genus_cap}"
+
+
+def commutator_length(w, genus_cap=3):
     """cl(w): least genus writing w as a product of commutators.
 
     Infinite when the exponent totals are nonzero; otherwise the least genus
-    over matching-built one-boundary surfaces, trying subdivision 1 first.
-    Returns the string ">{genus_cap}" when the search exceeds the cap.
+    over the matching-built one-boundary surfaces of subdivision 1, which
+    realize cl(w) by Culler's theorem (Topology 20, 1981: a genus-minimal
+    surface bounding w is glued by pairing each letter of w with an inverse
+    letter).  Returns the string ">{genus_cap}" when the least genus
+    exceeds the cap.
     """
-    if w.is_identity():
-        return 0
-    if any(t != 0 for t in w.abelianization()):
-        return INFINITY
-    best = None
-    for k in range(1, max_subdivision + 1):
-        g = minimal_single_boundary_genus(w, k)
-        if g is not None and (best is None or g < best):
-            best = g
-        if best == 1:
-            break  # a nontrivial word never bounds a one-boundary genus-0 surface
-    if best is None or best > genus_cap:
-        return f">{genus_cap}"
-    return best
+    return _capped(_least_genus(w), genus_cap)
+
+
+def _comm_crit(pi, witnesses, genus, orbit_cap):
+    """The witnesses in which w is the standard surface word, when
+    pi = 2 * genus.  A ``genus`` that is an :class:`UndecidedError` is
+    raised only if pi leaves the answer open."""
+    if pi is INFINITY or pi % 2 == 1:
+        return [], 0
+    if isinstance(genus, UndecidedError):
+        raise genus
+    if pi != 2 * genus:
+        return [], 0
+    # w is non-primitive in its standard-surface-word subgroups, so they
+    # are among the witnesses of pi
+    target = standard_surface_word(pi // 2)
+    out = [
+        graph for graph, rewritten in witnesses
+        if not any(rewritten.abelianization())
+        and orbit_equivalent(rewritten, target, pi, orbit_cap=orbit_cap)
+    ]
+    return out, len(out)
 
 
 def comm_crit(w, rank, fringe_cap=DEFAULT_FRINGE_VERTEX_CAP,
-              orbit_cap=DEFAULT_ORBIT_CAP, genus_cap=3):
+              orbit_cap=DEFAULT_ORBIT_CAP):
     """Subgroups of rank pi(w) containing w as the standard surface word.
 
     Returns ``(graphs, count)``.  Empty when pi(w) is odd, infinite, or
@@ -122,36 +142,18 @@ def comm_crit(w, rank, fringe_cap=DEFAULT_FRINGE_VERTEX_CAP,
     if w.is_identity() or power:
         raise ValueError("commutator-critical subgroups are defined for "
                          "nontrivial non-powers")
-    pi, _ = primitivity_rank(w, rank, fringe_cap, orbit_cap)
+    pi, witnesses = primitivity_rank(w, rank, fringe_cap)
     if pi is INFINITY or pi % 2 == 1:
         return [], 0
-    cl = commutator_length(w, genus_cap=max(genus_cap, pi // 2))
-    if cl is INFINITY or isinstance(cl, str) or pi != 2 * cl:
-        return [], 0
-    genus = pi // 2
-    target = standard_surface_word(genus)
-    out = []
-    for graph, basis in fringe(w, vertex_cap=fringe_cap):
-        if graph.subgroup_rank != pi:
-            continue
-        rewritten = membership_rewrite(graph, w)
-        assert rewritten is not None
-        if any(t != 0 for t in rewritten.abelianization()):
-            continue
-        if orbit_equivalent(rewritten, target, pi, orbit_cap=orbit_cap):
-            out.append(graph)
-    return out, len(out)
+    return _comm_crit(pi, witnesses, _least_genus(w), orbit_cap)
 
 
-def critical_subgroups(w, rank, fringe_cap=DEFAULT_FRINGE_VERTEX_CAP,
-                       orbit_cap=DEFAULT_ORBIT_CAP):
+def critical_subgroups(w, rank, fringe_cap=DEFAULT_FRINGE_VERTEX_CAP):
     """Subgroups of rank exactly pi(w) containing w as a non-primitive
     element."""
     if w.is_identity():
         raise ValueError("critical subgroups are defined for nontrivial words")
-    pi, witnesses = primitivity_rank(w, rank, fringe_cap, orbit_cap)
-    if pi is INFINITY:
-        return []
+    _, witnesses = primitivity_rank(w, rank, fringe_cap)
     return [graph for graph, _ in witnesses]
 
 
@@ -209,31 +211,32 @@ class InvariantReport:
 def analyze(w, rank, fringe_cap=DEFAULT_FRINGE_VERTEX_CAP,
             orbit_cap=DEFAULT_ORBIT_CAP, genus_cap=3):
     """Compute the full invariant report, degrading to "undecided" per field
-    when a resource cap fires."""
+    when a resource cap fires.  The fringe and the surface search each run
+    once and feed every field."""
     undecided = {}
     proper_power = w.is_proper_power()
 
     try:
-        pi, witnesses = primitivity_rank(w, rank, fringe_cap, orbit_cap)
+        pi, witnesses = primitivity_rank(w, rank, fringe_cap)
     except UndecidedError as exc:
         pi, witnesses = "undecided", "undecided"
         undecided["pi"] = exc.reason
 
     try:
-        cl = commutator_length(w, genus_cap=genus_cap)
+        genus = _least_genus(w)
+        cl = _capped(genus, genus_cap)
     except UndecidedError as exc:
-        cl = "undecided"
+        genus, cl = exc, "undecided"
         undecided["cl"] = exc.reason
 
-    power = proper_power[0]
-    if w.is_identity() or power or pi == "undecided":
+    if w.is_identity() or proper_power[0]:
         graphs, count = [], 0
-        if not w.is_identity() and not power and pi == "undecided":
-            graphs, count = "undecided", "undecided"
-            undecided.setdefault("comm_crit", undecided.get("pi", "cap"))
+    elif pi == "undecided":
+        graphs, count = "undecided", "undecided"
+        undecided["comm_crit"] = undecided["pi"]
     else:
         try:
-            graphs, count = comm_crit(w, rank, fringe_cap, orbit_cap, genus_cap)
+            graphs, count = _comm_crit(pi, witnesses, genus, orbit_cap)
         except UndecidedError as exc:
             graphs, count = "undecided", "undecided"
             undecided["comm_crit"] = exc.reason

@@ -422,5 +422,7 @@ def laurent(f, depth):
         for j, qc in enumerate(q):
             if k + j < len(state):
                 state[k + j] -= c * qc
-    assert coeffs[0] != 0
+    if coeffs[0] == 0:
+        raise RuntimeError("leading Laurent coefficient of a nonzero "
+                           "function vanished")
     return LaurentSeries(dp - dq, coeffs)

@@ -142,17 +142,6 @@ class LabeledGraph:
         non_tree = [e for e in self.edges if e not in tree_edges]
         return parent, non_tree
 
-    def path_from_base(self, vertex):
-        """Letters of the tree path from the basepoint to a vertex."""
-        parent, _ = self.spanning_tree()
-        letters = []
-        v = vertex
-        while parent[v] is not None:
-            u, letter = parent[v]
-            letters.append(letter)
-            v = u
-        return list(reversed(letters))
-
     def basis(self):
         """Free basis of the subgroup, one word per non-tree edge."""
         parent, non_tree = self.spanning_tree()
@@ -309,14 +298,8 @@ def _canonicalize(vertices, edges, basepoint, marked, rank):
     return LabeledGraph(len(number), new_edges, 0, new_marked, rank)
 
 
-def fold(graph, shuffle_rng=None):
-    """Fold and canonicalize a graph (idempotent on folded graphs)."""
-    if isinstance(graph, LabeledGraph):
-        return graph_from_edges(
-            graph.num_vertices, graph.edges, graph.basepoint, graph.marked,
-            graph.rank,
-        )
-    builder = graph
+def fold(builder, shuffle_rng=None):
+    """Fold, trim and canonicalize the graph held by a builder."""
     _fold_edges(builder, shuffle_rng)
     base = builder.find(builder.basepoint)
     marked = {builder.find(v) for v in builder.marked}
@@ -436,13 +419,8 @@ def fringe(w, vertex_cap=DEFAULT_FRINGE_VERTEX_CAP, force=False):
             seen[key] = g
     out = []
     for g in seen.values():
-        assert g.contains(w)
+        if not g.contains(w):
+            raise RuntimeError(f"fringe quotient {g!r} does not contain {w}")
         out.append((g, g.basis()))
     out.sort(key=lambda pair: (pair[0].subgroup_rank, pair[0].serialize()))
     return out
-
-
-def membership_rewrite(graph, w):
-    """Trace w through the folded graph; if the loop closes at the
-    basepoint return w in basis coordinates, else None."""
-    return graph.rewrite(w)

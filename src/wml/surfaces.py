@@ -316,7 +316,8 @@ def _dual_graph(surface, component_index):
     edges = set()
     for (gen, (m, q), (m2, q2)) in cut_glues:
         _, a, _ = surface.sub_letters[m][q]
-        assert a > 0, "glue pairs store the positive occurrence first"
+        if a < 0:
+            raise RuntimeError("glue pairs store the positive occurrence first")
         # crossing the arc in word direction at the positive occurrence
         # reads the generator
         tail, head = (m, q, 0), (m, q, 1)

@@ -279,9 +279,10 @@ def word_moment(words, term_cap=DEFAULT_TERM_CAP, force_pair_sum=False):
         final = None
 
     budget = [term_cap]
-    state = {tuple(sorted(_cyclic_key(cw) for cw in remaining)): RationalFunction(1)}
-    # a reduced nontrivial word cannot have a trivial cyclic key
-    assert None not in next(iter(state))
+    keys = [_cyclic_key(cw) for cw in remaining]
+    if None in keys:
+        raise RuntimeError("a reduced nontrivial word has a trivial cyclic key")
+    state = {tuple(sorted(keys)): RationalFunction(1)}
 
     for g in pair_sum_gens:
         new_state = {}

@@ -119,6 +119,14 @@ class TestCommutatorLength:
     def test_cap_notation(self):
         assert commutator_length(parse("[x,y]^3", F2), genus_cap=1) == ">1"
 
+    def test_subdivision_one_decides_fifth_power(self):
+        # letter pairings realize cl (Culler); only a higher-subdivision
+        # enumeration of [x,y]^5 would overflow the matching cap
+        w = parse("[x,y]^5", F2)
+        assert commutator_length(w) == 3
+        rep = analyze(w, F2)
+        assert rep.cl == 3 and rep.undecided == {}
+
 
 class TestStandardSurfaceWord:
     def test_genus_one(self):
@@ -268,3 +276,42 @@ class TestAnalyze:
         assert "pi" in rep.undecided
         data = rep.to_json()
         assert data["pi"] == "undecided"
+
+    def test_one_fringe_pass(self, monkeypatch):
+        import wml.invariants
+
+        calls = []
+
+        def counting_fringe(*args, **kwargs):
+            calls.append(args)
+            return fringe(*args, **kwargs)
+
+        monkeypatch.setattr(wml.invariants, "fringe", counting_fringe)
+        rep = analyze(parse("[x,y]", F2), F2)
+        assert rep.pi == 2 and rep.comm_crit_count == 1
+        assert len(calls) == 1
+
+    def test_genus_cap_only_formats_cl(self):
+        # comm_crit compares the uncapped genus with pi/2, so a cap below
+        # the genus changes the printed cl and nothing else
+        rep = analyze(parse("[x,y]", F2), F2, genus_cap=0)
+        assert rep.cl == ">0"
+        assert rep.comm_crit_count == 1
+
+    def test_undecided_genus_leaves_comm_crit_open(self, monkeypatch):
+        import wml.invariants
+
+        def capped_search(word, max_subdivision):
+            raise UndecidedError("matching cap")
+
+        monkeypatch.setattr(wml.invariants, "minimal_single_boundary_genus",
+                            capped_search)
+        rep = analyze(parse("[x,y]", F2), F2)
+        assert rep.pi == 2 and rep.cl == "undecided"
+        assert rep.comm_crit_count == "undecided"
+        assert rep.undecided == {"cl": "matching cap",
+                                 "comm_crit": "matching cap"}
+        # an odd pi settles comm_crit without the genus
+        rep = analyze(parse("[x,y][x,z]", 3), 3)
+        assert rep.pi == 3 and rep.cl == "undecided"
+        assert rep.comm_crit_count == 0 and "comm_crit" not in rep.undecided

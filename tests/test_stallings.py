@@ -9,7 +9,6 @@ from wml.stallings import (
     core_graph,
     fringe,
     graph_from_edges,
-    membership_rewrite,
     quotient,
     wedge_marked,
 )
@@ -137,7 +136,7 @@ class TestCanonicalForm:
 class TestMembershipRewrite:
     def test_identity_rewrite(self):
         g = core_graph([parse("x", 2), parse("y", 2)], 2)
-        w = membership_rewrite(g, parse("[x,y]", 2))
+        w = g.rewrite(parse("[x,y]", 2))
         assert w is not None
         # image is the commutator of the two basis letters, up to naming
         basis = g.basis()
@@ -146,16 +145,16 @@ class TestMembershipRewrite:
 
     def test_power_subgroup(self):
         g = core_graph([parse("x^2", 1)], 1)
-        assert membership_rewrite(g, parse("x^2", 1)) == Word((1,), 1)
-        assert membership_rewrite(g, parse("x", 1)) is None
-        assert membership_rewrite(g, parse("x^4", 1)) == Word((1, 1), 1)
+        assert g.rewrite(parse("x^2", 1)) == Word((1,), 1)
+        assert g.rewrite(parse("x", 1)) is None
+        assert g.rewrite(parse("x^4", 1)) == Word((1, 1), 1)
 
     def test_rewrite_roundtrip(self):
         g = core_graph([parse("x^2", 2), parse("x y X", 2)], 2)
         basis = g.basis()
         for text in ["x^2", "x y X", "x^2 x y X", "(x y X)^-1 x^2"]:
             w = parse(text, 2)
-            coords = membership_rewrite(g, w)
+            coords = g.rewrite(w)
             assert coords is not None
             rebuilt = Word((), 2)
             for a in coords.letters:
@@ -164,7 +163,7 @@ class TestMembershipRewrite:
 
     def test_non_member(self):
         g = core_graph([parse("[x,y]", 2)], 2)
-        assert membership_rewrite(g, parse("x", 2)) is None
+        assert g.rewrite(parse("x", 2)) is None
 
 
 class TestBasis:
@@ -206,7 +205,7 @@ class TestFringe:
         for text in ["[x,y]", "x^2 y^2", "x^3"]:
             w = parse(text, 2)
             for g, _ in fringe(w):
-                assert membership_rewrite(g, w) is not None
+                assert g.rewrite(w) is not None
 
     def test_conjugation_covariance(self):
         w = parse("[x,y]", 2)
