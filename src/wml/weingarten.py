@@ -6,6 +6,15 @@ generator x that occurs p times with each sign contributes a sum over pairs
 of bijections (sigma, tau) between the positive and negative occurrences:
 each pair carries the Weingarten weight Wg(sigma tau^-1, n) and rewires the
 trace cycles, with every index loop that closes contributing a factor n.
+
+The pair sum does no rational-function arithmetic per pair.  Each pair adds
+1 to an integer tally keyed by (rewired monomial, cycle type of
+sigma tau^-1, closed loops).  After the loop, every Wg(t, n) on S_p is
+written as A_t / D_p over one common denominator D_p (cached per p), so the
+coefficient of a rewired monomial is the integer polynomial
+sum count * A_t * n^loops over D_p, put in canonical form once.  The work
+cap ``term_cap`` still counts the p!^2 pairs of every such sum.
+
 The last remaining generator is integrated in closed form via the classical
 power-sum orthogonality on U(n): E[p_alpha(U) conj(p_beta(U))] equals
 delta_{alpha beta} * z_alpha exactly once n >= |alpha|.
@@ -16,6 +25,7 @@ tagged with the validity bound n_min = max_x p_x.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
@@ -29,7 +39,12 @@ from .partitions import (
     schur_dim,
     z_order,
 )
-from .ratfunc import Polynomial, RationalFunction, laurent  # noqa: F401 - laurent re-exported
+from .ratfunc import (  # noqa: F401 - laurent re-exported
+    Polynomial,
+    RationalFunction,
+    laurent,
+    poly_gcd,
+)
 from .words import free_reduce, is_balanced
 
 DEFAULT_TERM_CAP = 10 ** 8
@@ -55,6 +70,21 @@ def wg(sigma_type):
         total = total + RationalFunction(d * d * chi) / schur_dim(lam)
     scale = RationalFunction(Polynomial.const(1), Polynomial.const(factorial(p) ** 2))
     return (total * scale).with_n_min(p)
+
+
+@lru_cache(maxsize=None)
+def _wg_over_common_denominator(p):
+    """Wg on S_p over one denominator: ``(D_p, {t: A_t})`` with
+    wg(t) = A_t / D_p for every cycle type t, all integer polynomials.
+
+    D_p is built as a running lcm; dividing by the primitive gcd keeps
+    every quotient integral (Gauss's lemma).
+    """
+    weights = {t: wg(t) for t in partitions_of(p)}
+    den = Polynomial.const(1)
+    for f in weights.values():
+        den, _ = (den * f.den).divmod_exact(poly_gcd(den, f.den))
+    return den, {t: f.num * den.divmod_exact(f.den)[0] for t, f in weights.items()}
 
 
 class TraceMonomial:
@@ -132,6 +162,12 @@ def _integrate_letter(monomial, gen, term_budget):
 
     Returns a dict mapping new monomials (sorted tuples of cyclic keys) to
     RationalFunction coefficients.  ``monomial`` is a tuple of letter tuples.
+
+    The p!^2 pairs (sigma, tau) only count: each adds 1 to a tally keyed by
+    (new monomial, cycle type of sigma tau^-1, closed loops).  Each new
+    monomial's coefficient is then sum count * A_t * n^loops over the
+    common denominator D_p of :func:`_wg_over_common_denominator`, reduced
+    once.  ``term_budget`` is charged all p!^2 pairs.
     """
     active = []
     passthrough = []
@@ -175,16 +211,16 @@ def _integrate_letter(monomial, gen, term_budget):
         )
     term_budget[0] -= cost
 
-    out = {}
+    tally = Counter()
     pos = tuple(positives)
     neg = tuple(negatives)
-    for sigma in permutations(range(p)):
-        for tau in permutations(range(p)):
+    for tau in permutations(range(p)):
+        tau_inv = [0] * p
+        for i, t in enumerate(tau):
+            tau_inv[t] = i
+        for sigma in permutations(range(p)):
             # sigma, tau: positions of positives -> positions of negatives
-            tau_inv = [0] * p
-            for i, t in enumerate(tau):
-                tau_inv[t] = i
-            weight = wg(cycle_type(tuple(sigma[tau_inv[i]] for i in range(p))))
+            ctype = cycle_type(tuple(sigma[tau_inv[i]] for i in range(p)))
             # rewire: successor of the segment arriving at each occurrence
             succ = {}
             for i in range(p):
@@ -207,10 +243,14 @@ def _integrate_letter(monomial, gen, term_budget):
                     loops += 1
                 else:
                     new_words.append(key)
-            coeff = weight * RationalFunction.n_power(loops)
-            key = tuple(sorted(new_words))
-            out[key] = out.get(key, RationalFunction(0)) + coeff
-    return out
+            tally[tuple(sorted(new_words)), ctype, loops] += 1
+
+    den, numerators = _wg_over_common_denominator(p)
+    sums = {}
+    for (key, ctype, loops), count in tally.items():
+        sums[key] = sums.get(key, Polynomial()) + \
+            Polynomial.monomial(count, loops) * numerators[ctype]
+    return {key: RationalFunction(num, den, n_min=p) for key, num in sums.items()}
 
 
 def _power_sum_expectation(alpha, beta):
@@ -221,8 +261,6 @@ def _power_sum_expectation(alpha, beta):
     """
     alpha = tuple(sorted(alpha, reverse=True))
     beta = tuple(sorted(beta, reverse=True))
-    if sum(alpha) != sum(beta):
-        return 0
     if alpha != beta:
         return 0
     return z_order(alpha)
@@ -296,9 +334,9 @@ def word_moment(words, term_cap=DEFAULT_TERM_CAP, force_pair_sum=False):
     for monomial, coeff in state.items():
         if final is None:
             # all letters integrated by pair sums; only loops remain
-            value = 1 if not monomial else 0
             if monomial:
-                raise AssertionError("letters left after integrating all generators")
+                raise RuntimeError("letters left after integrating all generators")
+            value = 1
         else:
             value = _final_letter_value(monomial, final)
         if value:

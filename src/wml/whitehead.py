@@ -22,6 +22,7 @@ set of generators used, so search states are normalized modulo them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations, product
 
 from .errors import UndecidedError
@@ -98,8 +99,10 @@ class TypeII:
         return TypeII(frozenset(self.letters - {a}) | {-a}, -a)
 
 
+@lru_cache(maxsize=None)
 def type_ii_autos(rank):
-    """All nontrivial Whitehead automorphisms of the second kind for F_rank."""
+    """All nontrivial Whitehead automorphisms of the second kind for F_rank,
+    as a tuple built once per rank."""
     signed = [g for g in range(1, rank + 1)] + [-g for g in range(1, rank + 1)]
     out = []
     for a in signed:
@@ -111,7 +114,7 @@ def type_ii_autos(rank):
             if len(chosen) == 1:
                 continue  # identity map
             out.append(TypeII(chosen, a))
-    return out
+    return tuple(out)
 
 
 def type_i_autos(rank):

@@ -3,10 +3,12 @@ from itertools import permutations
 import pytest
 
 from wml.errors import UndecidedError
-from wml.partitions import cycle_type
+from wml.partitions import cycle_type, murnaghan_nakayama, partitions_of, schur_dim
 from wml.ratfunc import Polynomial, RationalFunction, laurent
 from wml.weingarten import (
     TraceMonomial,
+    _cyclic_key,
+    _integrate_letter,
     expansion_prediction,
     moment,
     stable_inner_product,
@@ -179,6 +181,101 @@ class TestIntegratorConsistency:
             f = moment(w, exps)
             if f.n_min == 1:
                 assert f.evaluate(1) == 1, (text, exps)
+
+
+def reference_integrate_letter(monomial, gen):
+    """Integrate out ``gen`` with one wg(type) * n^loops term per (sigma, tau)
+    pair, summed as rational functions: the reference for the tallied sum."""
+    active = [cw for cw in monomial if any(abs(a) == gen for a in cw)]
+    passthrough = [cw for cw in monomial if cw not in active]
+    occ = [(w, i) for w, cw in enumerate(active)
+           for i, a in enumerate(cw) if abs(a) == gen]
+    pos = [o for o in occ if active[o[0]][o[1]] > 0]
+    neg = [o for o in occ if active[o[0]][o[1]] < 0]
+    p = len(pos)
+    if p != len(neg):
+        return {}
+
+    def next_occ(o):
+        w, i = o
+        k = (i + 1) % len(active[w])
+        while abs(active[w][k]) != gen:
+            k = (k + 1) % len(active[w])
+        return (w, k)
+
+    def segment(o):
+        (w, i), (_, j) = o, next_occ(o)
+        cw = active[w]
+        return cw[i + 1:j] if j > i else cw[i + 1:] + cw[:j]
+
+    out = {}
+    for sigma in permutations(range(p)):
+        for tau in permutations(range(p)):
+            # the strand arriving at positive i leaves from negative sigma(i);
+            # the one arriving at negative tau(i) leaves from positive i
+            jump = {pos[i]: neg[sigma[i]] for i in range(p)}
+            jump.update({neg[tau[i]]: pos[i] for i in range(p)})
+            words, loops, seen = list(passthrough), 0, set()
+            for start in occ:
+                if start in seen:
+                    continue
+                letters, cur = [], start
+                while cur not in seen:
+                    seen.add(cur)
+                    letters += segment(cur)
+                    cur = jump[next_occ(cur)]
+                key = _cyclic_key(letters)
+                if key is None:
+                    loops += 1
+                else:
+                    words.append(key)
+            weight = wg(cycle_type(tuple(tau.index(sigma[i]) for i in range(p))))
+            key = tuple(sorted(words))
+            out[key] = out.get(key, RationalFunction(0)) + \
+                weight * RationalFunction.n_power(loops)
+    return out
+
+
+class TestTalliedPairSum:
+    @pytest.mark.parametrize("monomial", [
+        ((1, 2, -1, -2),),  # [x,y], p = 1
+        ((1, 2, -1, -2), (1, 2, -1, -2)),  # p = 2 over two words
+        ((1, 2), (-2, -1)),  # closes loops
+        ((1, 2), (-1, 3), (1, -3, -1, -2)),  # mixed: p = 2 over three words
+        ((1, 2, -1, -2), (-3, -2), (2, 3)),  # passthrough words
+        ((1, 2, -1, -2) * 3,),  # [x,y]^3, p = 3
+        ((1, 1, 1, 2, -1, -1, -1, -2),),  # p = 3 in one block
+        ((1, 2, -1, -2), (3, -1, -1, 2, 1, -3, 1), (2, 4)),  # mixed, p = 3
+    ])
+    def test_matches_per_pair_reference(self, monomial):
+        got = _integrate_letter(monomial, 1, [10 ** 6])
+        expected = reference_integrate_letter(monomial, 1)
+        assert got == expected
+        assert {k: v.n_min for k, v in got.items()} == \
+            {k: v.n_min for k, v in expected.items()}
+
+
+def character_expansion(m, genus):
+    """Frobenius-Mednykh: E[tr W^m] for W = [x1,y1]...[xg,yg] equals
+    sum_{|lam| = m} chi^lam((m)) / s_lam(1^n)^(2g - 1)."""
+    total = RationalFunction(0)
+    for lam in partitions_of(m):
+        chi = murnaghan_nakayama(lam, (m,))
+        if chi:
+            term = RationalFunction(chi)
+            for _ in range(2 * genus - 1):
+                term = term / schur_dim(lam)
+            total = total + term
+    return total
+
+
+class TestCharacterExpansionOracle:
+    @pytest.mark.parametrize("text, rank, genus, m", [
+        *[("[x,y]", 2, 1, m) for m in range(1, 6)],
+        *[("[x1,x2][x3,x4]", 4, 2, m) for m in (1, 2)],
+    ])
+    def test_surface_word_power_trace(self, text, rank, genus, m):
+        assert moment(parse(text, rank), (m,)) == character_expansion(m, genus)
 
 
 class TestMomentInvariances:
