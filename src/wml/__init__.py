@@ -16,11 +16,9 @@ from .montecarlo import Estimate, UnitarySample, estimate_moment, sample_haar  #
 from .ratfunc import LaurentSeries, Polynomial, RationalFunction, laurent  # noqa: F401
 from .stallings import (  # noqa: F401
     LabeledGraph,
-    RawGraph,
     core_graph,
     fold,
     fringe,
-    wedge_marked,
 )
 from .surfaces import (  # noqa: F401
     MatchingSpec,

@@ -202,7 +202,7 @@ def cmd_parse(word_text, rank, config_path):
 @click.option("--fringe-cap", type=int, default=None,
               help="largest core-graph vertex count enumerated")
 @click.option("--orbit-cap", type=int, default=None,
-              help="largest orbit level explored")
+              help="most minimal-level states explored by the orbit search")
 @click.option("--genus-cap", type=int, default=None)
 @click.option("--cache-dir", type=click.Path(), default=None)
 @click.option("--no-cache", is_flag=True)

@@ -55,7 +55,7 @@ def primitivity_rank(w, rank, fringe_cap=DEFAULT_FRINGE_VERTEX_CAP):
     best = INFINITY
     # the fringe is sorted by subgroup rank, and every graph in it contains
     # w, so none has rank 0 and every rewrite succeeds
-    for graph, _ in fringe(w, vertex_cap=fringe_cap):
+    for graph in fringe(w, vertex_cap=fringe_cap):
         r = graph.subgroup_rank
         if r > best:
             break

@@ -6,8 +6,11 @@ graph (no two equal-label edges sharing a source, nor sharing a target)
 canonically represents the subgroup of words readable as loops at the
 basepoint.
 
-Folding is the worklist identification of offending edge pairs; the result
-is independent of the order in which pairs are processed.  Graphs are
+Every graph is built by the one function :func:`fold`: it merges given
+vertex pairs, then identifies offending edge pairs from a worklist until
+none remain; the result is independent of the order in which pairs are
+processed.  Core graphs, fringe quotients (:func:`fringe`) and the image
+subgroups of glued surfaces all go through it.  Graphs are
 canonicalized by breadth-first relabeling from the basepoint with a fixed
 edge order, so two folded graphs represent the same subgroup exactly when
 their serializations coincide.
@@ -15,37 +18,18 @@ their serializations coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import UndecidedError
 from .words import Word
 
 DEFAULT_FRINGE_VERTEX_CAP = 12
 
 
-@dataclass(frozen=True)
-class RawGraph:
-    """Unfolded labeled-graph data (e.g. a dual graph before folding)."""
-
-    num_vertices: int
-    edges: tuple
-    basepoint: int
-    marked: frozenset
-    rank: int
-
-    def subgroup(self):
-        """Wedge the marked vertices into the basepoint and fold."""
-        return subgroup_from_marked_graph(
-            self.num_vertices, self.edges, self.basepoint, self.marked,
-            self.rank,
-        )
-
-
 class LabeledGraph:
     """Immutable folded, trimmed, canonically numbered labeled graph.
 
-    Use :func:`fold` / :func:`core_graph` to build one; the constructor
-    expects data that is already folded and canonical.
+    Built by :func:`fold` (which :func:`core_graph` and :func:`fringe`
+    call); the constructor expects data that is already folded and
+    canonical.
     """
 
     __slots__ = ("num_vertices", "edges", "basepoint", "marked", "rank",
@@ -187,70 +171,62 @@ class LabeledGraph:
         return Word(letters, max(1, len(non_tree)))
 
 
-class _Builder:
-    """Mutable multigraph used while folding."""
+def fold(num_vertices, edges, basepoint, marked, rank, identify=()):
+    """Fold labeled edges on vertices ``0..num_vertices-1`` into a graph.
 
-    def __init__(self, rank):
-        self.rank = rank
-        self.parent = []  # union-find
-        self.edges = set()  # (src, dst, label) over current class reps
-        self.basepoint = 0
-        self.marked = set()
+    Each pair in ``identify`` is merged first; then equal-label edges
+    sharing a source or a target are merged until none remain.  A worklist
+    of pending vertex pairs runs over a union-find whose class
+    representatives carry per-label maps ``out[v][label]`` and
+    ``inc[v][label]``: merging ``a`` into ``b`` queues one pair for each
+    label the two maps share.  The folded graph is trimmed to its core
+    (keeping the basepoint and the marked vertices) and canonicalized.
+    """
+    parent = list(range(num_vertices))
+    out = [{} for _ in range(num_vertices)]
+    inc = [{} for _ in range(num_vertices)]
+    pending = list(identify)
+    for (src, dst, lab) in edges:
+        targets = out[src]
+        if lab in targets:
+            pending.append((dst, targets[lab]))
+        else:
+            targets[lab] = dst
+        sources = inc[dst]
+        if lab in sources:
+            pending.append((src, sources[lab]))
+        else:
+            sources[lab] = src
 
-    def new_vertex(self):
-        self.parent.append(len(self.parent))
-        return len(self.parent) - 1
-
-    def find(self, v):
-        while self.parent[v] != v:
-            self.parent[v] = self.parent[self.parent[v]]
-            v = self.parent[v]
-        return v
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-        return rb
-
-    def add_loop(self, word):
-        v = self.find(self.basepoint)
-        for a in word.letters[:-1]:
-            u = self.new_vertex()
-            self.edges.add((v, u, a) if a > 0 else (u, v, -a))
-            v = u
-        if word.letters:
-            a = word.letters[-1]
-            b = self.find(self.basepoint)
-            self.edges.add((v, b, a) if a > 0 else (b, v, -a))
-
-
-def _fold_edges(builder, shuffle_rng=None):
-    """Identify equal-label edges sharing a source or target until folded."""
-    while True:
-        edges = {}
-        for (src, dst, lab) in builder.edges:
-            s, d = builder.find(src), builder.find(dst)
-            edges.setdefault((s, d, lab), None)
-        builder.edges = set(edges)
-        items = sorted(builder.edges)
-        if shuffle_rng is not None:
-            shuffle_rng.shuffle(items)
-        out_seen = {}
-        in_seen = {}
-        merge = None
-        for (src, dst, lab) in items:
-            if (src, lab) in out_seen:
-                merge = (dst, out_seen[(src, lab)])
-                break
-            out_seen[(src, lab)] = dst
-            if (dst, lab) in in_seen:
-                merge = (src, in_seen[(dst, lab)])
-                break
-            in_seen[(dst, lab)] = src
-        if merge is None:
-            return
-        builder.union(*merge)
+    while pending:
+        a, b = pending.pop()
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a == b:
+            continue
+        parent[a] = b
+        for maps in (out, inc):
+            into = maps[b]
+            for lab, v in maps[a].items():
+                if lab in into:
+                    pending.append((v, into[lab]))
+                else:
+                    into[lab] = v
+    root = []
+    for v in range(num_vertices):
+        while parent[v] != v:
+            v = parent[v]
+        root.append(v)
+    base = root[basepoint]
+    marked = {root[v] for v in marked}
+    vertices = {v for v in range(num_vertices) if root[v] == v}
+    folded = {
+        (v, root[dst], lab) for v in vertices for lab, dst in out[v].items()
+    }
+    vertices, folded = _trim(vertices, folded, keep={base} | marked)
+    return _canonicalize(vertices, folded, base, marked, rank)
 
 
 def _trim(vertices, edges, keep):
@@ -298,83 +274,23 @@ def _canonicalize(vertices, edges, basepoint, marked, rank):
     return LabeledGraph(len(number), new_edges, 0, new_marked, rank)
 
 
-def fold(builder, shuffle_rng=None):
-    """Fold, trim and canonicalize the graph held by a builder."""
-    _fold_edges(builder, shuffle_rng)
-    base = builder.find(builder.basepoint)
-    marked = {builder.find(v) for v in builder.marked}
-    edges = {
-        (builder.find(src), builder.find(dst), lab)
-        for (src, dst, lab) in builder.edges
-    }
-    vertices = {base} | marked
-    for (src, dst, lab) in edges:
-        vertices.add(src)
-        vertices.add(dst)
-    vertices, edges = _trim(vertices, edges, keep={base} | marked)
-    return _canonicalize(vertices, edges, base, marked, rank=builder.rank)
-
-
-def core_graph(generators, rank, shuffle_rng=None):
+def core_graph(generators, rank):
     """Folded core graph of the subgroup generated by the given words."""
-    builder = _Builder(rank)
-    builder.new_vertex()  # basepoint
+    edges = []
+    num_vertices = 1  # the basepoint is vertex 0
     for w in generators:
         if w.rank > rank:
             raise ValueError("generator rank exceeds ambient rank")
-        builder.add_loop(w)
-    return fold(builder, shuffle_rng)
-
-
-def graph_from_edges(num_vertices, edges, basepoint, marked, rank):
-    """Fold arbitrary edge data (vertices 0..num_vertices-1) into a graph."""
-    builder = _Builder(rank)
-    for _ in range(num_vertices):
-        builder.new_vertex()
-    builder.basepoint = basepoint
-    builder.marked = set(marked)
-    builder.edges = set(edges)
-    return fold(builder)
-
-
-def wedge_marked(graph):
-    """Identify all marked vertices with the basepoint and fold.
-
-    The result represents the subgroup generated by the images of all
-    marked-point-to-marked-point paths.
-    """
-    return subgroup_from_marked_graph(
-        graph.num_vertices, graph.edges, graph.basepoint, graph.marked, graph.rank
-    )
-
-
-def subgroup_from_marked_graph(num_vertices, edges, basepoint, marked, rank):
-    """Wedge the marked vertices into the basepoint of raw (possibly
-    unfolded) edge data and fold the result."""
-    builder = _Builder(rank)
-    for _ in range(num_vertices):
-        builder.new_vertex()
-    builder.basepoint = basepoint
-    builder.edges = set(edges)
-    for v in marked:
-        builder.union(v, basepoint)
-    return fold(builder)
-
-
-def quotient(graph, partition_map):
-    """Fold the quotient by a vertex partition (vertex -> block id)."""
-    builder = _Builder(graph.rank)
-    for _ in range(graph.num_vertices):
-        builder.new_vertex()
-    builder.basepoint = graph.basepoint
-    builder.edges = set(graph.edges)
-    blocks = {}
-    for v in range(graph.num_vertices):
-        blocks.setdefault(partition_map[v], []).append(v)
-    for members in blocks.values():
-        for v in members[1:]:
-            builder.union(members[0], v)
-    return fold(builder)
+        v = 0
+        for i, a in enumerate(w.letters):
+            if i == len(w.letters) - 1:
+                u = 0
+            else:
+                u = num_vertices
+                num_vertices += 1
+            edges.append((v, u, a) if a > 0 else (u, v, -a))
+            v = u
+    return fold(num_vertices, edges, 0, (), rank)
 
 
 def _set_partitions(n):
@@ -395,32 +311,31 @@ def _set_partitions(n):
     yield from rec(1, 0)
 
 
-def fringe(w, vertex_cap=DEFAULT_FRINGE_VERTEX_CAP, force=False):
+def fringe(w, vertex_cap=DEFAULT_FRINGE_VERTEX_CAP):
     """All distinct subgroups arising as folded vertex quotients of the
     core graph of <w>.
 
     Every algebraic extension of <w> occurs among these, so the fringe is a
-    complete search space for minimal-rank witnesses.  Returns a list of
-    (graph, basis) pairs, deduplicated by canonical form, containing w.
+    complete search space for minimal-rank witnesses.  Returns the folded
+    graphs, deduplicated by canonical form and sorted by subgroup rank;
+    every one contains w.
     """
     if w.is_identity():
         raise ValueError("fringe of the trivial word is not defined")
     base = core_graph([w], w.rank)
-    if base.num_vertices > vertex_cap and not force:
+    if base.num_vertices > vertex_cap:
         raise UndecidedError(
             f"fringe needs set partitions of {base.num_vertices} vertices, "
             f"over the cap {vertex_cap}"
         )
     seen = {}
     for rgs in _set_partitions(base.num_vertices):
-        g = quotient(base, rgs)
-        key = g.serialize()
-        if key not in seen:
-            seen[key] = g
-    out = []
+        identify = [(rgs.index(b), v) for v, b in enumerate(rgs)]
+        g = fold(base.num_vertices, base.edges, base.basepoint, (), base.rank,
+                 identify)
+        seen.setdefault(g.serialize(), g)
     for g in seen.values():
         if not g.contains(w):
             raise RuntimeError(f"fringe quotient {g!r} does not contain {w}")
-        out.append((g, g.basis()))
-    out.sort(key=lambda pair: (pair[0].subgroup_rank, pair[0].serialize()))
-    return out
+    return sorted(seen.values(),
+                  key=lambda g: (g.subgroup_rank, g.serialize()))

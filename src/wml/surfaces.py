@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import permutations, product
 
 from .errors import UndecidedError
-from .stallings import RawGraph
+from .stallings import fold
 from .words import is_balanced
 
 DEFAULT_SPEC_CAP = 200_000
@@ -121,7 +121,7 @@ class SurfaceComponent:
         object.__setattr__(self, "boundary", boundary)
         genus2 = 2 - boundary - chi
         if genus2 % 2 or genus2 < 0:
-            raise AssertionError(
+            raise RuntimeError(
                 f"chi={chi}, boundary={boundary} is not an oriented surface"
             )
         object.__setattr__(self, "genus", genus2 // 2)
@@ -159,16 +159,10 @@ class SurfaceComplex:
                 return i
         raise ValueError(f"no component contains annulus {m}")
 
-    def image_subgroup_graph(self, component_index):
-        """Dual graph of the component: one vertex per region between the
-        first-level arcs, one labeled edge per first-level matched pair,
-        the regions holding the annulus basepoints marked."""
-        return _dual_graph(self, component_index)
-
     def image_subgroup(self, component_index):
         """Folded graph of the subgroup generated by the images of all
         marked-point-to-marked-point paths of the component."""
-        return _dual_graph(self, component_index).subgroup()
+        return _dual_graph(self, component_index)
 
     def to_json(self):
         return {
@@ -286,6 +280,9 @@ def build_surface(spec):
 
 
 def _dual_graph(surface, component_index):
+    """Fold the dual graph of a component: one vertex per region between
+    the first-level arcs, one labeled edge per first-level matched pair,
+    and the regions holding the annulus basepoints wedged together."""
     comp = surface.components[component_index]
     members = set(comp.annuli)
     sizes = [len(s) for s in surface.sub_letters]
@@ -324,13 +321,9 @@ def _dual_graph(surface, component_index):
         edges.add((region[uf.find(tail)], region[uf.find(head)], gen))
     marked = {region[uf.find((m, 0, 0))] for m in members}
     basepoint = region[uf.find((min(members), 0, 0))]
-    return RawGraph(
-        num_vertices=len(roots),
-        edges=tuple(sorted(edges)),
-        basepoint=basepoint,
-        marked=frozenset(marked),
-        rank=max(w.rank for w in surface.spec.words),
-    )
+    return fold(len(roots), edges, basepoint, (),
+                max(w.rank for w in surface.spec.words),
+                identify=[(v, basepoint) for v in marked])
 
 
 def enumerate_matchings(words, max_subdivision=1, spec_cap=DEFAULT_SPEC_CAP,
@@ -411,28 +404,22 @@ def is_forbidden(spec, base_word):
     return False, None
 
 
-def genus_spectrum(words, max_subdivision=1, spec_cap=DEFAULT_SPEC_CAP,
-                   compute_images=False):
+def genus_spectrum(words, max_subdivision=1, spec_cap=DEFAULT_SPEC_CAP):
     """Fold the matching enumeration through the surface builder.
 
     Returns a list of records, one per matching collection, each holding the
-    surface and per-component (chi, boundary, genus[, image subgroup]).
+    surface and per-component (chi, boundary, genus).
     """
     records = []
     for spec in enumerate_matchings(words, max_subdivision, spec_cap):
         surface = build_surface(spec)
         comps = []
-        for i, comp in enumerate(surface.components):
-            entry = {
+        for comp in surface.components:
+            comps.append({
                 "chi": comp.chi,
                 "boundary": comp.boundary,
                 "genus": comp.genus,
-            }
-            if compute_images:
-                subgroup = surface.image_subgroup(i)
-                entry["image_rank"] = subgroup.subgroup_rank
-                entry["image_graph"] = subgroup
-            comps.append(entry)
+            })
         records.append({"surface": surface, "components": comps})
     return records
 
@@ -460,9 +447,8 @@ def minimal_single_boundary_genus(word, max_subdivision, spec_cap=DEFAULT_SPEC_C
     balanced, _ = is_balanced([word])
     if not balanced:
         return None
-    best = None
-    for record in genus_spectrum([word], max_subdivision, spec_cap):
-        for comp in record["components"]:
-            if best is None or comp["genus"] < best:
-                best = comp["genus"]
-    return best
+    # one boundary word glues into one connected component
+    return min(
+        build_surface(spec).components[0].genus
+        for spec in enumerate_matchings([word], max_subdivision, spec_cap)
+    )

@@ -86,7 +86,8 @@ class TestAlgebraicExtension:
             pi = primitivity_rank(w, F2)[0]
             for d in (1, 2):
                 wd = w ** d
-                for graph, basis in fringe(wd):
+                for graph in fringe(wd):
+                    basis = graph.basis()
                     rank_h = graph.subgroup_rank
                     if rank_h == 1:
                         root = basis[0]

@@ -6,13 +6,85 @@ import pytest
 from wml.errors import UndecidedError
 from wml.stallings import (
     LabeledGraph,
+    _canonicalize,
+    _trim,
     core_graph,
+    fold,
     fringe,
-    graph_from_edges,
-    quotient,
-    wedge_marked,
 )
 from wml.words import Word, parse
+
+
+def restart_scan_fold(num_vertices, edges, basepoint, marked, rank,
+                      identify=()):
+    """Reference fold: after every union, re-sort all edges and rescan
+    from the start for an offending pair."""
+    parent = list(range(num_vertices))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for a, b in identify:
+        parent[find(a)] = find(b)
+    edges = set(edges)
+    while True:
+        edges = {(find(src), find(dst), lab) for (src, dst, lab) in edges}
+        out_seen, in_seen = {}, {}
+        merge = None
+        for (src, dst, lab) in sorted(edges):
+            if (src, lab) in out_seen:
+                merge = (dst, out_seen[(src, lab)])
+                break
+            out_seen[(src, lab)] = dst
+            if (dst, lab) in in_seen:
+                merge = (src, in_seen[(dst, lab)])
+                break
+            in_seen[(dst, lab)] = src
+        if merge is None:
+            break
+        a, b = find(merge[0]), find(merge[1])
+        if a != b:
+            parent[a] = b
+    base = find(basepoint)
+    marked = {find(v) for v in marked}
+    vertices = {base} | marked | {v for e in edges for v in e[:2]}
+    vertices, edges = _trim(vertices, edges, keep={base} | marked)
+    return _canonicalize(vertices, edges, base, marked, rank)
+
+
+def loop_edges(words):
+    """Unfolded bouquet of the words: one loop per word at vertex 0."""
+    num_vertices, edges = 1, []
+    for w in words:
+        v = 0
+        for i, a in enumerate(w.letters):
+            if i == len(w) - 1:
+                u = 0
+            else:
+                u, num_vertices = num_vertices, num_vertices + 1
+            edges.append((v, u, a) if a > 0 else (u, v, -a))
+            v = u
+    return num_vertices, edges
+
+
+def fold_renumbered(words, rank, rng):
+    """Fold the words' loop edges under a random vertex renumbering and a
+    shuffled edge order."""
+    num_vertices, edges = loop_edges(words)
+    perm = list(range(num_vertices))
+    rng.shuffle(perm)
+    edges = [(perm[src], perm[dst], lab) for (src, dst, lab) in edges]
+    rng.shuffle(edges)
+    return fold(num_vertices, edges, perm[0], (), rank)
+
+
+def wedge(graph):
+    """Identify every marked vertex with the basepoint and fold."""
+    return fold(graph.num_vertices, graph.edges, graph.basepoint, (),
+                graph.rank,
+                identify=[(v, graph.basepoint) for v in graph.marked])
 
 
 def brute_force_isomorphic(g1, g2):
@@ -85,7 +157,7 @@ class TestFoldConfluence:
         reference = core_graph(words, 2)
         for seed in range(25):
             rng = random.Random(seed)
-            assert core_graph(words, 2, shuffle_rng=rng) == reference
+            assert fold_renumbered(words, 2, rng) == reference
 
     def test_random_graphs_random_orders(self):
         rng = random.Random(3)
@@ -100,14 +172,37 @@ class TestFoldConfluence:
             reference = core_graph(gens, 2)
             for seed in range(4):
                 shuffler = random.Random(1000 * trial + seed)
-                assert core_graph(gens, 2, shuffle_rng=shuffler) == reference
+                assert fold_renumbered(gens, 2, shuffler) == reference
 
     def test_fold_idempotent(self):
         g = core_graph([parse("[x,y]", 2)], 2)
-        again = graph_from_edges(
-            g.num_vertices, g.edges, g.basepoint, g.marked, g.rank
-        )
+        again = fold(g.num_vertices, g.edges, g.basepoint, g.marked, g.rank)
         assert again == g
+
+
+class TestWorklistFold:
+    def test_matches_restart_scan_reference(self):
+        # connected edge data with marked vertices and identify pairs
+        rng = random.Random(17)
+        for _ in range(250):
+            n = rng.randint(2, 8)
+            rank = rng.randint(1, 3)
+            edges = []
+            for v in range(1, n):
+                u = rng.randrange(v)
+                lab = rng.randint(1, rank)
+                edges.append((u, v, lab) if rng.random() < 0.5 else (v, u, lab))
+            for _ in range(rng.randint(0, 2 * n)):
+                edges.append((rng.randrange(n), rng.randrange(n),
+                              rng.randint(1, rank)))
+            basepoint = rng.randrange(n)
+            marked = {rng.randrange(n) for _ in range(rng.randint(0, 2))}
+            identify = [(rng.randrange(n), rng.randrange(n))
+                        for _ in range(rng.randint(0, 3))]
+            got = fold(n, edges, basepoint, marked, rank, identify)
+            want = restart_scan_fold(n, edges, basepoint, marked, rank,
+                                     identify)
+            assert got == want, (n, edges, basepoint, marked, identify)
 
 
 class TestCanonicalForm:
@@ -187,34 +282,42 @@ class TestFringe:
     def test_single_generator(self):
         fr = fringe(parse("x", 2))
         assert len(fr) == 1
-        g, basis = fr[0]
-        assert g.subgroup_rank == 1 and basis == [Word((1,), 2)]
+        g = fr[0]
+        assert g.subgroup_rank == 1 and g.basis() == [Word((1,), 2)]
 
     def test_commutator_contains_self_and_whole_group(self):
         fr = fringe(parse("[x,y]", 2))
-        ranks = [g.subgroup_rank for g, _ in fr]
+        ranks = [g.subgroup_rank for g in fr]
         assert 1 in ranks  # <[x,y]> itself
         whole = core_graph([parse("x", 2), parse("y", 2)], 2)
-        assert any(g == whole for g, _ in fr)
+        assert whole in fr
 
     def test_commutator_fringe_size_pinned(self):
-        # 15 vertex partitions of the 4-cycle fold to 7 distinct subgroups
-        assert len(fringe(parse("[x,y]", 2))) == 7
+        # 15 vertex partitions of the 4-cycle fold to 7 distinct subgroups;
+        # the V=8-9 core graphs below go through Bell(8) and Bell(9) folds
+        cases = [
+            ("[x,y]", 2, 7),
+            ("x^2y^2x^-2y^-2", 2, 65),
+            ("[x,y][x,z]", 3, 234),
+            ("[x,[x,y]]", 2, 174),
+        ]
+        for text, rank, size in cases:
+            assert len(fringe(parse(text, rank))) == size, text
 
     def test_every_member_contains_word(self):
         for text in ["[x,y]", "x^2 y^2", "x^3"]:
             w = parse(text, 2)
-            for g, _ in fringe(w):
+            for g in fringe(w):
                 assert g.rewrite(w) is not None
 
     def test_conjugation_covariance(self):
         w = parse("[x,y]", 2)
         base = fringe(w)
-        base_ranks = sorted(g.subgroup_rank for g, _ in base)
+        base_ranks = sorted(g.subgroup_rank for g in base)
         for rot in w.cyclic_rotations():
             fr = fringe(rot)
             assert len(fr) == len(base)
-            assert sorted(g.subgroup_rank for g, _ in fr) == base_ranks
+            assert sorted(g.subgroup_rank for g in fr) == base_ranks
 
     def test_vertex_cap(self):
         w = parse("[x,y]^4", 2)  # 16 vertices
@@ -222,8 +325,8 @@ class TestFringe:
             fringe(w)
 
     def test_deterministic_order(self):
-        a = [g.serialize() for g, _ in fringe(parse("[x,y]", 2))]
-        b = [g.serialize() for g, _ in fringe(parse("[x,y]", 2))]
+        a = [g.serialize() for g in fringe(parse("[x,y]", 2))]
+        b = [g.serialize() for g in fringe(parse("[x,y]", 2))]
         assert a == b
 
 
@@ -231,7 +334,7 @@ class TestWedgeMarked:
     def test_marked_basepoint_only(self):
         g0 = core_graph([parse("[x,y]", 2)], 2)
         g = LabeledGraph(g0.num_vertices, g0.edges, g0.basepoint, {0}, g0.rank)
-        assert wedge_marked(g).serialize() == g0.serialize()
+        assert wedge(g).serialize() == g0.serialize()
 
     def test_two_loops_joined(self):
         # x-loops at both endpoints of a y-edge, both endpoints marked.
@@ -240,9 +343,9 @@ class TestWedgeMarked:
         # merges the two coincident x-loops, so the subgroup generated by
         # marked-to-marked paths is <x, y>.
         edges = {(0, 0, 1), (1, 1, 1), (0, 1, 2)}
-        g = graph_from_edges(2, edges, 0, {0, 1}, 2)
+        g = fold(2, edges, 0, {0, 1}, 2)
         assert g.subgroup_rank == 2
-        wedged = wedge_marked(g)
+        wedged = wedge(g)
         assert wedged.num_vertices == 1 and wedged.num_edges == 2
         assert wedged.contains(parse("x", 2))
         assert wedged.contains(parse("y", 2))
@@ -250,5 +353,7 @@ class TestWedgeMarked:
     def test_quotient_keeps_membership(self):
         w = parse("[x,y]", 2)
         base = core_graph([w], 2)
-        g = quotient(base, [0, 1, 0, 1])
+        # the vertex partition {0, 2}, {1, 3}
+        g = fold(base.num_vertices, base.edges, base.basepoint, (), base.rank,
+                 identify=[(0, 2), (1, 3)])
         assert g.contains(w)
