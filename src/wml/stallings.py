@@ -171,7 +171,7 @@ class LabeledGraph:
         return Word(letters, max(1, len(non_tree)))
 
 
-def fold(num_vertices, edges, basepoint, marked, rank, identify=()):
+def fold(num_vertices, edges, basepoint, rank, identify=()):
     """Fold labeled edges on vertices ``0..num_vertices-1`` into a graph.
 
     Each pair in ``identify`` is merged first; then equal-label edges
@@ -180,7 +180,7 @@ def fold(num_vertices, edges, basepoint, marked, rank, identify=()):
     representatives carry per-label maps ``out[v][label]`` and
     ``inc[v][label]``: merging ``a`` into ``b`` queues one pair for each
     label the two maps share.  The folded graph is trimmed to its core
-    (keeping the basepoint and the marked vertices) and canonicalized.
+    (keeping the basepoint) and canonicalized.
     """
     parent = list(range(num_vertices))
     out = [{} for _ in range(num_vertices)]
@@ -220,13 +220,12 @@ def fold(num_vertices, edges, basepoint, marked, rank, identify=()):
             v = parent[v]
         root.append(v)
     base = root[basepoint]
-    marked = {root[v] for v in marked}
     vertices = {v for v in range(num_vertices) if root[v] == v}
     folded = {
         (v, root[dst], lab) for v in vertices for lab, dst in out[v].items()
     }
-    vertices, folded = _trim(vertices, folded, keep={base} | marked)
-    return _canonicalize(vertices, folded, base, marked, rank)
+    vertices, folded = _trim(vertices, folded, keep={base})
+    return _canonicalize(vertices, folded, base, rank)
 
 
 def _trim(vertices, edges, keep):
@@ -249,7 +248,7 @@ def _trim(vertices, edges, keep):
         }
 
 
-def _canonicalize(vertices, edges, basepoint, marked, rank):
+def _canonicalize(vertices, edges, basepoint, rank):
     """BFS renumbering from the basepoint with edges in (label, sign) order."""
     out = {}
     inc = {}
@@ -270,8 +269,7 @@ def _canonicalize(vertices, edges, basepoint, marked, rank):
     new_edges = {
         (number[src], number[dst], lab) for (src, dst, lab) in edges
     }
-    new_marked = {number[v] for v in marked if v in number}
-    return LabeledGraph(len(number), new_edges, 0, new_marked, rank)
+    return LabeledGraph(len(number), new_edges, 0, (), rank)
 
 
 def core_graph(generators, rank):
@@ -290,7 +288,7 @@ def core_graph(generators, rank):
                 num_vertices += 1
             edges.append((v, u, a) if a > 0 else (u, v, -a))
             v = u
-    return fold(num_vertices, edges, 0, (), rank)
+    return fold(num_vertices, edges, 0, rank)
 
 
 def _set_partitions(n):
@@ -331,7 +329,7 @@ def fringe(w, vertex_cap=DEFAULT_FRINGE_VERTEX_CAP):
     seen = {}
     for rgs in _set_partitions(base.num_vertices):
         identify = [(rgs.index(b), v) for v, b in enumerate(rgs)]
-        g = fold(base.num_vertices, base.edges, base.basepoint, (), base.rank,
+        g = fold(base.num_vertices, base.edges, base.basepoint, base.rank,
                  identify)
         seen.setdefault(g.serialize(), g)
     for g in seen.values():

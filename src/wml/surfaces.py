@@ -321,7 +321,7 @@ def _dual_graph(surface, component_index):
         edges.add((region[uf.find(tail)], region[uf.find(head)], gen))
     marked = {region[uf.find((m, 0, 0))] for m in members}
     basepoint = region[uf.find((min(members), 0, 0))]
-    return fold(len(roots), edges, basepoint, (),
+    return fold(len(roots), edges, basepoint,
                 max(w.rank for w in surface.spec.words),
                 identify=[(v, basepoint) for v in marked])
 

@@ -15,8 +15,7 @@ from wml.stallings import (
 from wml.words import Word, parse
 
 
-def restart_scan_fold(num_vertices, edges, basepoint, marked, rank,
-                      identify=()):
+def restart_scan_fold(num_vertices, edges, basepoint, rank, identify=()):
     """Reference fold: after every union, re-sort all edges and rescan
     from the start for an offending pair."""
     parent = list(range(num_vertices))
@@ -48,10 +47,9 @@ def restart_scan_fold(num_vertices, edges, basepoint, marked, rank,
         if a != b:
             parent[a] = b
     base = find(basepoint)
-    marked = {find(v) for v in marked}
-    vertices = {base} | marked | {v for e in edges for v in e[:2]}
-    vertices, edges = _trim(vertices, edges, keep={base} | marked)
-    return _canonicalize(vertices, edges, base, marked, rank)
+    vertices = {base} | {v for e in edges for v in e[:2]}
+    vertices, edges = _trim(vertices, edges, keep={base})
+    return _canonicalize(vertices, edges, base, rank)
 
 
 def loop_edges(words):
@@ -77,13 +75,12 @@ def fold_renumbered(words, rank, rng):
     rng.shuffle(perm)
     edges = [(perm[src], perm[dst], lab) for (src, dst, lab) in edges]
     rng.shuffle(edges)
-    return fold(num_vertices, edges, perm[0], (), rank)
+    return fold(num_vertices, edges, perm[0], rank)
 
 
 def wedge(graph):
     """Identify every marked vertex with the basepoint and fold."""
-    return fold(graph.num_vertices, graph.edges, graph.basepoint, (),
-                graph.rank,
+    return fold(graph.num_vertices, graph.edges, graph.basepoint, graph.rank,
                 identify=[(v, graph.basepoint) for v in graph.marked])
 
 
@@ -176,13 +173,13 @@ class TestFoldConfluence:
 
     def test_fold_idempotent(self):
         g = core_graph([parse("[x,y]", 2)], 2)
-        again = fold(g.num_vertices, g.edges, g.basepoint, g.marked, g.rank)
+        again = fold(g.num_vertices, g.edges, g.basepoint, g.rank)
         assert again == g
 
 
 class TestWorklistFold:
     def test_matches_restart_scan_reference(self):
-        # connected edge data with marked vertices and identify pairs
+        # connected edge data with identify pairs
         rng = random.Random(17)
         for _ in range(250):
             n = rng.randint(2, 8)
@@ -196,13 +193,11 @@ class TestWorklistFold:
                 edges.append((rng.randrange(n), rng.randrange(n),
                               rng.randint(1, rank)))
             basepoint = rng.randrange(n)
-            marked = {rng.randrange(n) for _ in range(rng.randint(0, 2))}
             identify = [(rng.randrange(n), rng.randrange(n))
                         for _ in range(rng.randint(0, 3))]
-            got = fold(n, edges, basepoint, marked, rank, identify)
-            want = restart_scan_fold(n, edges, basepoint, marked, rank,
-                                     identify)
-            assert got == want, (n, edges, basepoint, marked, identify)
+            got = fold(n, edges, basepoint, rank, identify)
+            want = restart_scan_fold(n, edges, basepoint, rank, identify)
+            assert got == want, (n, edges, basepoint, identify)
 
 
 class TestCanonicalForm:
@@ -337,23 +332,19 @@ class TestWedgeMarked:
         assert wedge(g).serialize() == g0.serialize()
 
     def test_two_loops_joined(self):
-        # x-loops at both endpoints of a y-edge, both endpoints marked.
-        # Identifying the endpoints turns the y-edge into a loop and the
-        # quotient multigraph has one more independent loop; folding then
-        # merges the two coincident x-loops, so the subgroup generated by
-        # marked-to-marked paths is <x, y>.
+        # x-loops at both endpoints of a y-edge.  Identifying the
+        # endpoints turns the y-edge into a loop; folding then merges the
+        # two coincident x-loops, so the subgroup is <x, y>.
         edges = {(0, 0, 1), (1, 1, 1), (0, 1, 2)}
-        g = fold(2, edges, 0, {0, 1}, 2)
-        assert g.subgroup_rank == 2
-        wedged = wedge(g)
-        assert wedged.num_vertices == 1 and wedged.num_edges == 2
-        assert wedged.contains(parse("x", 2))
-        assert wedged.contains(parse("y", 2))
+        g = fold(2, edges, 0, 2, identify=[(1, 0)])
+        assert g.num_vertices == 1 and g.num_edges == 2
+        assert g.contains(parse("x", 2))
+        assert g.contains(parse("y", 2))
 
     def test_quotient_keeps_membership(self):
         w = parse("[x,y]", 2)
         base = core_graph([w], 2)
         # the vertex partition {0, 2}, {1, 3}
-        g = fold(base.num_vertices, base.edges, base.basepoint, (), base.rank,
+        g = fold(base.num_vertices, base.edges, base.basepoint, base.rank,
                  identify=[(0, 2), (1, 3)])
         assert g.contains(w)
