@@ -25,7 +25,6 @@ from .surfaces import (  # noqa: F401
     SurfaceComplex,
     build_surface,
     enumerate_matchings,
-    genus_spectrum,
     is_forbidden,
     spectrum_map,
 )
@@ -34,6 +33,7 @@ from .weingarten import (  # noqa: F401
     expansion_prediction,
     moment,
     stable_inner_product,
+    verify_word,
     wg,
     word_moment,
 )

@@ -1,12 +1,16 @@
 """Command-line interface: parse | invariants | moment | surfaces | verify.
 
-Output is JSON by default (CSV for verify tables on request).  Exact
-rational functions are printed as integer-coefficient fraction strings,
-never floats.  Results that only depend on the word and the flags are
-cached by canonical word form under ``--cache-dir`` (or ``$WML_CACHE``),
-written atomically so concurrent invocations are safe.
+A click shell over the library: every command parses its flags, reads
+config fallbacks and the library's default caps, calls one library entry
+point and prints the result.  Output is JSON by default (CSV for verify
+tables on request).  Exact rational functions are printed as
+integer-coefficient fraction strings, never floats.  Results that only
+depend on the word and the flags are cached by canonical word form under
+``--cache-dir`` (or ``$WML_CACHE``), written atomically so concurrent
+invocations are safe.
 
-Exit codes: 0 ok, 2 parse error, 3 undecided at a resource cap, 4 internal.
+Exit codes: 0 ok, 2 parse error or invalid input, 3 undecided at a
+resource cap, 4 internal.
 """
 
 from __future__ import annotations
@@ -17,25 +21,20 @@ import os
 import sys
 import tempfile
 import time
-from fractions import Fraction
 
 import click
 
 from . import __version__
 from .errors import ParseError, UndecidedError
-from .invariants import INFINITY, analyze
+from .invariants import DEFAULT_GENUS_CAP, analyze
 from .montecarlo import estimate_moment
-from .ratfunc import RationalFunction, laurent
-from .surfaces import build_surface, enumerate_matchings
-from .weingarten import (
-    TraceMonomial,
-    expansion_prediction,
-    moment,
-    stable_inner_product,
-)
+from .stallings import DEFAULT_FRINGE_VERTEX_CAP
+from .surfaces import DEFAULT_SPEC_CAP, build_surface, enumerate_matchings
+from .weingarten import DEFAULT_TERM_CAP, moment, verify_word
+from .whitehead import DEFAULT_ORBIT_CAP
 from .words import parse as parse_text
 
-EXIT_PARSE = 2
+EXIT_INPUT = 2
 EXIT_UNDECIDED = 3
 EXIT_INTERNAL = 4
 
@@ -56,18 +55,29 @@ def _load_config(path):
     return values
 
 
+
+
 class Settings:
     """Flag values with config-file fallbacks."""
 
     def __init__(self, config_path=None):
         self.config = _load_config(config_path)
 
-    def get(self, name, flag_value, default, cast=int):
+    def get(self, name, flag_value, default):
         if flag_value is not None:
             return flag_value
         if name in self.config:
-            return cast(self.config[name])
+            return int(self.config[name])
         return default
+
+    def analysis_caps(self, fringe_cap, orbit_cap, genus_cap):
+        """The caps of :func:`wml.invariants.analyze`, by parameter name."""
+        return {
+            "fringe_cap": self.get("fringe_cap", fringe_cap,
+                                   DEFAULT_FRINGE_VERTEX_CAP),
+            "orbit_cap": self.get("orbit_cap", orbit_cap, DEFAULT_ORBIT_CAP),
+            "genus_cap": self.get("genus_cap", genus_cap, DEFAULT_GENUS_CAP),
+        }
 
 
 def _cache_dir(flag_value, settings):
@@ -119,20 +129,6 @@ def _emit(data):
     click.echo(json.dumps(data, indent=2))
 
 
-def _fail_parse(exc):
-    click.echo(f"parse error: {exc}", err=True)
-    sys.exit(EXIT_PARSE)
-
-
-def _fail_undecided(exc):
-    click.echo(f"undecided: {exc}", err=True)
-    sys.exit(EXIT_UNDECIDED)
-
-
-def _encode_inf(v):
-    return "inf" if v is INFINITY else v
-
-
 def _parse_exponents(text):
     try:
         exps = tuple(int(piece) for piece in text.split(","))
@@ -143,26 +139,40 @@ def _parse_exponents(text):
     return exps
 
 
-@click.group()
+class _Commands(click.Group):
+    """The error boundary of every command: library exceptions become a
+    one-line message on stderr and the documented exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ParseError as exc:  # a ValueError, so it is matched first
+            click.echo(f"parse error: {exc}", err=True)
+            sys.exit(EXIT_INPUT)
+        except ValueError as exc:
+            click.echo(f"invalid input: {exc}", err=True)
+            sys.exit(EXIT_INPUT)
+        except UndecidedError as exc:
+            click.echo(f"undecided: {exc}", err=True)
+            sys.exit(EXIT_UNDECIDED)
+
+
+@click.group(cls=_Commands)
 def cli():
     """Free-group word invariants and exact unitary word-measure moments."""
 
 
 def main():
-    """Console entry point mapping failures to the documented exit codes."""
+    """Console entry point: click's usage errors exit 2, anything the
+    command boundary does not map exits 4."""
     try:
         cli(standalone_mode=False)
-    except SystemExit:
-        raise
     except click.UsageError as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
-        sys.exit(EXIT_PARSE)
+        sys.exit(EXIT_INPUT)
     except click.ClickException as exc:
         exc.show()
         sys.exit(exc.exit_code)
-    except UndecidedError as exc:
-        click.echo(f"undecided: {exc}", err=True)
-        sys.exit(EXIT_UNDECIDED)
     except click.Abort:
         sys.exit(EXIT_INTERNAL)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary
@@ -170,18 +180,35 @@ def main():
         sys.exit(EXIT_INTERNAL)
 
 
+_rank_option = click.option("--rank", type=int, default=None,
+                            help="ambient rank")
+_config_option = click.option("--config", "config_path", type=click.Path(),
+                              default=None, help="key = value config file")
+
+
+def _analysis_cap_options(command):
+    """--fringe-cap, --orbit-cap and --genus-cap, the caps of ``analyze``."""
+    for option in reversed([
+        click.option("--fringe-cap", type=int, default=None,
+                     help="largest core-graph vertex count enumerated"),
+        click.option("--orbit-cap", type=int, default=None,
+                     help="most minimal-level states explored by the "
+                          "orbit search"),
+        click.option("--genus-cap", type=int, default=None,
+                     help="largest commutator length reported exactly"),
+    ]):
+        command = option(command)
+    return command
+
+
 @cli.command("parse")
 @click.argument("word_text")
-@click.option("--rank", type=int, default=None, help="ambient rank")
-@click.option("--config", "config_path", type=click.Path(), default=None)
+@_rank_option
+@_config_option
 def cmd_parse(word_text, rank, config_path):
     """Parse a word and print its canonical form."""
-    settings = Settings(config_path)
-    rank = settings.get("rank", rank, 2)
-    try:
-        w = parse_text(word_text, rank)
-    except ParseError as exc:
-        _fail_parse(exc)
+    rank = Settings(config_path).get("rank", rank, 2)
+    w = parse_text(word_text, rank)
     core, conj = w.cyclic_reduce()
     _emit(
         {
@@ -198,42 +225,29 @@ def cmd_parse(word_text, rank, config_path):
 
 @cli.command("invariants")
 @click.argument("word_text")
-@click.option("--rank", type=int, default=None)
-@click.option("--fringe-cap", type=int, default=None,
-              help="largest core-graph vertex count enumerated")
-@click.option("--orbit-cap", type=int, default=None,
-              help="most minimal-level states explored by the orbit search")
-@click.option("--genus-cap", type=int, default=None)
+@_rank_option
+@_analysis_cap_options
 @click.option("--cache-dir", type=click.Path(), default=None)
 @click.option("--no-cache", is_flag=True)
-@click.option("--config", "config_path", type=click.Path(), default=None)
+@_config_option
 def cmd_invariants(word_text, rank, fringe_cap, orbit_cap, genus_cap,
                    cache_dir, no_cache, config_path):
     """Primitivity rank, commutator length, and critical-subgroup data."""
     settings = Settings(config_path)
     rank = settings.get("rank", rank, 2)
-    fringe_cap = settings.get("fringe_cap", fringe_cap, 12)
-    orbit_cap = settings.get("orbit_cap", orbit_cap, 10 ** 6)
-    genus_cap = settings.get("genus_cap", genus_cap, 3)
-    try:
-        w = parse_text(word_text, rank)
-    except ParseError as exc:
-        _fail_parse(exc)
+    caps = settings.analysis_caps(fringe_cap, orbit_cap, genus_cap)
+    w = parse_text(word_text, rank)
 
-    params = {"fringe_cap": fringe_cap, "orbit_cap": orbit_cap,
-              "genus_cap": genus_cap}
     directory = None if no_cache else _cache_dir(cache_dir, settings)
-    key = _cache_key("invariants", w, params)
+    key = _cache_key("invariants", w, caps)
     cached = _cache_lookup(directory, key)
     if cached is not None:
         click.echo(cached.rstrip("\n"))
         data = json.loads(cached)
         sys.exit(EXIT_UNDECIDED if data.get("undecided") else 0)
 
-    report = analyze(w, rank, fringe_cap=fringe_cap, orbit_cap=orbit_cap,
-                     genus_cap=genus_cap)
-    data = report.to_json()
-    payload = json.dumps(data, indent=2)
+    report = analyze(w, rank, **caps)
+    payload = json.dumps(report.to_json(), indent=2)
     _cache_store(directory, key, payload)
     click.echo(payload)
     if report.undecided:
@@ -244,7 +258,7 @@ def cmd_invariants(word_text, rank, fringe_cap, orbit_cap, genus_cap,
 @click.argument("word_text")
 @click.option("-T", "--exponents", "exponents_text", default="1",
               help="comma-separated trace exponents, e.g. 1,-1")
-@click.option("--rank", type=int, default=None)
+@_rank_option
 @click.option("--symbolic", "mode", flag_value="symbolic", default=True)
 @click.option("--numeric", "numeric_n", type=int, default=None,
               help="evaluate the exact value at this matrix size")
@@ -253,32 +267,26 @@ def cmd_invariants(word_text, rank, fringe_cap, orbit_cap, genus_cap,
 @click.option("--samples", type=int, default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--term-cap", type=int, default=None)
-@click.option("--config", "config_path", type=click.Path(), default=None)
+@_config_option
 def cmd_moment(word_text, exponents_text, rank, mode, numeric_n, mc_n,
                samples, seed, term_cap, config_path):
     """Exact or Monte Carlo moment of a word measure."""
     settings = Settings(config_path)
     rank = settings.get("rank", rank, 2)
-    term_cap = settings.get("term_cap", term_cap, 10 ** 8)
+    term_cap = settings.get("term_cap", term_cap, DEFAULT_TERM_CAP)
     exponents = _parse_exponents(exponents_text)
-    try:
-        w = parse_text(word_text, rank)
-    except ParseError as exc:
-        _fail_parse(exc)
+    w = parse_text(word_text, rank)
 
     if mode == "mc":
-        mc_n = settings.get("n", mc_n, 8)
-        samples = settings.get("samples", samples, 100_000)
-        seed = settings.get("seed", seed, 1)
-        est = estimate_moment(w, exponents, n=mc_n, samples=samples, seed=seed)
+        est = estimate_moment(w, exponents,
+                              n=settings.get("n", mc_n, 8),
+                              samples=settings.get("samples", samples, 100_000),
+                              seed=settings.get("seed", seed, 1))
         _emit({"word": str(w), "exponents": list(exponents),
                "estimate": est.to_json()})
         return
 
-    try:
-        f = moment(w, exponents, term_cap=term_cap)
-    except UndecidedError as exc:
-        _fail_undecided(exc)
+    f = moment(w, exponents, term_cap=term_cap)
     data = {
         "word": str(w),
         "exponents": list(exponents),
@@ -296,124 +304,25 @@ def cmd_moment(word_text, exponents_text, rank, mode, numeric_n, mc_n,
 
 @cli.command("surfaces")
 @click.argument("word_texts", nargs=-1, required=True)
-@click.option("--rank", type=int, default=None)
+@_rank_option
 @click.option("--max-subdivision", "-K", type=int, default=1)
 @click.option("--spec-cap", type=int, default=None)
 @click.option("--images/--no-images", default=False,
               help="include image subgroup data per component")
-@click.option("--config", "config_path", type=click.Path(), default=None)
+@_config_option
 def cmd_surfaces(word_texts, rank, max_subdivision, spec_cap, images,
                  config_path):
     """Enumerate matching-built surfaces for a balanced word collection."""
     settings = Settings(config_path)
     rank = settings.get("rank", rank, 2)
-    spec_cap = settings.get("spec_cap", spec_cap, 200_000)
-    try:
-        words = [parse_text(t, rank) for t in word_texts]
-    except ParseError as exc:
-        _fail_parse(exc)
-    try:
-        records = []
-        for spec in enumerate_matchings(words, max_subdivision, spec_cap):
-            surface = build_surface(spec)
-            record = surface.to_json()
-            if images:
-                for i, comp in enumerate(record["components"]):
-                    subgroup = surface.image_subgroup(i)
-                    comp["image_rank"] = subgroup.subgroup_rank
-                    comp["image_graph"] = subgroup.serialize()
-            records.append(record)
-    except UndecidedError as exc:
-        _fail_undecided(exc)
-    except ValueError as exc:
-        click.echo(f"invalid input: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
+    spec_cap = settings.get("spec_cap", spec_cap, DEFAULT_SPEC_CAP)
+    words = [parse_text(t, rank) for t in word_texts]
+    records = [
+        build_surface(spec).to_json(images=images)
+        for spec in enumerate_matchings(words, max_subdivision, spec_cap)
+    ]
     _emit({"words": [str(w) for w in words], "count": len(records),
            "surfaces": records})
-
-
-def _laurent_terms(f, depth):
-    series = laurent(f, depth)
-    if series.e0 is None:
-        return []
-    return [
-        {"exponent": series.e0 - k,
-         "coefficient": [c.numerator, c.denominator]}
-        for k, c in enumerate(series.coeffs)
-    ]
-
-
-def verify_word(w, exponent_sets, pi, comm_crit_count, depth=None,
-                term_cap=10 ** 8):
-    """One verification row per trace monomial: exact value, expansion,
-    predictions, and pass flags for each asymptotic statement."""
-    rows = []
-    is_power = w.is_proper_power()[0]
-    for exponents in exponent_sets:
-        t = TraceMonomial(exponents)
-        f = moment(w, t, term_cap=term_cap)
-        constant = stable_inner_product(t, TraceMonomial())
-        finite_pi = pi is not INFINITY and not isinstance(pi, str)
-        row_depth = depth if depth is not None else \
-            ((pi + 2) if finite_pi else 4)
-        diff = f - constant
-
-        first_order_ok = diff.is_zero() if not finite_pi else (
-            diff.is_zero() or diff.laurent_order <= 1 - pi
-        )
-
-        expansion = None
-        if not is_power and not isinstance(pi, str):
-            pred = expansion_prediction(w, t, pi, comm_crit_count)
-            if finite_pi:
-                coeff = laurent(diff, max(0, diff.laurent_order - (1 - pi))) \
-                    .coefficient(1 - pi) if not diff.is_zero() else 0
-                predicted = Fraction(pred["second_coefficient"])
-                remainder = diff - _monomial_rf(predicted, 1 - pi)
-                expansion_ok = (coeff == predicted) and (
-                    remainder.is_zero()
-                    or remainder.laurent_order <= -pi
-                )
-            else:
-                expansion_ok = diff.is_zero()
-            expansion = {
-                "predicted_constant": pred["constant"],
-                "predicted_second_coefficient": pred["second_coefficient"],
-                "second_exponent": pred["second_exponent"],
-                "remainder_exponent_bound": pred["remainder_exponent"],
-                "passed": bool(expansion_ok and constant == pred["constant"]),
-            }
-
-        xi_pair = None
-        if sorted(exponents) == [-1, 1]:
-            d1 = f - 1
-            if not finite_pi:
-                ok = d1.is_zero()
-            else:
-                ok = d1.is_zero() or d1.laurent_order <= 2 * (1 - pi)
-            xi_pair = {"bound_exponent": None if not finite_pi
-                       else 2 * (1 - pi), "passed": bool(ok)}
-
-        rows.append(
-            {
-                "word": str(w),
-                "exponents": list(exponents),
-                "pi": _encode_inf(pi),
-                "comm_crit_count": comm_crit_count,
-                "rational": f.serialize(),
-                "display": str(f),
-                "laurent": _laurent_terms(f, row_depth),
-                "constant_term": constant,
-                "first_order_bound_passed": bool(first_order_ok),
-                "two_term_expansion": expansion,
-                "trace_pair_bound": xi_pair,
-            }
-        )
-    return rows
-
-
-def _monomial_rf(q, exponent):
-    return RationalFunction.from_fraction(q) * RationalFunction.n_power(exponent)
 
 
 @cli.command("verify")
@@ -421,42 +330,30 @@ def _monomial_rf(q, exponent):
 @click.option("-T", "--exponents", "exponent_texts", multiple=True,
               default=("1", "-1", "1,-1", "2,-2"),
               help="repeatable comma-separated exponent lists")
-@click.option("--rank", type=int, default=None)
+@_rank_option
 @click.option("--depth", type=int, default=None)
 @click.option("--csv", "as_csv", is_flag=True)
-@click.option("--fringe-cap", type=int, default=None)
-@click.option("--orbit-cap", type=int, default=None)
-@click.option("--genus-cap", type=int, default=None)
+@_analysis_cap_options
 @click.option("--term-cap", type=int, default=None)
-@click.option("--config", "config_path", type=click.Path(), default=None)
+@_config_option
 def cmd_verify(word_text, exponent_texts, rank, depth, as_csv, fringe_cap,
                orbit_cap, genus_cap, term_cap, config_path):
     """Check the expansion statements instance-by-instance for one word."""
     settings = Settings(config_path)
     rank = settings.get("rank", rank, 2)
-    fringe_cap = settings.get("fringe_cap", fringe_cap, 12)
-    orbit_cap = settings.get("orbit_cap", orbit_cap, 10 ** 6)
-    genus_cap = settings.get("genus_cap", genus_cap, 3)
-    term_cap = settings.get("term_cap", term_cap, 10 ** 8)
-    try:
-        w = parse_text(word_text, rank)
-    except ParseError as exc:
-        _fail_parse(exc)
+    caps = settings.analysis_caps(fringe_cap, orbit_cap, genus_cap)
+    term_cap = settings.get("term_cap", term_cap, DEFAULT_TERM_CAP)
+    w = parse_text(word_text, rank)
     exponent_sets = [_parse_exponents(t) for t in exponent_texts]
 
     started = time.perf_counter()
-    report = analyze(w, rank, fringe_cap=fringe_cap, orbit_cap=orbit_cap,
-                     genus_cap=genus_cap)
+    report = analyze(w, rank, **caps)
     if report.pi == "undecided" or report.comm_crit_count == "undecided":
-        _fail_undecided(
+        raise UndecidedError(
             "; ".join(f"{k}: {v}" for k, v in report.undecided.items())
         )
-    try:
-        rows = verify_word(w, exponent_sets, report.pi,
-                           report.comm_crit_count, depth=depth,
-                           term_cap=term_cap)
-    except UndecidedError as exc:
-        _fail_undecided(exc)
+    rows = verify_word(w, exponent_sets, report.pi, report.comm_crit_count,
+                       depth=depth, term_cap=term_cap)
     elapsed = time.perf_counter() - started
 
     if as_csv:

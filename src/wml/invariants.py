@@ -29,6 +29,7 @@ from .whitehead import DEFAULT_ORBIT_CAP, in_proper_free_factor, is_primitive, \
 from .words import Word
 
 INFINITY = math.inf
+DEFAULT_GENUS_CAP = 3
 
 
 def standard_surface_word(genus):
@@ -97,7 +98,7 @@ def _capped(genus, genus_cap):
     return f">{genus_cap}"
 
 
-def commutator_length(w, genus_cap=3):
+def commutator_length(w, genus_cap=DEFAULT_GENUS_CAP):
     """cl(w): least genus writing w as a product of commutators.
 
     Infinite when the exponent totals are nonzero; otherwise the least genus
@@ -209,7 +210,7 @@ class InvariantReport:
 
 
 def analyze(w, rank, fringe_cap=DEFAULT_FRINGE_VERTEX_CAP,
-            orbit_cap=DEFAULT_ORBIT_CAP, genus_cap=3):
+            orbit_cap=DEFAULT_ORBIT_CAP, genus_cap=DEFAULT_GENUS_CAP):
     """Compute the full invariant report, degrading to "undecided" per field
     when a resource cap fires.  The fringe and the surface search each run
     once and feed every field."""

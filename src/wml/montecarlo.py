@@ -111,6 +111,9 @@ def estimate_moment(w, exponents, n, samples, seed):
     exponents = tuple(int(m) for m in exponents)
     if any(m == 0 for m in exponents):
         raise ValueError("trace exponents must be nonzero")
+    if n < 1 or samples < 1:
+        raise ValueError(f"need n >= 1 and samples >= 1, got n={n}, "
+                         f"samples={samples}")
     total = 0
     sum_value = 0.0 + 0.0j
     sum_sq_re = 0.0

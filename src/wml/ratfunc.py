@@ -408,6 +408,8 @@ def laurent(f, depth):
 
     Returns ``depth + 1`` coefficients starting at the true leading exponent.
     """
+    if depth < 0:
+        raise ValueError(f"Laurent depth must be nonnegative, got {depth}")
     if f.is_zero():
         return LaurentSeries(None, ())
     dp, dq = f.num.degree, f.den.degree

@@ -153,18 +153,24 @@ class SurfaceComplex:
     def __setattr__(self, name, value):
         raise AttributeError("SurfaceComplex is immutable")
 
-    def component_of_annulus(self, m):
-        for i, comp in enumerate(self.components):
-            if m in comp.annuli:
-                return i
-        raise ValueError(f"no component contains annulus {m}")
-
     def image_subgroup(self, component_index):
         """Folded graph of the subgroup generated by the images of all
         marked-point-to-marked-point paths of the component."""
         return _dual_graph(self, component_index)
 
-    def to_json(self):
+    def to_json(self, images=False):
+        """The surface record of ``wml surfaces``; with ``images``, every
+        component also carries the rank and serialized graph of its image
+        subgroup."""
+        components = []
+        for i, c in enumerate(self.components):
+            record = {"annuli": list(c.annuli), "chi": c.chi,
+                      "boundary": c.boundary, "genus": c.genus}
+            if images:
+                image = self.image_subgroup(i)
+                record["image_rank"] = image.subgroup_rank
+                record["image_graph"] = image.serialize()
+            components.append(record)
         return {
             "cells": {"vertices": self.cells[0], "edges": self.cells[1],
                       "faces": self.cells[2]},
@@ -187,15 +193,7 @@ class SurfaceComplex:
                 }
                 for (g, j, (m, q), (m2, q2)) in self.glue_pairs
             ],
-            "components": [
-                {
-                    "annuli": list(c.annuli),
-                    "chi": c.chi,
-                    "boundary": c.boundary,
-                    "genus": c.genus,
-                }
-                for c in self.components
-            ],
+            "components": components,
         }
 
     def __repr__(self):
@@ -333,6 +331,9 @@ def enumerate_matchings(words, max_subdivision=1, spec_cap=DEFAULT_SPEC_CAP,
 
     Yields :class:`MatchingSpec` objects.
     """
+    if max_subdivision < 1:
+        raise ValueError(f"max_subdivision must be at least 1, got "
+                         f"{max_subdivision}")
     words = list(words)
     balanced, _ = is_balanced(words)
     if not balanced:
@@ -404,26 +405,6 @@ def is_forbidden(spec, base_word):
     return False, None
 
 
-def genus_spectrum(words, max_subdivision=1, spec_cap=DEFAULT_SPEC_CAP):
-    """Fold the matching enumeration through the surface builder.
-
-    Returns a list of records, one per matching collection, each holding the
-    surface and per-component (chi, boundary, genus).
-    """
-    records = []
-    for spec in enumerate_matchings(words, max_subdivision, spec_cap):
-        surface = build_surface(spec)
-        comps = []
-        for comp in surface.components:
-            comps.append({
-                "chi": comp.chi,
-                "boundary": comp.boundary,
-                "genus": comp.genus,
-            })
-        records.append({"surface": surface, "components": comps})
-    return records
-
-
 def spectrum_map(words, max_subdivision=1, spec_cap=DEFAULT_SPEC_CAP):
     """Attainable total Euler characteristics keyed by shape.
 
@@ -431,13 +412,11 @@ def spectrum_map(words, max_subdivision=1, spec_cap=DEFAULT_SPEC_CAP):
     of total chi over all matching collections with that shape.
     """
     out = {}
-    for record in genus_spectrum(words, max_subdivision, spec_cap):
-        comps = record["components"]
-        key = (
-            len(comps) == 1,
-            tuple(sorted(c["boundary"] for c in comps)),
-        )
-        out.setdefault(key, []).append(sum(c["chi"] for c in comps))
+    for spec in enumerate_matchings(words, max_subdivision, spec_cap):
+        surface = build_surface(spec)
+        comps = surface.components
+        key = (len(comps) == 1, tuple(sorted(c.boundary for c in comps)))
+        out.setdefault(key, []).append(surface.chi)
     return {key: sorted(vals) for key, vals in out.items()}
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
+from math import factorial, inf
 
 from .errors import UndecidedError
 from .partitions import (
@@ -39,12 +39,7 @@ from .partitions import (
     schur_dim,
     z_order,
 )
-from .ratfunc import (  # noqa: F401 - laurent re-exported
-    Polynomial,
-    RationalFunction,
-    laurent,
-    poly_gcd,
-)
+from .ratfunc import Polynomial, RationalFunction, laurent, poly_gcd
 from .words import free_reduce, is_balanced
 
 DEFAULT_TERM_CAP = 10 ** 8
@@ -383,3 +378,77 @@ def expansion_prediction(w, trace_monomial, pi, comm_crit_count):
         "second_exponent": 1 - pi,
         "remainder_exponent": -pi,
     }
+
+
+def verify_word(w, exponent_sets, pi, comm_crit_count, depth=None,
+                term_cap=DEFAULT_TERM_CAP):
+    """One verification row per trace monomial: the exact moment, its
+    Laurent expansion, the predictions, and a pass flag for each asymptotic
+    statement (first-order bound, two-term expansion, trace-pair bound).
+
+    ``pi`` is an integer or ``math.inf`` and ``comm_crit_count`` an integer,
+    as decided by :func:`wml.invariants.analyze`.  Laurent expansions run
+    ``depth`` terms past the leading one, by default pi + 2 (4 for
+    infinite pi).
+    """
+    finite_pi = pi != inf
+    is_power = w.is_proper_power()[0]
+    rows = []
+    for exponents in exponent_sets:
+        t = TraceMonomial(exponents)
+        f = moment(w, t, term_cap=term_cap)
+        constant = stable_inner_product(t, TraceMonomial())
+        diff = f - constant
+        first_order_ok = diff.is_zero() or \
+            (finite_pi and diff.laurent_order <= 1 - pi)
+
+        expansion = None
+        if not is_power:
+            pred = expansion_prediction(w, t, pi, comm_crit_count)
+            remainder = diff
+            if finite_pi:
+                remainder -= pred["second_coefficient"] * \
+                    RationalFunction.n_power(1 - pi)
+            # an order at most -pi also forces the n^(1-pi) coefficient of
+            # diff to be the predicted one; for infinite pi only zero passes
+            expansion = {
+                "predicted_constant": pred["constant"],
+                "predicted_second_coefficient": pred["second_coefficient"],
+                "second_exponent": pred["second_exponent"],
+                "remainder_exponent_bound": pred["remainder_exponent"],
+                "passed": remainder.is_zero()
+                or remainder.laurent_order <= -pi,
+            }
+
+        trace_pair = None
+        if sorted(exponents) == [-1, 1]:
+            d1 = f - 1
+            bound = 2 * (1 - pi) if finite_pi else None
+            trace_pair = {
+                "bound_exponent": bound,
+                "passed": d1.is_zero() or
+                (finite_pi and d1.laurent_order <= bound),
+            }
+
+        series = laurent(f, depth if depth is not None else
+                         (pi + 2 if finite_pi else 4))
+        rows.append(
+            {
+                "word": str(w),
+                "exponents": list(exponents),
+                "pi": pi if finite_pi else "inf",
+                "comm_crit_count": comm_crit_count,
+                "rational": f.serialize(),
+                "display": str(f),
+                "laurent": [
+                    {"exponent": series.e0 - k,
+                     "coefficient": [c.numerator, c.denominator]}
+                    for k, c in enumerate(series.coeffs)
+                ],
+                "constant_term": constant,
+                "first_order_bound_passed": first_order_ok,
+                "two_term_expansion": expansion,
+                "trace_pair_bound": trace_pair,
+            }
+        )
+    return rows

@@ -5,6 +5,8 @@ import pytest
 from click.testing import CliRunner
 
 from wml.cli import cli
+from wml.surfaces import build_surface, enumerate_matchings
+from wml.words import parse
 
 
 @pytest.fixture
@@ -26,6 +28,7 @@ class TestParse:
     def test_parse_error_exit_code(self, runner):
         result = runner.invoke(cli, ["parse", "[x,y", "--rank", "2"])
         assert result.exit_code == 2
+        assert result.stderr.startswith("parse error: ")
 
     def test_rank_violation_exit_code(self, runner):
         result = runner.invoke(cli, ["parse", "y", "--rank", "1"])
@@ -81,6 +84,19 @@ class TestInvariants:
                              "--cache-dir", cache, "--genus-cap", "4"])
         assert len(os.listdir(cache)) == 2
 
+    @pytest.mark.parametrize("cap_args", [
+        [], ["--fringe-cap", "12", "--orbit-cap", "1000000", "--genus-cap", "3"],
+    ])
+    def test_cache_key_pinned(self, runner, tmp_path, cap_args):
+        # the default caps are part of the key, whether spelled out or not
+        cache = tmp_path / "cache"
+        payload(runner.invoke(cli, ["invariants", "[x,y]", "--rank", "2",
+                                     "--cache-dir", str(cache), *cap_args]))
+        assert os.listdir(cache) == [
+            "98b7c6131dcfce6b7aeb467e293a8f2e31b795d89f40893bfab174dbddfe594b"
+            ".json"
+        ]
+
 
 class TestMoment:
     def test_symbolic(self, runner):
@@ -134,6 +150,9 @@ class TestSurfaces:
         )
         comp = data["surfaces"][0]["components"][0]
         assert comp["image_rank"] == 2
+        (spec,) = enumerate_matchings([parse("[x,y]", 2)])
+        assert comp["image_graph"] == \
+            build_surface(spec).image_subgroup(0).serialize()
 
     def test_unbalanced_rejected(self, runner):
         result = runner.invoke(cli, ["surfaces", "x", "--rank", "1"])
@@ -185,6 +204,27 @@ class TestVerify:
         assert row["two_term_expansion"] is None
         assert row["first_order_bound_passed"]
         assert row["trace_pair_bound"]["passed"]
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize("args", [
+        ["moment", "[x,y]^3", "-T", "1", "--numeric", "2"],
+        ["moment", "[x,y]", "-T", "1", "--mc", "--samples", "0"],
+        ["moment", "[x,y]", "-T", "1", "--mc", "--n", "0"],
+        ["verify", "[x,y]", "-T", "1", "--depth", "-3"],
+        ["surfaces", "[x,y]", "-K", "0"],
+    ])
+    def test_out_of_range_exits_2(self, runner, args):
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("invalid input: ")
+
+    def test_undecided_verify(self, runner):
+        result = runner.invoke(cli, ["verify", "[x,y]", "--fringe-cap", "3"])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("undecided: pi: ")
 
 
 class TestConfig:

@@ -86,6 +86,12 @@ class TestEstimates:
         est = estimate_moment(w, (2, -2), n=6, samples=20000, seed=13)
         assert abs(est.mean - complex(exact)) <= 4 * est.stderr
 
+    def test_rejects_empty_sample_and_matrix_size(self):
+        w = parse("[x,y]", 2)
+        for n, samples in [(4, 0), (4, -5), (0, 100), (-1, 100)]:
+            with pytest.raises(ValueError):
+                estimate_moment(w, (1,), n=n, samples=samples, seed=1)
+
     def test_json(self):
         est = estimate_moment(parse("x", 1), (1, -1), n=2, samples=500, seed=1)
         data = est.to_json()

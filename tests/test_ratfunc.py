@@ -126,6 +126,12 @@ class TestLaurent:
         assert s.e0 is None
         assert s.coefficient(0) == 0
 
+    def test_negative_depth_rejected(self):
+        # also for the zero function, which needs no division
+        for f in (ONE / N, rf(())):
+            with pytest.raises(ValueError):
+                laurent(f, -1)
+
     @given(small_polys, small_polys, st.integers(min_value=0, max_value=6))
     def test_resubstitution(self, p, q, depth):
         # the truncated series must reconstruct f to the stated order:

@@ -34,3 +34,20 @@ def test_no_raise_assertion_error():
             if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_the_cli_imports_click():
+    # the library, verify_word included, runs without the command line
+    found = []
+    for path, node in _nodes():
+        if path.name == "cli.py":
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "click" for name in names):
+            found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -7,7 +7,6 @@ from wml.surfaces import (
     MatchingSpec,
     build_surface,
     enumerate_matchings,
-    genus_spectrum,
     is_forbidden,
     minimal_single_boundary_genus,
 )
@@ -82,10 +81,10 @@ class TestBuildSurface:
             [parse("[x,y]", 2), ~parse("[x,y]", 2)],
             [parse("x^2", 1), parse("X^2", 1)],
         ]:
-            for record in genus_spectrum(words, max_subdivision=1):
-                for comp in record["components"]:
-                    assert (comp["chi"] - (2 - comp["boundary"])) % 2 == 0
-                    assert comp["genus"] >= 0
+            for spec in enumerate_matchings(words, max_subdivision=1):
+                for comp in build_surface(spec).components:
+                    assert (comp.chi - (2 - comp.boundary)) % 2 == 0
+                    assert comp.genus >= 0
 
 
 class TestImageSubgroup:
@@ -141,6 +140,11 @@ class TestEnumeration:
         words = [parse("[x,y]^2", 2), ~parse("[x,y]^2", 2)]
         with pytest.raises(UndecidedError):
             list(enumerate_matchings(words, max_subdivision=2, spec_cap=10))
+
+    def test_rejects_nonpositive_subdivision(self):
+        for k in (0, -1):
+            with pytest.raises(ValueError):
+                list(enumerate_matchings([parse("[x,y]", 2)], max_subdivision=k))
 
     def test_dedup_does_not_lose_topology(self):
         # permuting subdivision indices must not change the attainable

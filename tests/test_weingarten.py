@@ -1,3 +1,4 @@
+import math
 from itertools import permutations
 
 import pytest
@@ -12,6 +13,7 @@ from wml.weingarten import (
     expansion_prediction,
     moment,
     stable_inner_product,
+    verify_word,
     wg,
     word_moment,
 )
@@ -366,3 +368,68 @@ class TestExpansionPrediction:
         pred = expansion_prediction(parse("x", 2), (1, -1), float("inf"), 0)
         assert pred["constant"] == 1
         assert pred["second_exponent"] is None
+
+
+def laurent_rows(e0, coeffs):
+    return [{"exponent": e0 - k, "coefficient": [c, 1]}
+            for k, c in enumerate(coeffs)]
+
+
+class TestVerifyWord:
+    # the rows ``wml verify "[x,y]" -T 1 -T 1,-1`` prints
+    COMMUTATOR_ROWS = [
+        {
+            "word": "x1 x2 x1^-1 x2^-1", "exponents": [1], "pi": 2,
+            "comm_crit_count": 1,
+            "rational": {"num_coeffs": [1], "den_coeffs": [0, 1], "n_min": 1},
+            "display": "1 / n", "laurent": laurent_rows(-1, [1, 0, 0, 0, 0]),
+            "constant_term": 0, "first_order_bound_passed": True,
+            "two_term_expansion": {
+                "predicted_constant": 0, "predicted_second_coefficient": 1,
+                "second_exponent": -1, "remainder_exponent_bound": -2,
+                "passed": True,
+            },
+            "trace_pair_bound": None,
+        },
+        {
+            "word": "x1 x2 x1^-1 x2^-1", "exponents": [1, -1], "pi": 2,
+            "comm_crit_count": 1,
+            "rational": {"num_coeffs": [0, 0, 1], "den_coeffs": [-1, 0, 1],
+                         "n_min": 2},
+            "display": "n^2 / (n^2 - 1)",
+            "laurent": laurent_rows(0, [1, 0, 1, 0, 1]),
+            "constant_term": 1, "first_order_bound_passed": True,
+            "two_term_expansion": {
+                "predicted_constant": 1, "predicted_second_coefficient": 0,
+                "second_exponent": -1, "remainder_exponent_bound": -2,
+                "passed": True,
+            },
+            "trace_pair_bound": {"bound_exponent": -2, "passed": True},
+        },
+    ]
+
+    def test_commutator_rows(self):
+        rows = verify_word(parse("[x,y]", 2), [(1,), (1, -1)], 2, 1)
+        assert rows == self.COMMUTATOR_ROWS
+
+    def test_wrong_comm_crit_count_fails_expansion(self):
+        # E[tr [x,y]] = 1/n, but a count of 2 predicts 2/n
+        (row,) = verify_word(parse("[x,y]", 2), [(1,)], 2, 2)
+        assert row["first_order_bound_passed"]
+        assert row["two_term_expansion"]["predicted_second_coefficient"] == 2
+        assert row["two_term_expansion"]["passed"] is False
+
+    def test_wrong_infinite_pi_fails(self):
+        # an infinite pi predicts E[tr [x,y]] = 0 exactly
+        (row,) = verify_word(parse("[x,y]", 2), [(1,)], math.inf, 0)
+        assert row["pi"] == "inf"
+        assert row["first_order_bound_passed"] is False
+        assert row["two_term_expansion"]["passed"] is False
+        assert len(row["laurent"]) == 5
+
+    def test_primitive_word(self):
+        (row,) = verify_word(parse("x", 2), [(1, -1)], math.inf, 0)
+        assert row["first_order_bound_passed"]
+        assert row["two_term_expansion"]["passed"]
+        assert row["trace_pair_bound"] == {"bound_exponent": None,
+                                           "passed": True}
