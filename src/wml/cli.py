@@ -55,8 +55,6 @@ def _load_config(path):
     return values
 
 
-
-
 class Settings:
     """Flag values with config-file fallbacks."""
 

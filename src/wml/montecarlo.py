@@ -134,7 +134,7 @@ def estimate_moment(w, exponents, n, samples, seed):
             )
             unitarity_max = max(unitarity_max, float(defect))
             if defect > UNITARITY_TOL:
-                raise ValueError(f"unitarity defect {defect:.3g} in chunk "
+                raise RuntimeError(f"unitarity defect {defect:.3g} in chunk "
                                  f"{chunk_index}")
         base = _evaluate_word_batch(w, unitaries)
         powers = {1: base}

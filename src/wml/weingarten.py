@@ -268,7 +268,7 @@ def _final_letter_value(monomial, gen):
         total = 0
         for a in cw:
             if abs(a) != gen:
-                raise ValueError("monomial still mixes generators")
+                raise RuntimeError("monomial still mixes generators")
             total += 1 if a > 0 else -1
         if total > 0:
             alpha.append(total)

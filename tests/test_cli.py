@@ -205,6 +205,12 @@ class TestVerify:
         assert row["first_order_bound_passed"]
         assert row["trace_pair_bound"]["passed"]
 
+    def test_undecided_verify(self, runner):
+        result = runner.invoke(cli, ["verify", "[x,y]", "--fringe-cap", "3"])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("undecided: pi: ")
+
 
 class TestInvalidInput:
     @pytest.mark.parametrize("args", [
@@ -219,12 +225,6 @@ class TestInvalidInput:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr.startswith("invalid input: ")
-
-    def test_undecided_verify(self, runner):
-        result = runner.invoke(cli, ["verify", "[x,y]", "--fringe-cap", "3"])
-        assert result.exit_code == 3
-        assert result.stdout == ""
-        assert result.stderr.startswith("undecided: pi: ")
 
 
 class TestConfig:

@@ -92,6 +92,13 @@ class TestEstimates:
             with pytest.raises(ValueError):
                 estimate_moment(w, (1,), n=n, samples=samples, seed=1)
 
+    def test_sampling_defect_is_not_an_input_error(self, monkeypatch):
+        # a sampled matrix off the unitary group is a numerical fault, which
+        # the command line reports as internal, not as invalid input
+        monkeypatch.setattr("wml.montecarlo.UNITARITY_TOL", -1.0)
+        with pytest.raises(RuntimeError):
+            estimate_moment(parse("x", 1), (1,), n=2, samples=10, seed=1)
+
     def test_json(self):
         est = estimate_moment(parse("x", 1), (1, -1), n=2, samples=500, seed=1)
         data = est.to_json()
