@@ -16,6 +16,7 @@ resource cap, 4 internal.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import sys
@@ -123,8 +124,29 @@ def _cache_key(command, word, params):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _echo(text):
+    """Print one stdout payload in full.
+
+    Under ``python -u`` (``PYTHONUNBUFFERED``) ``sys.stdout`` hands each
+    string to a single write() on the file descriptor.  On a pipe that
+    write returns short when the process is stopped and continued
+    (SIGSTOP/SIGCONT, as job control does), and the text layer drops the
+    rest, so a large payload was cut off with exit status 0.  Unbuffered
+    output therefore goes through a loop that resumes after a short write.
+    """
+    stream = sys.stdout
+    raw = getattr(stream, "buffer", None)
+    if not isinstance(raw, io.FileIO):
+        click.echo(text)
+        return
+    stream.flush()
+    data = memoryview((text + "\n").encode(stream.encoding, stream.errors))
+    while data:
+        data = data[raw.write(data):]
+
+
 def _emit(data):
-    click.echo(json.dumps(data, indent=2))
+    _echo(json.dumps(data, indent=2))
 
 
 def _parse_exponents(text):
@@ -240,14 +262,14 @@ def cmd_invariants(word_text, rank, fringe_cap, orbit_cap, genus_cap,
     key = _cache_key("invariants", w, caps)
     cached = _cache_lookup(directory, key)
     if cached is not None:
-        click.echo(cached.rstrip("\n"))
+        _echo(cached.rstrip("\n"))
         data = json.loads(cached)
         sys.exit(EXIT_UNDECIDED if data.get("undecided") else 0)
 
     report = analyze(w, rank, **caps)
     payload = json.dumps(report.to_json(), indent=2)
     _cache_store(directory, key, payload)
-    click.echo(payload)
+    _echo(payload)
     if report.undecided:
         sys.exit(EXIT_UNDECIDED)
 
@@ -370,7 +392,7 @@ def cmd_verify(word_text, exponent_texts, rank, depth, as_csv, fringe_cap,
                 else ("pass" if expansion["passed"] else "FAIL"),
                 "n/a" if pair is None else ("pass" if pair["passed"] else "FAIL"),
             ]))
-        click.echo("\n".join(lines))
+        _echo("\n".join(lines))
         return
     _emit({"rows": rows, "timings": {"total_seconds": elapsed}})
 

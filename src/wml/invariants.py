@@ -54,6 +54,9 @@ def primitivity_rank(w, rank, fringe_cap=DEFAULT_FRINGE_VERTEX_CAP):
         return 1, [(core_graph([root], rank), Word((1,) * exponent, 1))]
     witnesses = []
     best = INFINITY
+    # primitivity is invariant under conjugation, so each rewritten word is
+    # tested once per rank and least rotation of its cyclic core
+    primitive = {}
     # the fringe is sorted by subgroup rank, and every graph in it contains
     # w, so none has rank 0 and every rewrite succeeds
     for graph in fringe(w, vertex_cap=fringe_cap):
@@ -61,7 +64,10 @@ def primitivity_rank(w, rank, fringe_cap=DEFAULT_FRINGE_VERTEX_CAP):
         if r > best:
             break
         rewritten = graph.rewrite(w)
-        if is_primitive(rewritten, r):
+        key = (r, min(u.letters for u in rewritten.cyclic_rotations()))
+        if key not in primitive:
+            primitive[key] = is_primitive(rewritten, r)
+        if primitive[key]:
             continue
         best = r
         witnesses.append((graph, rewritten))

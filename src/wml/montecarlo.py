@@ -6,11 +6,13 @@ distribution exactly Haar.  The generator is counter-based (Philox keyed by
 the user seed and a fixed chunk index), so estimates are reproducible
 bit-for-bit for a fixed (seed, n, samples) triple regardless of chunking
 internals staying serial or parallel.
+
+numpy is imported inside the functions that sample, so importing the
+package (and running every command but ``wml moment --mc``) does not load
+it.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 RNG_ALGORITHM = "philox4x64"
 CHUNK = 10_000
@@ -23,6 +25,8 @@ class UnitarySample:
     __slots__ = ("n", "matrix")
 
     def __init__(self, matrix):
+        import numpy as np
+
         matrix = np.asarray(matrix, dtype=np.complex128)
         n = matrix.shape[0]
         defect = np.max(np.abs(matrix.conj().T @ matrix - np.eye(n)))
@@ -71,11 +75,15 @@ class Estimate:
 
 
 def _chunk_rng(seed, chunk_index):
+    import numpy as np
+
     return np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
 
 
 def _haar_batch(rng, count, n):
     """Batch of Haar unitaries: Ginibre, QR, diagonal phase correction."""
+    import numpy as np
+
     z = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
     z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
@@ -86,6 +94,8 @@ def _haar_batch(rng, count, n):
 
 def sample_haar(n, rng_state):
     """One Haar unitary from a numpy Generator (or an integer seed)."""
+    import numpy as np
+
     if isinstance(rng_state, (int, np.integer)):
         rng_state = _chunk_rng(int(rng_state), 0)
     return UnitarySample(_haar_batch(rng_state, 1, n)[0])
@@ -93,6 +103,8 @@ def sample_haar(n, rng_state):
 
 def _evaluate_word_batch(word, unitaries):
     """w(U_1..U_r) for a batch: product of the per-letter matrices."""
+    import numpy as np
+
     count = unitaries[1].shape[0] if unitaries else 0
     n = unitaries[1].shape[1]
     out = np.broadcast_to(np.eye(n, dtype=np.complex128), (count, n, n)).copy()
@@ -102,12 +114,34 @@ def _evaluate_word_batch(word, unitaries):
     return out
 
 
+def _chunk_moments(values):
+    """(count, mean, M2) of a real sample, M2 being the sum of squared
+    deviations from the mean."""
+    mean = float(values.mean())
+    return len(values), mean, float(((values - mean) ** 2).sum())
+
+
+def _merge_moments(a, b):
+    """Merge two (count, mean, M2) summaries (Chan, Golub and LeVeque,
+    1979), which stays accurate where E[X^2] - E[X]^2 would cancel."""
+    n_a, mean_a, m2_a = a
+    n_b, mean_b, m2_b = b
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return (n, mean_a + delta * n_b / n,
+            m2_a + m2_b + delta * delta * n_a * n_b / n)
+
+
 def estimate_moment(w, exponents, n, samples, seed):
     """Sample mean and stderr of prod_i tr(w(U)^{m_i}) over Haar tuples.
 
     Deterministic for fixed (seed, n, samples); the per-chunk generators are
-    keyed by (seed, chunk index) and combined in fixed order.
+    keyed by (seed, chunk index) and combined in fixed order.  The
+    variance of the real and imaginary parts is merged from per-chunk
+    (count, mean, M2) summaries.
     """
+    import numpy as np
+
     exponents = tuple(int(m) for m in exponents)
     if any(m == 0 for m in exponents):
         raise ValueError("trace exponents must be nonzero")
@@ -116,8 +150,7 @@ def estimate_moment(w, exponents, n, samples, seed):
                          f"samples={samples}")
     total = 0
     sum_value = 0.0 + 0.0j
-    sum_sq_re = 0.0
-    sum_sq_im = 0.0
+    moments_re = moments_im = (0, 0.0, 0.0)
     unitarity_max = 0.0
     chunk_index = 0
     max_power = max((abs(m) for m in exponents), default=1)
@@ -147,12 +180,11 @@ def estimate_moment(w, exponents, n, samples, seed):
                 mat = mat.conj().transpose(0, 2, 1)
             values *= np.einsum("bii->b", mat)
         sum_value += values.sum()
-        sum_sq_re += float(np.sum(values.real ** 2))
-        sum_sq_im += float(np.sum(values.imag ** 2))
+        moments_re = _merge_moments(moments_re, _chunk_moments(values.real))
+        moments_im = _merge_moments(moments_im, _chunk_moments(values.imag))
         total += count
         chunk_index += 1
     mean = sum_value / samples
-    var_re = max(0.0, sum_sq_re / samples - mean.real ** 2)
-    var_im = max(0.0, sum_sq_im / samples - mean.imag ** 2)
-    stderr = float(np.sqrt((var_re + var_im) / samples))
+    variance = (moments_re[2] + moments_im[2]) / samples
+    stderr = float(np.sqrt(variance / samples))
     return Estimate(mean, stderr, samples, seed, n, unitarity_max)

@@ -6,14 +6,16 @@ graph (no two equal-label edges sharing a source, nor sharing a target)
 canonically represents the subgroup of words readable as loops at the
 basepoint.
 
-Every graph is built by the one function :func:`fold`: it merges given
+Every graph is folded by one closure, :func:`_close`: it merges given
 vertex pairs, then identifies offending edge pairs from a worklist until
 none remain; the result is independent of the order in which pairs are
-processed.  Core graphs, fringe quotients (:func:`fringe`) and the image
-subgroups of glued surfaces all go through it.  Graphs are
-canonicalized by breadth-first relabeling from the basepoint with a fixed
-edge order, so two folded graphs represent the same subgroup exactly when
-their serializations coincide.
+processed.  :func:`fold` runs it once, for core graphs and the image
+subgroups of glued surfaces; :func:`fringe` runs it once per join while
+it lists the congruences (fold-closed vertex partitions) of a core graph,
+each of which gives one fringe quotient.  Graphs are canonicalized by
+breadth-first relabeling from the basepoint with a fixed edge order, so
+two folded graphs represent the same subgroup exactly when their
+serializations coincide.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ DEFAULT_FRINGE_VERTEX_CAP = 12
 class LabeledGraph:
     """Immutable folded, trimmed, canonically numbered labeled graph.
 
-    Built by :func:`fold` (which :func:`core_graph` and :func:`fringe`
-    call); the constructor expects data that is already folded and
-    canonical.
+    Built by :func:`fold` (which :func:`core_graph` calls) and
+    :func:`fringe`; the constructor expects data that is already folded
+    and canonical.
     """
 
     __slots__ = ("num_vertices", "edges", "basepoint", "marked", "rank",
@@ -174,18 +176,25 @@ class LabeledGraph:
 def fold(num_vertices, edges, basepoint, rank, identify=()):
     """Fold labeled edges on vertices ``0..num_vertices-1`` into a graph.
 
-    Each pair in ``identify`` is merged first; then equal-label edges
-    sharing a source or a target are merged until none remain.  A worklist
-    of pending vertex pairs runs over a union-find whose class
-    representatives carry per-label maps ``out[v][label]`` and
-    ``inc[v][label]``: merging ``a`` into ``b`` queues one pair for each
-    label the two maps share.  The folded graph is trimmed to its core
-    (keeping the basepoint) and canonicalized.
+    Each pair in ``identify`` is merged, and then every pair of
+    equal-label edges sharing a source or a target, by :func:`_close`.
+    The folded graph is trimmed to its core (keeping the basepoint) and
+    canonicalized.
     """
+    parent, out, inc, pending = _unfolded(num_vertices, edges)
+    pending.extend(identify)
+    _close(parent, out, inc, pending)
+    return _quotient(parent, out, basepoint, rank)
+
+
+def _unfolded(num_vertices, edges):
+    """Union-find state of the discrete partition: ``parent``, the per-label
+    maps ``out[v][label]`` and ``inc[v][label]``, and the vertex pairs that
+    colliding equal-label edges force together."""
     parent = list(range(num_vertices))
     out = [{} for _ in range(num_vertices)]
     inc = [{} for _ in range(num_vertices)]
-    pending = list(identify)
+    pending = []
     for (src, dst, lab) in edges:
         targets = out[src]
         if lab in targets:
@@ -197,7 +206,19 @@ def fold(num_vertices, edges, basepoint, rank, identify=()):
             pending.append((src, sources[lab]))
         else:
             sources[lab] = src
+    return parent, out, inc, pending
 
+
+def _close(parent, out, inc, pending, decided=0):
+    """Merge the pending vertex pairs and every pair they force, in place.
+
+    A worklist over the union-find whose class roots carry the per-label
+    maps: merging class ``a`` into class ``b`` queues one pair for each
+    label the two maps share.  The root of a class is always its least
+    vertex.  Returns False, leaving the state part-merged, as soon as two
+    roots below ``decided`` would merge; True once the partition is a
+    congruence (closed under folding).
+    """
     while pending:
         a, b = pending.pop()
         while parent[a] != a:
@@ -206,6 +227,10 @@ def fold(num_vertices, edges, basepoint, rank, identify=()):
             b = parent[b]
         if a == b:
             continue
+        if a < b:
+            a, b = b, a
+        if a < decided:
+            return False
         parent[a] = b
         for maps in (out, inc):
             into = maps[b]
@@ -214,13 +239,18 @@ def fold(num_vertices, edges, basepoint, rank, identify=()):
                     pending.append((v, into[lab]))
                 else:
                     into[lab] = v
+    return True
+
+
+def _quotient(parent, out, basepoint, rank):
+    """The folded graph of a congruence, trimmed and canonicalized."""
     root = []
-    for v in range(num_vertices):
+    for v in range(len(parent)):
         while parent[v] != v:
             v = parent[v]
         root.append(v)
     base = root[basepoint]
-    vertices = {v for v in range(num_vertices) if root[v] == v}
+    vertices = {v for v in range(len(parent)) if root[v] == v}
     folded = {
         (v, root[dst], lab) for v in vertices for lab, dst in out[v].items()
     }
@@ -250,20 +280,17 @@ def _trim(vertices, edges, keep):
 
 def _canonicalize(vertices, edges, basepoint, rank):
     """BFS renumbering from the basepoint with edges in (label, sign) order."""
-    out = {}
-    inc = {}
+    adjacent = {v: [] for v in vertices}
     for (src, dst, lab) in edges:
-        out[(src, lab)] = dst
-        inc[(dst, lab)] = src
+        adjacent[src].append((lab, 0, dst))
+        adjacent[dst].append((lab, 1, src))
     number = {basepoint: 0}
     queue = [basepoint]
-    while queue:
-        v = queue.pop(0)
-        for lab in range(1, rank + 1):
-            for nxt in (out.get((v, lab)), inc.get((v, lab))):
-                if nxt is not None and nxt not in number:
-                    number[nxt] = len(number)
-                    queue.append(nxt)
+    for v in queue:
+        for _, _, nxt in sorted(adjacent[v]):
+            if nxt not in number:
+                number[nxt] = len(number)
+                queue.append(nxt)
     if len(number) != len(vertices):
         raise ValueError("graph is not connected")
     new_edges = {
@@ -291,49 +318,54 @@ def core_graph(generators, rank):
     return fold(num_vertices, edges, 0, rank)
 
 
-def _set_partitions(n):
-    """All set partitions of range(n) as restricted-growth strings."""
-    if n == 0:
-        yield []
-        return
-    rgs = [0] * n
-
-    def rec(i, max_used):
-        if i == n:
-            yield list(rgs)
-            return
-        for b in range(max_used + 2):
-            rgs[i] = b
-            yield from rec(i + 1, max(max_used, b))
-
-    yield from rec(1, 0)
-
-
 def fringe(w, vertex_cap=DEFAULT_FRINGE_VERTEX_CAP):
     """All distinct subgroups arising as folded vertex quotients of the
     core graph of <w>.
 
     Every algebraic extension of <w> occurs among these, so the fringe is a
-    complete search space for minimal-rank witnesses.  Returns the folded
-    graphs, deduplicated by canonical form and sorted by subgroup rank;
-    every one contains w.
+    complete search space for minimal-rank witnesses.  A vertex partition
+    that is closed under folding is a congruence, and the congruences are
+    listed directly, each once, in the manner of Ganter's NextClosure
+    ("Two basic algorithms in concept analysis", 1984): vertices are
+    decided in order, each either opening a class of its own or joining
+    the class of an earlier root, and a join is closed by :func:`_close`.
+    A branch dies when the closure merges two classes already decided
+    apart.  Distinct congruences give distinct graphs, since a morphism out
+    of a connected graph is fixed by where the basepoint goes.  Returns the
+    folded graphs sorted by subgroup rank, then canonical form; every one
+    contains w.
     """
     if w.is_identity():
         raise ValueError("fringe of the trivial word is not defined")
     base = core_graph([w], w.rank)
-    if base.num_vertices > vertex_cap:
+    num_vertices = base.num_vertices
+    if num_vertices > vertex_cap:
         raise UndecidedError(
-            f"fringe needs set partitions of {base.num_vertices} vertices, "
+            f"fringe needs set partitions of {num_vertices} vertices, "
             f"over the cap {vertex_cap}"
         )
-    seen = {}
-    for rgs in _set_partitions(base.num_vertices):
-        identify = [(rgs.index(b), v) for v, b in enumerate(rgs)]
-        g = fold(base.num_vertices, base.edges, base.basepoint, base.rank,
-                 identify)
-        seen.setdefault(g.serialize(), g)
-    for g in seen.values():
+    graphs = []
+
+    def visit(i, parent, out, inc):
+        # the state is a congruence in which vertices below i are decided;
+        # it is copied before a join, never changed in place
+        while i < num_vertices and parent[i] != i:
+            i += 1
+        if i == num_vertices:
+            graphs.append(_quotient(parent, out, base.basepoint, base.rank))
+            return
+        visit(i + 1, parent, out, inc)
+        for j in range(i):
+            if parent[j] != j:
+                continue
+            joined = (parent[:], [m.copy() for m in out],
+                      [m.copy() for m in inc])
+            if _close(*joined, [(i, j)], decided=i):
+                visit(i + 1, *joined)
+
+    parent, out, inc, _ = _unfolded(num_vertices, base.edges)
+    visit(0, parent, out, inc)
+    for g in graphs:
         if not g.contains(w):
             raise RuntimeError(f"fringe quotient {g!r} does not contain {w}")
-    return sorted(seen.values(),
-                  key=lambda g: (g.subgroup_rank, g.serialize()))
+    return sorted(graphs, key=lambda g: (g.subgroup_rank, g.serialize()))

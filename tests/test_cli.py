@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -33,6 +35,25 @@ class TestParse:
     def test_rank_violation_exit_code(self, runner):
         result = runner.invoke(cli, ["parse", "y", "--rank", "1"])
         assert result.exit_code == 2
+
+
+class TestUnbufferedStdout:
+    def test_short_writes_are_resumed(self, runner, tmp_path, monkeypatch):
+        # under python -u, stdout writes straight to the file descriptor,
+        # and a write to a pipe returns short when the process is stopped
+        # and continued; the whole payload must still arrive
+        class ShortWrites(io.FileIO):
+            def write(self, data):
+                return super().write(bytes(data[:7]))
+
+        args = ["parse", "[x,y]^3", "--rank", "2"]
+        path = tmp_path / "stdout"
+        with ShortWrites(path, "w") as raw:
+            monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(
+                raw, encoding="utf-8", write_through=True))
+            cli(args, standalone_mode=False)
+            sys.stdout.flush()
+        assert path.read_text() == runner.invoke(cli, args).output
 
 
 class TestInvariants:

@@ -292,6 +292,39 @@ class TestAnalyze:
         assert rep.pi == 2 and rep.comm_crit_count == 1
         assert len(calls) == 1
 
+    def test_one_primitivity_test_per_distinct_word(self, monkeypatch):
+        # the sweep tests each (rank, least rotation of the cyclic core)
+        # once; conjugate rewrites share the verdict
+        import wml.invariants
+        from wml.whitehead import is_primitive
+
+        calls = []
+
+        def counting_is_primitive(word, rank):
+            calls.append((word, rank))
+            return is_primitive(word, rank)
+
+        monkeypatch.setattr(wml.invariants, "is_primitive",
+                            counting_is_primitive)
+        w = parse("[x1,x2][x3,x4]", 4)
+        rep = analyze(w, 4)
+        assert rep.pi == 4
+        swept = [g for g in fringe(w) if g.subgroup_rank <= rep.pi]
+        rewrites = [(g, g.rewrite(w)) for g in swept]
+        keys = {(g.subgroup_rank, min(u.letters for u in r.cyclic_rotations()))
+                for g, r in rewrites}
+        assert len(calls) == len(keys) == 113
+        unmemoized = [(g.serialize(), str(r)) for g, r in rewrites
+                      if not is_primitive(r, g.subgroup_rank)]
+        assert [(g.serialize(), str(r))
+                for g, r in rep.pi_witnesses] == unmemoized
+
+    def test_twelve_vertex_fringe_decided(self):
+        # the core graph has 12 vertices, the default fringe cap
+        rep = analyze(parse("x^3y^3x^-3y^-3", F2), F2)
+        assert rep.undecided == {}
+        assert rep.pi == 2 and rep.cl == 1
+
     def test_genus_cap_only_formats_cl(self):
         # comm_crit compares the uncapped genus with pi/2, so a cap below
         # the genus changes the printed cl and nothing else

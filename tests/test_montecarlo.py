@@ -1,9 +1,13 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from wml.montecarlo import (
     UNITARITY_TOL,
     UnitarySample,
+    _chunk_moments,
+    _merge_moments,
     estimate_moment,
     sample_haar,
 )
@@ -115,3 +119,22 @@ class TestEstimates:
             est = estimate_moment(w, (1, -1), n=n, samples=30_000,
                                   seed=600 + n)
             assert abs(est.mean - exact) <= 4 * est.stderr, n
+
+
+class TestVarianceMerge:
+    def test_large_mean_small_spread(self):
+        # 1e8 + 1e-3 N(0,1): E[X^2] - E[X]^2 loses every digit of the
+        # variance 1e-6 to cancellation, the chunk merge keeps it
+        rng = np.random.default_rng(17)
+        chunks = [1e8 + 1e-3 * rng.standard_normal(size)
+                  for size in (10_000, 10_000, 7_000, 1, 2_500)]
+        values = np.concatenate(chunks)
+        count, mean, m2 = reduce(_merge_moments, map(_chunk_moments, chunks),
+                                 (0, 0.0, 0.0))
+        reference = float(np.var(values))
+        assert count == len(values)
+        assert mean == pytest.approx(float(np.mean(values)), rel=1e-15)
+        assert m2 / count == pytest.approx(reference, rel=1e-6)
+        naive = float(np.sum(values ** 2)) / count - float(np.mean(values)) ** 2
+        assert abs(naive - reference) > 0.5 * reference
+

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import wml
@@ -36,18 +39,48 @@ def test_no_raise_assertion_error():
     assert found == []
 
 
+def _imported_modules(node):
+    """Top-level package names an import statement loads; [] for any
+    other node."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module or ""]
+    else:
+        return []
+    return [name.split(".")[0] for name in names]
+
+
 def test_only_the_cli_imports_click():
     # the library, verify_word included, runs without the command line
-    found = []
-    for path, node in _nodes():
-        if path.name == "cli.py":
-            continue
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            names = [node.module or ""]
-        else:
-            continue
-        if any(name.split(".")[0] == "click" for name in names):
-            found.append(f"{path.name}:{node.lineno}")
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, node in _nodes()
+        if path.name != "cli.py" and "click" in _imported_modules(node)
+    ]
     assert found == []
+
+
+def test_no_module_level_numpy_import():
+    # numpy is loaded by the Monte Carlo functions that sample, not when a
+    # module is imported; function bodies are the only place it may appear
+    found = []
+    for path in SOURCES:
+        stack = list(ast.parse(path.read_text(), filename=str(path)).body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                continue
+            if "numpy" in _imported_modules(node):
+                found.append(f"{path.name}:{node.lineno}")
+            stack.extend(ast.iter_child_nodes(node))
+    assert found == []
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    env = {**os.environ, "PYTHONPATH": str(Path(wml.__file__).parent.parent)}
+    code = "import sys, wml.cli; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

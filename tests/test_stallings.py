@@ -52,6 +52,38 @@ def restart_scan_fold(num_vertices, edges, basepoint, rank, identify=()):
     return _canonicalize(vertices, edges, base, rank)
 
 
+def _set_partitions(n):
+    """All set partitions of range(n) as restricted-growth strings."""
+    if n == 0:
+        yield []
+        return
+    rgs = [0] * n
+
+    def rec(i, max_used):
+        if i == n:
+            yield list(rgs)
+            return
+        for b in range(max_used + 2):
+            rgs[i] = b
+            yield from rec(i + 1, max(max_used, b))
+
+    yield from rec(1, 0)
+
+
+def bell_fringe(w):
+    """Reference fringe: fold the core graph of <w> under every set
+    partition of its vertices and deduplicate by canonical form."""
+    base = core_graph([w], w.rank)
+    seen = {}
+    for rgs in _set_partitions(base.num_vertices):
+        identify = [(rgs.index(b), v) for v, b in enumerate(rgs)]
+        g = fold(base.num_vertices, base.edges, base.basepoint, base.rank,
+                 identify)
+        seen.setdefault(g.serialize(), g)
+    return sorted(seen.values(),
+                  key=lambda g: (g.subgroup_rank, g.serialize()))
+
+
 def loop_edges(words):
     """Unfolded bouquet of the words: one loop per word at vertex 0."""
     num_vertices, edges = 1, []
@@ -289,15 +321,35 @@ class TestFringe:
 
     def test_commutator_fringe_size_pinned(self):
         # 15 vertex partitions of the 4-cycle fold to 7 distinct subgroups;
-        # the V=8-9 core graphs below go through Bell(8) and Bell(9) folds
+        # the sizes of the V=8, 9 and 12 core graphs below agree with the
+        # Bell enumeration of bell_fringe (Bell(12) = 4,213,597 folds for
+        # the last, too slow to repeat here)
         cases = [
             ("[x,y]", 2, 7),
             ("x^2y^2x^-2y^-2", 2, 65),
             ("[x,y][x,z]", 3, 234),
             ("[x,[x,y]]", 2, 174),
+            ("x^3y^3x^-3y^-3", 2, 1467),
         ]
         for text, rank, size in cases:
             assert len(fringe(parse(text, rank))) == size, text
+
+    def test_matches_bell_reference(self):
+        # one graph per congruence, in the same order as folding every set
+        # partition and deduplicating
+        rng = random.Random(2024)
+        words = [parse("[x,[x,y]]", 2)]  # V=9
+        while len(words) < 21:  # freely reduced, so V is 4-8
+            rank, length = rng.randint(1, 3), rng.randint(4, 8)
+            letters = []
+            while len(letters) < length:
+                a = rng.choice((1, -1)) * rng.randint(1, rank)
+                if not letters or a != -letters[-1]:
+                    letters.append(a)
+            words.append(Word(letters, rank))
+        for w in words:
+            assert ([g.serialize() for g in fringe(w)]
+                    == [g.serialize() for g in bell_fringe(w)]), w
 
     def test_every_member_contains_word(self):
         for text in ["[x,y]", "x^2 y^2", "x^3"]:
