@@ -25,8 +25,6 @@ from .surfaces import (  # noqa: F401
     SurfaceComplex,
     build_surface,
     enumerate_matchings,
-    is_forbidden,
-    spectrum_map,
 )
 from .weingarten import (  # noqa: F401
     TraceMonomial,
@@ -43,4 +41,4 @@ from .whitehead import (  # noqa: F401
     minimize,
     orbit_equivalent,
 )
-from .words import Word, commutator, is_balanced, parse, parse_word  # noqa: F401
+from .words import Word, commutator, cyclic_key, is_balanced, parse  # noqa: F401

@@ -26,7 +26,7 @@ from .stallings import DEFAULT_FRINGE_VERTEX_CAP, core_graph, fringe
 from .surfaces import minimal_single_boundary_genus
 from .whitehead import DEFAULT_ORBIT_CAP, in_proper_free_factor, is_primitive, \
     orbit_equivalent
-from .words import Word
+from .words import Word, cyclic_key
 
 INFINITY = math.inf
 DEFAULT_GENUS_CAP = 3
@@ -52,11 +52,22 @@ def primitivity_rank(w, rank, fringe_cap=DEFAULT_FRINGE_VERTEX_CAP):
     power, root, exponent = w.is_proper_power()
     if power:
         return 1, [(core_graph([root], rank), Word((1,) * exponent, 1))]
+    # primitivity is invariant under conjugation, so each word is tested
+    # once per rank and least rotation of its cyclic core
+    primitive = {}
+
+    def primitive_in(word, r):
+        key = (r, cyclic_key(word.letters))
+        if key not in primitive:
+            primitive[key] = is_primitive(word, r)
+        return primitive[key]
+
+    # a primitive element is primitive in every subgroup containing it, so
+    # the fringe could only confirm pi = infinity
+    if primitive_in(w, w.rank):
+        return INFINITY, []
     witnesses = []
     best = INFINITY
-    # primitivity is invariant under conjugation, so each rewritten word is
-    # tested once per rank and least rotation of its cyclic core
-    primitive = {}
     # the fringe is sorted by subgroup rank, and every graph in it contains
     # w, so none has rank 0 and every rewrite succeeds
     for graph in fringe(w, vertex_cap=fringe_cap):
@@ -64,10 +75,7 @@ def primitivity_rank(w, rank, fringe_cap=DEFAULT_FRINGE_VERTEX_CAP):
         if r > best:
             break
         rewritten = graph.rewrite(w)
-        key = (r, min(u.letters for u in rewritten.cyclic_rotations()))
-        if key not in primitive:
-            primitive[key] = is_primitive(rewritten, r)
-        if primitive[key]:
+        if primitive_in(rewritten, r):
             continue
         best = r
         witnesses.append((graph, rewritten))
@@ -93,7 +101,7 @@ def _least_genus(w):
         return 0
     if any(w.abelianization()):
         return INFINITY
-    return minimal_single_boundary_genus(w, 1)
+    return minimal_single_boundary_genus(w)
 
 
 def _capped(genus, genus_cap):

@@ -309,9 +309,6 @@ class RationalFunction:
             return None
         return self.num.degree - self.den.degree
 
-    def laurent(self, depth):
-        return laurent(self, depth)
-
     def serialize(self):
         """(numerator coefficients, denominator coefficients), ascending."""
         return {

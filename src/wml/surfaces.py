@@ -16,7 +16,8 @@ first subdivision level.
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
+from math import comb, factorial
 
 from .errors import UndecidedError
 from .stallings import fold
@@ -324,12 +325,15 @@ def _dual_graph(surface, component_index):
                 identify=[(v, basepoint) for v in marked])
 
 
-def enumerate_matchings(words, max_subdivision=1, spec_cap=DEFAULT_SPEC_CAP,
-                        dedup=True):
+def enumerate_matchings(words, max_subdivision=1, spec_cap=DEFAULT_SPEC_CAP):
     """All matching collections with at most ``max_subdivision`` matchings
-    per generator, deduplicated under permutations of subdivision indices.
+    per generator, one per multiset of matchings (permuting the subdivision
+    indices gives the same surface).
 
-    Yields :class:`MatchingSpec` objects.
+    A generator with p positive letters has p! single matchings, and so
+    C(p! + K, K) - 1 multisets of 1..K of them (K = ``max_subdivision``);
+    ``spec_cap`` bounds the product of these counts before any choice is
+    built.  Yields :class:`MatchingSpec` objects.
     """
     if max_subdivision < 1:
         raise ValueError(f"max_subdivision must be at least 1, got "
@@ -341,93 +345,36 @@ def enumerate_matchings(words, max_subdivision=1, spec_cap=DEFAULT_SPEC_CAP,
     occ = _occurrences(tuple(words))
     gens = sorted(g for g, (pos, neg) in occ.items() if pos)
 
-    per_gen_choices = []
     total = 1
     for g in gens:
-        pos, neg = occ[g]
-        single = [
-            tuple(zip(pos, (neg[i] for i in perm)))
-            for perm in permutations(range(len(neg)))
-        ]
-        choices = []
-        keys = set()
-        for k in range(1, max_subdivision + 1):
-            for combo in product(single, repeat=k):
-                if dedup:
-                    key = tuple(sorted(combo))
-                    if key in keys:
-                        continue
-                    keys.add(key)
-                choices.append(combo)
-        per_gen_choices.append(choices)
-        total *= len(choices)
+        singles = factorial(len(occ[g][0]))
+        total *= comb(singles + max_subdivision, max_subdivision) - 1
         if total > spec_cap:
             raise UndecidedError(
                 f"matching enumeration needs {total}+ collections, over the cap"
             )
 
+    per_gen_choices = []
+    for g in gens:
+        pos, neg = occ[g]
+        single = [tuple(zip(pos, perm)) for perm in permutations(neg)]
+        per_gen_choices.append([
+            combo for k in range(1, max_subdivision + 1)
+            for combo in combinations_with_replacement(single, k)
+        ])
+
     for assignment in product(*per_gen_choices):
         yield MatchingSpec(words, dict(zip(gens, assignment)))
 
 
-def is_forbidden(spec, base_word):
-    """Whether some matched pair joins two copies of the same letter of the
-    base word.  All boundary words must be powers of ``base_word``.
-
-    Returns ``(flag, witness)`` where the witness names the offending pair.
-    """
-    length = len(base_word)
-    exponents = []
-    for w in spec.words:
-        if length == 0 or len(w) % length:
-            raise ValueError(f"{w} is not a power of {base_word}")
-        e = len(w) // length
-        if w == base_word ** e:
-            exponents.append(e)
-        elif w == base_word ** (-e):
-            exponents.append(-e)
-        else:
-            raise ValueError(f"{w} is not a power of {base_word}")
-
-    def origin(word_index, position):
-        e = exponents[word_index]
-        if e > 0:
-            return position % length, 1
-        return length - 1 - (position % length), -1
-
-    for gen, levels in spec.matchings.items():
-        for j, matching in enumerate(levels, start=1):
-            for (p, n) in matching:
-                pos_origin, pos_sign = origin(*p)
-                neg_origin, neg_sign = origin(*n)
-                if pos_origin == neg_origin and pos_sign != neg_sign:
-                    return True, (gen, j, p, n)
-    return False, None
-
-
-def spectrum_map(words, max_subdivision=1, spec_cap=DEFAULT_SPEC_CAP):
-    """Attainable total Euler characteristics keyed by shape.
-
-    Keys are ``(connected, boundary profile)``; values are the sorted list
-    of total chi over all matching collections with that shape.
-    """
-    out = {}
-    for spec in enumerate_matchings(words, max_subdivision, spec_cap):
-        surface = build_surface(spec)
-        comps = surface.components
-        key = (len(comps) == 1, tuple(sorted(c.boundary for c in comps)))
-        out.setdefault(key, []).append(surface.chi)
-    return {key: sorted(vals) for key, vals in out.items()}
-
-
-def minimal_single_boundary_genus(word, max_subdivision, spec_cap=DEFAULT_SPEC_CAP):
-    """Least genus over all matching-built surfaces with the single
-    boundary word; None when the word is not balanced."""
+def minimal_single_boundary_genus(word, spec_cap=DEFAULT_SPEC_CAP):
+    """Least genus over the subdivision-1 matching-built surfaces with the
+    single boundary word; None when the word is not balanced."""
     balanced, _ = is_balanced([word])
     if not balanced:
         return None
     # one boundary word glues into one connected component
     return min(
         build_surface(spec).components[0].genus
-        for spec in enumerate_matchings([word], max_subdivision, spec_cap)
+        for spec in enumerate_matchings([word], 1, spec_cap)
     )

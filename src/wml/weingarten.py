@@ -40,7 +40,7 @@ from .partitions import (
     z_order,
 )
 from .ratfunc import Polynomial, RationalFunction, laurent, poly_gcd
-from .words import free_reduce, is_balanced
+from .words import cyclic_key, is_balanced
 
 DEFAULT_TERM_CAP = 10 ** 8
 
@@ -139,19 +139,6 @@ def stable_inner_product(t1, t2):
 # --- trace-cycle states -----------------------------------------------------
 
 
-def _cyclic_key(letters):
-    """Canonical form of a cyclic word: lexicographically minimal rotation
-    of the cyclically reduced letter tuple; None if it reduces to nothing."""
-    word = free_reduce(letters)
-    word = list(word)
-    while len(word) >= 2 and word[0] == -word[-1]:
-        word = word[1:-1]
-    if not word:
-        return None
-    n = len(word)
-    return min(tuple(word[i:] + word[:i]) for i in range(n))
-
-
 def _integrate_letter(monomial, gen, term_budget):
     """Integrate out one generator from a multiset of cyclic words.
 
@@ -233,8 +220,8 @@ def _integrate_letter(monomial, gen, term_budget):
                     seen.add(cur)
                     letters.extend(segments[cur])
                     cur = succ[arrive[cur]]
-                key = _cyclic_key(letters)
-                if key is None:
+                key = cyclic_key(letters)
+                if not key:
                     loops += 1
                 else:
                     new_words.append(key)
@@ -312,8 +299,8 @@ def word_moment(words, term_cap=DEFAULT_TERM_CAP, force_pair_sum=False):
         final = None
 
     budget = [term_cap]
-    keys = [_cyclic_key(cw) for cw in remaining]
-    if None in keys:
+    keys = [cyclic_key(cw) for cw in remaining]
+    if () in keys:
         raise RuntimeError("a reduced nontrivial word has a trivial cyclic key")
     state = {tuple(sorted(keys)): RationalFunction(1)}
 

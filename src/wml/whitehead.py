@@ -26,30 +26,9 @@ from functools import lru_cache
 from itertools import permutations, product
 
 from .errors import UndecidedError
-from .words import Word
+from .words import Word, cyclic_key
 
 DEFAULT_ORBIT_CAP = 10 ** 6
-
-
-@dataclass(frozen=True)
-class TypeI:
-    """Permutation of the generators composed with inversions.
-
-    ``images[g-1]`` is the signed letter that generator g maps to.
-    """
-
-    images: tuple
-
-    def __post_init__(self):
-        if sorted(abs(a) for a in self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError("images must be a signed permutation of the generators")
-
-    def apply_letter(self, a):
-        img = self.images[abs(a) - 1]
-        return img if a > 0 else -img
-
-    def apply(self, w):
-        return Word(tuple(self.apply_letter(a) for a in w.letters), w.rank)
 
 
 @dataclass(frozen=True)
@@ -117,29 +96,6 @@ def type_ii_autos(rank):
     return tuple(out)
 
 
-def type_i_autos(rank):
-    """All letter permutations composed with inversions."""
-    out = []
-    for perm in permutations(range(1, rank + 1)):
-        for signs in product((1, -1), repeat=rank):
-            out.append(TypeI(tuple(p * s for p, s in zip(perm, signs))))
-    return out
-
-
-def cyclic_length(w):
-    core, _ = w.cyclic_reduce()
-    return len(core)
-
-
-def _cyclic_tuple(w):
-    """Minimal rotation of the cyclic core."""
-    core, _ = w.cyclic_reduce()
-    c = core.letters
-    if not c:
-        return ()
-    return min(c[i:] + c[:i] for i in range(len(c)))
-
-
 def type_i_canonical(w):
     """Minimal cyclic form over all letter permutations and inversions.
 
@@ -162,20 +118,17 @@ def type_i_canonical(w):
                 relabel[abs(a)] * sign_of[abs(a)] * (1 if a > 0 else -1)
                 for a in c
             )
-            key = _cyclic_tuple(Word(mapped, w.rank))
+            key = cyclic_key(mapped)
             if best is None or key < best:
                 best = key
     return best
 
 
-def minimize(w, rank, collect_trace=True):
-    """Greedy Whitehead minimization to the minimal cyclic length.
-
-    Returns ``(minimal word, trace of applied automorphisms)``.
-    """
+def minimize(w, rank):
+    """Greedy Whitehead minimization: a cyclically reduced word of minimal
+    cyclic length in the Aut(F_rank)-orbit of w."""
     autos = type_ii_autos(rank)
     current, _ = w.cyclic_reduce()
-    trace = []
     improved = True
     while improved and len(current) > 0:
         improved = False
@@ -184,18 +137,16 @@ def minimize(w, rank, collect_trace=True):
             core, _ = candidate.cyclic_reduce()
             if len(core) < len(current):
                 current = core
-                if collect_trace:
-                    trace.append(auto)
                 improved = True
                 break
-    return current, trace
+    return current
 
 
 def is_primitive(w, rank):
     """A nontrivial word is primitive iff its minimal cyclic length is 1."""
     if w.is_identity():
         return False
-    minimal, _ = minimize(w, rank, collect_trace=False)
+    minimal = minimize(w, rank)
     return len(minimal) == 1
 
 
@@ -206,7 +157,7 @@ def _minimal_level(w, rank, orbit_cap, stop=None):
     length-preserving second-kind automorphisms.  Returns the set of states,
     or early when ``stop`` (a predicate on states) fires.
     """
-    minimal, _ = minimize(w, rank, collect_trace=False)
+    minimal = minimize(w, rank)
     autos = type_ii_autos(rank)
     start = type_i_canonical(minimal)
     if stop is not None and stop(start):
@@ -259,8 +210,8 @@ def in_proper_free_factor(w, rank, orbit_cap=DEFAULT_ORBIT_CAP):
 
 def orbit_equivalent(u, v, rank, orbit_cap=DEFAULT_ORBIT_CAP):
     """Aut(F_rank)-orbit equivalence of two words (up to conjugacy)."""
-    mu, _ = minimize(u, rank, collect_trace=False)
-    mv, _ = minimize(v, rank, collect_trace=False)
+    mu = minimize(u, rank)
+    mv = minimize(v, rank)
     if len(mu) != len(mv):
         return False
     if len(mu) == 0:

@@ -1,11 +1,13 @@
-"""Words in a free group of finite rank, plus a small expression parser.
+"""Words in a free group of finite rank, and a parser from word text.
 
 A letter is a nonzero integer: ``g`` denotes the generator with index ``g``
 (1-based) and ``-g`` its inverse.  A :class:`Word` stores a freely reduced
 tuple of letters together with the ambient rank; the empty tuple is the
-identity.
+identity.  :func:`cyclic_key` is the one canonical form of a cyclic word
+(a word up to conjugacy).
 
-Input syntax accepted by :func:`parse_word`:
+Input syntax accepted by :func:`parse`, which multiplies, inverts, raises
+to powers and takes commutators of :class:`Word` values as it reads:
 
 * single-letter generators ``x, y, z, a, b, ..., w`` (in that order), with
   uppercase meaning the inverse;
@@ -19,8 +21,6 @@ parser.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import ParseError
 
@@ -38,6 +38,18 @@ def free_reduce(letters):
         else:
             out.append(a)
     return tuple(out)
+
+
+def cyclic_key(letters):
+    """Least rotation of the cyclic reduction of a letter sequence; ``()``
+    when it reduces to the identity."""
+    c = free_reduce(letters)
+    i, j = 0, len(c)
+    while j - i >= 2 and c[i] == -c[j - 1]:
+        i += 1
+        j -= 1
+    c = c[i:j]
+    return min([c[k:] + c[:k] for k in range(len(c))]) if c else ()
 
 
 class Word:
@@ -82,9 +94,6 @@ class Word:
 
     def __invert__(self):
         return Word(tuple(-a for a in reversed(self.letters)), self.rank)
-
-    def inverse(self):
-        return ~self
 
     def __pow__(self, k):
         if k < 0:
@@ -212,64 +221,15 @@ def is_balanced(words):
     return all(t == 0 for t in totals.values()), totals
 
 
-# --- expression AST ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Generator:
-    index: int
-
-    def evaluate(self, rank):
-        if self.index > rank:
-            raise ParseError(f"generator x{self.index} exceeds rank {rank}", 0)
-        return Word((self.index,), rank)
-
-
-@dataclass(frozen=True)
-class Inverse:
-    body: "WordExpr"
-
-    def evaluate(self, rank):
-        return ~self.body.evaluate(rank)
-
-
-@dataclass(frozen=True)
-class Power:
-    body: "WordExpr"
-    exponent: int
-
-    def evaluate(self, rank):
-        return self.body.evaluate(rank) ** self.exponent
-
-
-@dataclass(frozen=True)
-class Concat:
-    parts: tuple
-
-    def evaluate(self, rank):
-        w = Word.identity(rank)
-        for p in self.parts:
-            w = w * p.evaluate(rank)
-        return w
-
-
-@dataclass(frozen=True)
-class Commutator:
-    left: "WordExpr"
-    right: "WordExpr"
-
-    def evaluate(self, rank):
-        return commutator(self.left.evaluate(rank), self.right.evaluate(rank))
-
-
-WordExpr = Generator | Inverse | Power | Concat | Commutator
-
-
 # --- parser -----------------------------------------------------------------
 
 
 class _Parser:
-    def __init__(self, text, rank=None):
+    """Recursive descent over the word text, building :class:`Word` values
+    as it goes; generator indices are checked against ``rank`` at their
+    positions in the text."""
+
+    def __init__(self, text, rank):
         self.text = text
         self.rank = rank
         self.pos = 0
@@ -302,33 +262,29 @@ class _Parser:
         return int(self.text[start:self.pos]) if self.pos > start else None
 
     def parse(self):
-        expr = self._sequence()
+        word = self._sequence()
         if self.peek() is not None:
             self.error(f"unexpected character {self.text[self.pos]!r}")
-        return expr
+        return word
 
     def _sequence(self):
-        parts = []
+        word = None
         while True:
             ch = self.peek()
             if ch is None or ch in "),]":
                 break
-            parts.append(self._factor())
-        if not parts:
+            factor = self._factor()
+            word = factor if word is None else word * factor
+        if word is None:
             self.error("empty word expression")
-        return parts[0] if len(parts) == 1 else Concat(tuple(parts))
+        return word
 
     def _factor(self):
-        atom = self._atom()
+        word = self._atom()
         while self.peek() == "^":
             self.pos += 1
-            if self.peek() == "-" and self.text[self.pos:self.pos + 2] == "-1" \
-                    and not self.text[self.pos + 2:self.pos + 3].isdigit():
-                self.pos += 2
-                atom = Inverse(atom)
-            else:
-                atom = Power(atom, self._integer())
-        return atom
+            word = word ** self._integer()
+        return word
 
     def _atom(self):
         ch = self.peek()
@@ -336,7 +292,7 @@ class _Parser:
             self.error("unexpected end of input")
         if ch == "1":
             self.pos += 1
-            return Concat(())
+            return Word.identity(self.rank)
         if ch == "(":
             self.pos += 1
             inner = self._sequence()
@@ -354,7 +310,7 @@ class _Parser:
             if self.peek() != "]":
                 self.error("expected ']'")
             self.pos += 1
-            return Commutator(left, right)
+            return commutator(left, right)
         if ch.isalpha():
             start = self.pos
             self.pos += 1
@@ -374,22 +330,13 @@ class _Parser:
         self.error(f"unexpected character {ch!r}")
 
     def _generator(self, index, inverse, start):
-        if self.rank is not None and index > self.rank:
+        if index > self.rank:
             self.pos = start
             self.error(f"generator x{index} exceeds rank {self.rank}")
-        g = Generator(index)
-        return Inverse(g) if inverse else g
-
-
-def parse_word(text, rank):
-    """Parse word text into an expression tree.
-
-    Generator indices are validated against ``rank`` at their positions in
-    the text; evaluation plus free reduction yields the :class:`Word`.
-    """
-    return _Parser(text, rank).parse()
+        return Word((-index if inverse else index,), self.rank)
 
 
 def parse(text, rank):
-    """Parse and evaluate in one step, returning the reduced :class:`Word`."""
-    return parse_word(text, rank).evaluate(rank)
+    """Parse word text into its freely reduced :class:`Word` of rank
+    ``rank``."""
+    return _Parser(text, rank).parse()

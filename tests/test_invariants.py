@@ -292,6 +292,21 @@ class TestAnalyze:
         assert rep.pi == 2 and rep.comm_crit_count == 1
         assert len(calls) == 1
 
+    def test_primitive_word_skips_fringe(self, monkeypatch):
+        # a primitive word is primitive in every subgroup containing it,
+        # so pi = inf is settled before the fringe, whatever its cap
+        import wml.invariants
+
+        def no_fringe(*args, **kwargs):
+            raise AssertionError("fringe called on a primitive word")
+
+        monkeypatch.setattr(wml.invariants, "fringe", no_fringe)
+        for text, rank in [("x y x y^2", 2), ("x1 x2 x3 x4 x5 x6", 6)]:
+            rep = analyze(parse(text, rank), rank, fringe_cap=2)
+            assert rep.pi == INFINITY and rep.pi_witnesses == []
+            assert rep.undecided == {}
+            assert rep.to_json()["pi"] == "inf"
+
     def test_one_primitivity_test_per_distinct_word(self, monkeypatch):
         # the sweep tests each (rank, least rotation of the cyclic core)
         # once; conjugate rewrites share the verdict
@@ -335,7 +350,7 @@ class TestAnalyze:
     def test_undecided_genus_leaves_comm_crit_open(self, monkeypatch):
         import wml.invariants
 
-        def capped_search(word, max_subdivision):
+        def capped_search(word):
             raise UndecidedError("matching cap")
 
         monkeypatch.setattr(wml.invariants, "minimal_single_boundary_genus",

@@ -1,13 +1,14 @@
+import tracemalloc
+from itertools import permutations, product
+
 import pytest
 
 from wml.errors import UndecidedError
 from wml.stallings import core_graph
 from wml.surfaces import (
-    spectrum_map,
     MatchingSpec,
     build_surface,
     enumerate_matchings,
-    is_forbidden,
     minimal_single_boundary_genus,
 )
 from wml.words import parse
@@ -17,6 +18,24 @@ def unique_spec(words, k=1):
     specs = list(enumerate_matchings(words, max_subdivision=k))
     assert len(specs) == 1
     return specs[0]
+
+
+def ordered_matchings(words, max_subdivision):
+    """Reference enumeration: per generator, the product over 1..K levels of
+    its single matchings, so reordered levels are listed again."""
+    occ = {}
+    for wi, w in enumerate(words):
+        for t, a in enumerate(w.letters):
+            occ.setdefault(abs(a), ([], []))[a < 0].append((wi, t))
+    gens = sorted(occ)
+    per_gen = []
+    for g in gens:
+        pos, neg = occ[g]
+        single = [tuple(zip(pos, perm)) for perm in permutations(neg)]
+        per_gen.append([combo for k in range(1, max_subdivision + 1)
+                        for combo in product(single, repeat=k)])
+    for assignment in product(*per_gen):
+        yield MatchingSpec(words, dict(zip(gens, assignment)))
 
 
 def collapse_spec(w):
@@ -140,6 +159,12 @@ class TestEnumeration:
         words = [parse("[x,y]^2", 2), ~parse("[x,y]^2", 2)]
         with pytest.raises(UndecidedError):
             list(enumerate_matchings(words, max_subdivision=2, spec_cap=10))
+        # [x,y]^2 at K = 3: each generator has C(2 + 3, 3) - 1 = 9
+        # multisets of its 2 single matchings, so 81 collections in all
+        words = [parse("[x,y]^2", 2)]
+        assert len(list(enumerate_matchings(words, 3, spec_cap=81))) == 81
+        with pytest.raises(UndecidedError):
+            next(enumerate_matchings(words, 3, spec_cap=80))
 
     def test_rejects_nonpositive_subdivision(self):
         for k in (0, -1):
@@ -148,14 +173,13 @@ class TestEnumeration:
 
     def test_dedup_does_not_lose_topology(self):
         # permuting subdivision indices must not change the attainable
-        # topological data; the deduplicated enumeration must cover the
-        # same set of (chi, boundary, genus) component profiles
+        # topological data; the enumeration must cover the same set of
+        # (chi, boundary, genus) component profiles as the reference
         words = [parse("[x,y]", 2), parse("[y,x]", 2)]
 
-        def profile(dedup):
+        def profile(specs):
             out = set()
-            for spec in enumerate_matchings(words, max_subdivision=2,
-                                            dedup=dedup):
+            for spec in specs:
                 s = build_surface(spec)
                 out.add(
                     tuple(sorted((c.chi, c.boundary, c.genus)
@@ -163,71 +187,62 @@ class TestEnumeration:
                 )
             return out
 
-        assert profile(dedup=True) == profile(dedup=False)
+        assert profile(enumerate_matchings(words, max_subdivision=2)) == \
+            profile(ordered_matchings(words, max_subdivision=2))
 
-
-class TestForbidden:
-    def test_collapse_matching_everywhere_forbidden(self):
-        for text, rank in [("x", 1), ("[x,y]", 2)]:
-            w = parse(text, rank)
-            spec = collapse_spec(w)
-            flag, witness = is_forbidden(spec, w)
-            assert flag and witness is not None
-
-    def test_single_word_never_forbidden(self):
-        w = parse("[x,y]", 2)
-        spec = unique_spec([w])
-        flag, _ = is_forbidden(spec, w)
-        assert not flag
-
-    def test_paper_style_mirror(self):
-        # w = x y^2 x; matching the first x of w to the last inverse letter
-        # of w^-1 joins two copies of the same letter
-        w = parse("x y^2 x", 2)
-        for spec in enumerate_matchings([w, ~w], max_subdivision=1):
-            pairs = dict()
-            flag, witness = is_forbidden(spec, w)
-            x_matching = spec.matchings[1][0]
-            mirror = (((0, 0), (1, 3)) in x_matching) or \
-                (((0, 3), (1, 0)) in x_matching)
-            if mirror:
-                assert flag
-
-    def test_wrong_base_rejected(self):
-        w = parse("[x,y]", 2)
-        spec = unique_spec([w])
-        with pytest.raises(ValueError):
-            is_forbidden(spec, parse("x y", 2))
+    def test_cap_fires_before_choices_are_built(self):
+        # [x,y]^7 at K = 2: 7! single matchings per generator make about
+        # 12.7M choices each; the cap must fire without listing them
+        words = [parse("[x,y]^7", 2)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(UndecidedError):
+                next(enumerate_matchings(words, max_subdivision=2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2 ** 20
 
 
 class TestSpectrumMap:
+    """Total Euler characteristics of the enumerated surfaces, keyed by
+    (connected, sorted boundary counts per component)."""
+
+    @staticmethod
+    def spectrum(words):
+        out = {}
+        for spec in enumerate_matchings(words, max_subdivision=1):
+            s = build_surface(spec)
+            key = (len(s.components) == 1,
+                   tuple(sorted(c.boundary for c in s.components)))
+            out.setdefault(key, []).append(s.chi)
+        return {key: sorted(chis) for key, chis in out.items()}
+
     def test_single_commutator(self):
-        spectrum = spectrum_map([parse("[x,y]", 2)], max_subdivision=1)
+        spectrum = self.spectrum([parse("[x,y]", 2)])
         assert spectrum == {(True, (1,)): [-1]}
 
     def test_annulus_pair(self):
-        spectrum = spectrum_map([parse("x", 1), parse("X", 1)],
-                                max_subdivision=1)
+        spectrum = self.spectrum([parse("x", 1), parse("X", 1)])
         assert spectrum == {(True, (2,)): [0]}
 
     def test_commutator_and_inverse(self):
-        spectrum = spectrum_map(
-            [parse("[x,y]", 2), ~parse("[x,y]", 2)], max_subdivision=1
-        )
-        # four collections: connected surfaces plus the disconnected split
-        assert sum(len(v) for v in spectrum.values()) == 4
+        spectrum = self.spectrum([parse("[x,y]", 2), ~parse("[x,y]", 2)])
+        # four collections: three connected surfaces (one of them the
+        # annulus) plus the split into two punctured tori
+        assert spectrum == {(True, (2,)): [-2, -2, 0], (False, (1, 1)): [-2]}
 
 
 class TestGenusSearch:
     def test_commutator_genus_one(self):
-        assert minimal_single_boundary_genus(parse("[x,y]", 2), 1) == 1
+        assert minimal_single_boundary_genus(parse("[x,y]", 2)) == 1
 
     def test_commutator_cube_genus_two(self):
         w = parse("[x,y]^3", 2)
-        assert minimal_single_boundary_genus(w, 1) == 2
+        assert minimal_single_boundary_genus(w) == 2
 
     def test_unbalanced_none(self):
-        assert minimal_single_boundary_genus(parse("x", 1), 1) is None
+        assert minimal_single_boundary_genus(parse("x", 1)) is None
 
     def test_figure_style_pair_includes_split_x(self):
         # for ([x,y], [y,x]) at subdivision 2 some collection splits the

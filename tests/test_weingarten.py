@@ -8,7 +8,6 @@ from wml.partitions import cycle_type, murnaghan_nakayama, partitions_of, schur_
 from wml.ratfunc import Polynomial, RationalFunction, laurent
 from wml.weingarten import (
     TraceMonomial,
-    _cyclic_key,
     _integrate_letter,
     expansion_prediction,
     moment,
@@ -17,7 +16,7 @@ from wml.weingarten import (
     wg,
     word_moment,
 )
-from wml.words import Word, parse
+from wml.words import Word, cyclic_key, parse
 
 ONE = RationalFunction(1)
 N = RationalFunction.n_power(1)
@@ -226,8 +225,8 @@ def reference_integrate_letter(monomial, gen):
                     seen.add(cur)
                     letters += segment(cur)
                     cur = jump[next_occ(cur)]
-                key = _cyclic_key(letters)
-                if key is None:
+                key = cyclic_key(letters)
+                if not key:
                     loops += 1
                 else:
                     words.append(key)

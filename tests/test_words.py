@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wml.errors import ParseError
-from wml.words import Word, commutator, free_reduce, is_balanced, parse, parse_word
+from wml.words import Word, commutator, cyclic_key, free_reduce, is_balanced, parse
 
 
 def letters_strategy(rank=2, max_len=12):
@@ -76,10 +76,29 @@ class TestParsing:
             parse("(x", 1)
         with pytest.raises(ParseError):
             parse("", 1)
+        # the malformed inputs of the benchmark's cli corpus, at rank 2
+        for text, message, position in [
+            ("[x,y", "expected ']'", 4),
+            ("x^", "expected an integer", 2),
+            ("((x)", "expected ')'", 4),
+            ("[x,,y]", "empty word expression", 3),
+            ("x!y", "unexpected character '!'", 1),
+            ("z", "generator x3 exceeds rank 2", 0),
+        ]:
+            with pytest.raises(ParseError) as exc:
+                parse(text, 2)
+            assert exc.value.position == position, text
+            assert str(exc.value) == f"{message} (at position {position})"
 
-    def test_parse_returns_expr(self):
-        expr = parse_word("[x,y]", 2)
-        assert expr.evaluate(2) == parse("[x,y]", 2)
+    def test_printed_forms_pinned(self):
+        for text, printed in [
+            ("1", "1"),
+            ("x^-1", "x1^-1"),
+            ("(x^2 Y)^-2", "x2 x1^-2 x2 x1^-2"),
+            ("[[x,y],[y,x^2]]",
+             "x1 x2 x1 x2^-1 x1^-2 x2 x1 x2^-1 x1 x2 x1^-2 x2^-1"),
+        ]:
+            assert str(parse(text, 2)) == printed
 
     @given(letters_strategy(rank=3))
     def test_roundtrip_print_parse(self, letters):
@@ -203,6 +222,31 @@ class TestCanonicalKey:
             key = w.canonical_key()
             assert key not in seen or seen[key] == w
             seen[key] = w
+
+
+class TestCyclicKey:
+    def test_identity(self):
+        assert cyclic_key(()) == ()
+        assert cyclic_key([1, 2, -2, -1]) == ()
+
+    def test_one_key_per_conjugacy_class(self):
+        # brute force: the key is the least rotation of the cyclic core,
+        # shared by every conjugate and by unreduced spellings
+        conjugators = all_reduced_words(2, 2)
+        for w in all_reduced_words(2, 5):
+            key = cyclic_key(w.letters)
+            core = w.cyclic_reduce()[0].letters
+            assert key == min((core[i:] + core[:i]
+                               for i in range(len(core))), default=())
+            for c in conjugators:
+                assert cyclic_key((c * w * ~c).letters) == key
+                assert cyclic_key(c.letters + w.letters + (~c).letters) \
+                    == key
+
+    def test_distinguishes_classes(self):
+        assert cyclic_key(parse("x y", 2).letters) != \
+            cyclic_key(parse("x Y", 2).letters)
+        assert cyclic_key(parse("x^2 y", 2).letters) == (1, 1, 2)
 
 
 def test_module_doctests():
