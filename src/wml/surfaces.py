@@ -281,48 +281,43 @@ def build_surface(spec):
 def _dual_graph(surface, component_index):
     """Fold the dual graph of a component: one vertex per region between
     the first-level arcs, one labeled edge per first-level matched pair,
-    and the regions holding the annulus basepoints wedged together."""
-    comp = surface.components[component_index]
-    members = set(comp.annuli)
-    sizes = [len(s) for s in surface.sub_letters]
-    uf = _UnionFind()
+    and the regions holding the annulus basepoints wedged together.
+
+    Each sub-quadrilateral ``(m, q)`` has a corner on either side of its
+    arc, and the joins of neighbouring corners are folded together with the
+    labeled edges."""
+    members = sorted(surface.components[component_index].annuli)
+    offset, total = {}, 0
     for m in members:
-        for q in range(sizes[m]):
-            uf.add((m, q, 0))
-            uf.add((m, q, 1))
-        for q in range(sizes[m]):
-            uf.union((m, q, 1), (m, (q + 1) % sizes[m], 0))
-    cut_glues = []
+        offset[m] = total
+        total += len(surface.sub_letters[m])
+
+    def corner(m, q, side):
+        return 2 * (offset[m] + q) + side
+
+    basepoint = corner(members[0], 0, 0)
+    joins = [(corner(m, 0, 0), basepoint) for m in members]
+    for m in members:
+        size = len(surface.sub_letters[m])
+        joins += [(corner(m, q, 1), corner(m, (q + 1) % size, 0))
+                  for q in range(size)]
+    edges = []
     for (gen, j, (m, q), (m2, q2)) in surface.glue_pairs:
-        if m not in members:
+        if m not in offset:
             continue
-        if j == 1:
-            uf.union((m, q, 0), (m2, q2, 1))
-            uf.union((m, q, 1), (m2, q2, 0))
-            cut_glues.append((gen, (m, q), (m2, q2)))
-        else:
+        joins += [(corner(m, q, 0), corner(m2, q2, 1)),
+                  (corner(m, q, 1), corner(m2, q2, 0))]
+        if j != 1:
             # no arc at this level: the whole double-quad is one region
-            uf.union((m, q, 0), (m2, q2, 1))
-            uf.union((m, q, 1), (m2, q2, 0))
-            uf.union((m, q, 0), (m, q, 1))
-    roots = sorted({uf.find(p) for p in uf.parent})
-    region = {root: i for i, root in enumerate(roots)}
-    # parallel equal-label arcs between the same regions carry the same
-    # path words, and folding merges them anyway; a set suffices
-    edges = set()
-    for (gen, (m, q), (m2, q2)) in cut_glues:
-        _, a, _ = surface.sub_letters[m][q]
-        if a < 0:
+            joins.append((corner(m, q, 0), corner(m, q, 1)))
+            continue
+        if surface.sub_letters[m][q][1] < 0:
             raise RuntimeError("glue pairs store the positive occurrence first")
         # crossing the arc in word direction at the positive occurrence
         # reads the generator
-        tail, head = (m, q, 0), (m, q, 1)
-        edges.add((region[uf.find(tail)], region[uf.find(head)], gen))
-    marked = {region[uf.find((m, 0, 0))] for m in members}
-    basepoint = region[uf.find((min(members), 0, 0))]
-    return fold(len(roots), edges, basepoint,
-                max(w.rank for w in surface.spec.words),
-                identify=[(v, basepoint) for v in marked])
+        edges.append((corner(m, q, 0), corner(m, q, 1), gen))
+    return fold(2 * total, edges, basepoint,
+                max(w.rank for w in surface.spec.words), identify=joins)
 
 
 def enumerate_matchings(words, max_subdivision=1, spec_cap=DEFAULT_SPEC_CAP):

@@ -1,8 +1,9 @@
 """Whitehead automorphisms: word minimization, primitivity, free factors,
 and automorphism-orbit equivalence.
 
-All questions answered here are conjugacy-invariant, so words are handled
-through their cyclic reductions and all lengths are cyclic lengths.
+All questions answered here are conjugacy-invariant, so the search runs on
+cyclic cores (cyclically reduced letter tuples), automorphisms act on them
+as tables of letter images, and all lengths are cyclic lengths.
 
 The classical facts used:
 
@@ -21,161 +22,129 @@ set of generators used, so search states are normalized modulo them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 
 from .errors import UndecidedError
-from .words import Word, cyclic_key
+from .words import Word, cyclic_core, cyclic_key
 
 DEFAULT_ORBIT_CAP = 10 ** 6
-
-
-@dataclass(frozen=True)
-class TypeII:
-    """Whitehead automorphism (A, a): a in A, -a not in A.
-
-    On a generator x (positive letter, |x| != |a|):
-      x in A only      -> x a
-      -x in A only     -> a^-1 x
-      x and -x in A    -> a^-1 x a
-      neither          -> x
-    and a maps to itself.
-    """
-
-    letters: frozenset
-    multiplier: int
-
-    def __post_init__(self):
-        if self.multiplier not in self.letters:
-            raise ValueError("multiplier must belong to the letter set")
-        if -self.multiplier in self.letters:
-            raise ValueError("letter set may not contain the multiplier inverse")
-
-    def image_of_generator(self, g):
-        a = self.multiplier
-        if g == abs(a):
-            return (g,)
-        pre = (-a,) if -g in self.letters else ()
-        post = (a,) if g in self.letters else ()
-        return pre + (g,) + post
-
-    def apply(self, w):
-        out = []
-        for letter in w.letters:
-            image = self.image_of_generator(abs(letter))
-            if letter < 0:
-                image = tuple(-x for x in reversed(image))
-            for x in image:
-                if out and out[-1] == -x:
-                    out.pop()
-                else:
-                    out.append(x)
-        return Word(tuple(out), w.rank)
-
-    def inverse(self):
-        a = self.multiplier
-        return TypeII(frozenset(self.letters - {a}) | {-a}, -a)
 
 
 @lru_cache(maxsize=None)
 def type_ii_autos(rank):
     """All nontrivial Whitehead automorphisms of the second kind for F_rank,
-    as a tuple built once per rank."""
+    as a tuple built once per rank.
+
+    The automorphism (A, a), with a in A and a^-1 not in A, fixes a and maps
+    a generator x != a^±1 to x a if only x is in A, to a^-1 x if only x^-1
+    is, to a^-1 x a if both are, and to x if neither is.  Each is a table of
+    images indexed by signed letter: ``images[g]`` is the image of g and
+    ``images[-g]`` that of g^-1 (index 0 is unused).  Tables with the same
+    multiplier share their image tuples.
+    """
     signed = [g for g in range(1, rank + 1)] + [-g for g in range(1, rank + 1)]
     out = []
     for a in signed:
+        # the images of g and g^-1 for each (g^-1 in A, g in A), shared by
+        # every table with this multiplier
+        pairs = {}
+        for g, pre, post in product(range(1, rank + 1), (False, True),
+                                    (False, True)):
+            image = (g,)
+            if g != abs(a):
+                image = ((-a,) if pre else ()) + image + ((a,) if post else ())
+            pairs[g, pre, post] = image, tuple(-x for x in reversed(image))
         others = [x for x in signed if x != a and x != -a]
         for bits in product((False, True), repeat=len(others)):
-            chosen = frozenset(
-                [a] + [x for x, keep in zip(others, bits) if keep]
-            )
+            chosen = {a} | {x for x, keep in zip(others, bits) if keep}
             if len(chosen) == 1:
                 continue  # identity map
-            out.append(TypeII(chosen, a))
+            images = [None] * (2 * rank + 1)
+            for g in range(1, rank + 1):
+                images[g], images[-g] = pairs[g, -g in chosen, g in chosen]
+            out.append(tuple(images))
     return tuple(out)
 
 
-def type_i_canonical(w):
-    """Minimal cyclic form over all letter permutations and inversions.
+def _image(images, core):
+    """The cyclic core of the image of a cyclic core under an automorphism
+    table."""
+    out = []
+    for letter in core:
+        for x in images[letter]:
+            if out and out[-1] == -x:
+                out.pop()
+            else:
+                out.append(x)
+    return cyclic_core(out)
+
+
+def type_i_canonical(letters):
+    """Minimal cyclic form of a letter tuple over all letter permutations
+    and inversions.
 
     Used as the search-state key: states differing by an automorphism of the
     first kind are interchangeable for every question asked here.
     """
-    core, _ = w.cyclic_reduce()
-    c = core.letters
-    if not c:
-        return ()
-    used = sorted({abs(a) for a in c})
-    best = None
     # relabel the occurring letters onto 1..u in every order and sign;
     # unused generators are symmetric and never enter the key
-    for perm in permutations(used):
-        relabel = {g: i + 1 for i, g in enumerate(perm)}
-        for signs in product((1, -1), repeat=len(used)):
-            sign_of = dict(zip(perm, signs))
-            mapped = tuple(
-                relabel[abs(a)] * sign_of[abs(a)] * (1 if a > 0 else -1)
-                for a in c
-            )
-            key = cyclic_key(mapped)
-            if best is None or key < best:
-                best = key
-    return best
+    used = sorted({abs(a) for a in letters})
+    relabelings = (
+        {g: (i + 1) * sign for i, (g, sign) in enumerate(zip(perm, signs))}
+        for perm in permutations(used)
+        for signs in product((1, -1), repeat=len(used))
+    )
+    return min(cyclic_key(tuple(to[a] if a > 0 else -to[-a] for a in letters))
+               for to in relabelings)
 
 
 def minimize(w, rank):
     """Greedy Whitehead minimization: a cyclically reduced word of minimal
     cyclic length in the Aut(F_rank)-orbit of w."""
-    autos = type_ii_autos(rank)
-    current, _ = w.cyclic_reduce()
-    improved = True
-    while improved and len(current) > 0:
-        improved = False
-        for auto in autos:
-            candidate = auto.apply(current)
-            core, _ = candidate.cyclic_reduce()
+    current = cyclic_core(w.letters)
+    if any(abs(a) > rank for a in current):
+        raise ValueError(f"{w} has letters outside rank {rank}")
+    while current:
+        for images in type_ii_autos(rank):
+            core = _image(images, current)
             if len(core) < len(current):
                 current = core
-                improved = True
                 break
-    return current
+        else:
+            break  # no automorphism shortens it
+    return Word(current, w.rank)
 
 
 def is_primitive(w, rank):
     """A nontrivial word is primitive iff its minimal cyclic length is 1."""
-    if w.is_identity():
-        return False
-    minimal = minimize(w, rank)
-    return len(minimal) == 1
+    return not w.is_identity() and len(minimize(w, rank)) == 1
 
 
-def _minimal_level(w, rank, orbit_cap, stop=None):
-    """Breadth-first search of the minimal level of the orbit of w.
+def _minimal_level(w, core, rank, orbit_cap, stop):
+    """Breadth-first search of the minimal level of the orbit of the
+    minimal cyclic core ``core``; whether ``stop`` (a predicate on states)
+    fires on one of its states.
 
     States are canonical forms modulo first-kind automorphisms; moves are
-    length-preserving second-kind automorphisms.  Returns the set of states,
-    or early when ``stop`` (a predicate on states) fires.
+    length-preserving second-kind automorphisms.  The cap message names
+    ``w``.
     """
-    minimal = minimize(w, rank)
-    autos = type_ii_autos(rank)
-    start = type_i_canonical(minimal)
-    if stop is not None and stop(start):
-        return {start}, True
+    start = type_i_canonical(core)
+    if stop(start):
+        return True
     seen = {start}
     if len(seen) > orbit_cap:
         raise UndecidedError(f"orbit level of {w} exceeds the cap {orbit_cap}")
-    frontier = [minimal]
-    target_len = len(minimal)
+    frontier = [core]
     while frontier:
         next_frontier = []
-        for word in frontier:
-            for auto in autos:
-                candidate = auto.apply(word)
-                core, _ = candidate.cyclic_reduce()
-                if len(core) != target_len:
+        for state in frontier:
+            for images in type_ii_autos(rank):
+                image = _image(images, state)
+                if len(image) != len(core):
                     continue
-                key = type_i_canonical(core)
+                key = type_i_canonical(image)
                 if key in seen:
                     continue
                 if len(seen) >= orbit_cap:
@@ -183,11 +152,11 @@ def _minimal_level(w, rank, orbit_cap, stop=None):
                         f"orbit level of {w} exceeds the cap {orbit_cap}"
                     )
                 seen.add(key)
-                if stop is not None and stop(key):
-                    return seen, True
-                next_frontier.append(Word(key, rank))
+                if stop(key):
+                    return True
+                next_frontier.append(key)
         frontier = next_frontier
-    return seen, False
+    return False
 
 
 def in_proper_free_factor(w, rank, orbit_cap=DEFAULT_ORBIT_CAP):
@@ -204,8 +173,8 @@ def in_proper_free_factor(w, rank, orbit_cap=DEFAULT_ORBIT_CAP):
     def omits_generator(state):
         return len({abs(a) for a in state}) < rank
 
-    _, found = _minimal_level(w, rank, orbit_cap, stop=omits_generator)
-    return found
+    minimal = minimize(w, rank)
+    return _minimal_level(w, minimal.letters, rank, orbit_cap, omits_generator)
 
 
 def orbit_equivalent(u, v, rank, orbit_cap=DEFAULT_ORBIT_CAP):
@@ -214,8 +183,6 @@ def orbit_equivalent(u, v, rank, orbit_cap=DEFAULT_ORBIT_CAP):
     mv = minimize(v, rank)
     if len(mu) != len(mv):
         return False
-    if len(mu) == 0:
-        return True
-    target = type_i_canonical(mv)
-    _, found = _minimal_level(mu, rank, orbit_cap, stop=lambda s: s == target)
-    return found
+    target = type_i_canonical(mv.letters)
+    return _minimal_level(mu, mu.letters, rank, orbit_cap,
+                          lambda s: s == target)

@@ -3,8 +3,9 @@
 A letter is a nonzero integer: ``g`` denotes the generator with index ``g``
 (1-based) and ``-g`` its inverse.  A :class:`Word` stores a freely reduced
 tuple of letters together with the ambient rank; the empty tuple is the
-identity.  :func:`cyclic_key` is the one canonical form of a cyclic word
-(a word up to conjugacy).
+identity.  :func:`cyclic_core` is the cyclically reduced core of a freely
+reduced sequence, and :func:`cyclic_key` the one canonical form of a cyclic
+word (a word up to conjugacy).
 
 Input syntax accepted by :func:`parse`, which multiplies, inverts, raises
 to powers and takes commutators of :class:`Word` values as it reads:
@@ -17,7 +18,8 @@ to powers and takes commutators of :class:`Word` values as it reads:
   concatenation.
 
 Indexed form is the canonical output; ``str(word)`` round-trips through the
-parser.
+parser.  No power, product or commutator may spell more than
+:data:`MAX_WORD_LENGTH` letters before free reduction.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ from .errors import ParseError
 # Single-letter alphabet, in generator order: x is generator 1, y is 2, ...
 _ALPHABET = "xyzabcdefghijklmnopqrstuvw"
 _LETTER_INDEX = {c: i + 1 for i, c in enumerate(_ALPHABET)}
+
+# Most letters the parser spells for one word, counted before free reduction.
+MAX_WORD_LENGTH = 10 ** 6
 
 
 def free_reduce(letters):
@@ -40,15 +45,20 @@ def free_reduce(letters):
     return tuple(out)
 
 
+def cyclic_core(letters):
+    """The cyclic core of a freely reduced letter sequence, as a tuple: end
+    letters inverse to each other are stripped off in pairs."""
+    i, j = 0, len(letters)
+    while j - i >= 2 and letters[i] == -letters[j - 1]:
+        i += 1
+        j -= 1
+    return tuple(letters[i:j])
+
+
 def cyclic_key(letters):
     """Least rotation of the cyclic reduction of a letter sequence; ``()``
     when it reduces to the identity."""
-    c = free_reduce(letters)
-    i, j = 0, len(c)
-    while j - i >= 2 and c[i] == -c[j - 1]:
-        i += 1
-        j -= 1
-    c = c[i:j]
+    c = cyclic_core(free_reduce(letters))
     return min([c[k:] + c[:k] for k in range(len(c))]) if c else ()
 
 
@@ -149,12 +159,9 @@ class Word:
         ``core`` cyclically reduced.  The core is empty iff the word is
         the identity.
         """
-        letters = list(self.letters)
-        prefix = []
-        while len(letters) >= 2 and letters[0] == -letters[-1]:
-            prefix.append(letters[0])
-            letters = letters[1:-1]
-        return Word(letters, self.rank), Word(prefix, self.rank)
+        core = cyclic_core(self.letters)
+        prefix = self.letters[:(len(self.letters) - len(core)) // 2]
+        return Word(core, self.rank), Word(prefix, self.rank)
 
     def cyclic_rotations(self):
         """All rotations of the cyclic core (with the same conjugator dropped)."""
@@ -246,14 +253,19 @@ class _Parser:
 
     def _integer(self):
         start = self.pos
-        if self.peek() == "-":
+        negative = self.peek() == "-"
+        if negative:
             self.pos += 1
-        if self.peek() is None or not self.text[self.pos].isdigit():
+        value = self._index_suffix()
+        if value is None:
             self.pos = start
             self.error("expected an integer")
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        return int(self.text[start:self.pos])
+        return -value if negative else value
+
+    def _bound(self, length, at):
+        """Refuse, at position ``at``, to spell ``length`` letters."""
+        if length > MAX_WORD_LENGTH:
+            raise ParseError(f"word longer than {MAX_WORD_LENGTH} letters", at)
 
     def _index_suffix(self):
         start = self.pos
@@ -269,11 +281,11 @@ class _Parser:
 
     def _sequence(self):
         word = None
-        while True:
-            ch = self.peek()
-            if ch is None or ch in "),]":
-                break
+        while self.peek() not in (None, ")", ",", "]"):
+            at = self.pos
             factor = self._factor()
+            if word is not None:
+                self._bound(len(word) + len(factor), at)
             word = factor if word is None else word * factor
         if word is None:
             self.error("empty word expression")
@@ -283,7 +295,10 @@ class _Parser:
         word = self._atom()
         while self.peek() == "^":
             self.pos += 1
-            word = word ** self._integer()
+            at = self.pos
+            k = self._integer()
+            self._bound(len(word) * abs(k), at)
+            word = word ** k
         return word
 
     def _atom(self):
@@ -301,6 +316,7 @@ class _Parser:
             self.pos += 1
             return inner
         if ch == "[":
+            at = self.pos
             self.pos += 1
             left = self._sequence()
             if self.peek() != ",":
@@ -310,6 +326,7 @@ class _Parser:
             if self.peek() != "]":
                 self.error("expected ']'")
             self.pos += 1
+            self._bound(2 * (len(left) + len(right)), at)
             return commutator(left, right)
         if ch.isalpha():
             start = self.pos

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import json
 import os
 import subprocess
 import sys
@@ -84,3 +86,23 @@ def test_importing_the_cli_does_not_load_numpy():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_benchmark_bindings_resolve():
+    # the traced benchmark wraps the methods its tracer names, and its worker
+    # makes these calls; a deleted one would crash the run, not fail a test
+    tracer = Path(wml.__file__).parents[2] / "perfbench" / "tracer.py"
+    methods = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(tracer.read_text()).body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["METHODS"]
+    )
+    for module_name, class_name, names in methods:
+        cls = getattr(importlib.import_module(module_name), class_name)
+        for name in names:
+            assert name in vars(cls), f"{class_name}.{name}"
+    f = wml.moment(wml.parse("[x,y]", 2), (1,))
+    json.dumps({"rational": f.serialize(),
+                "laurent": wml.laurent(f, 3).serialize()})
+    json.dumps(wml.analyze(wml.parse("[x,y]", 2), 2).to_json())

@@ -143,6 +143,23 @@ class TestImageSubgroup:
                     for m in comp.annuli:
                         assert g.contains(words[m]), (words, i, m)
 
+    def test_multi_annulus_image_ranks_pinned(self):
+        # (annuli, image rank) over every component of every subdivision-1
+        # surface; the annulus basepoints must be wedged together
+        for texts, expected in [
+            (["[x,y^2]", "[y^2,x]"], {(1, 2): 8, (2, 1): 1, (2, 2): 43}),
+            (["[x,y]", "[x,y]^-1", "[x,y]"],
+             {(1, 2): 12, (2, 1): 2, (2, 2): 7, (3, 2): 26}),
+        ]:
+            tally = {}
+            words = [parse(t, 2) for t in texts]
+            for spec in enumerate_matchings(words, max_subdivision=1):
+                s = build_surface(spec)
+                for i, comp in enumerate(s.components):
+                    key = (len(comp.annuli), s.image_subgroup(i).subgroup_rank)
+                    tally[key] = tally.get(key, 0) + 1
+            assert tally == expected, texts
+
 
 class TestEnumeration:
     def test_single_commutator(self):

@@ -307,14 +307,17 @@ class TestMomentInvariances:
         # so applying Whitehead moves must not change any moment
         from wml.whitehead import type_ii_autos
 
+        def apply(table, word):
+            return Word([x for a in word.letters for x in table[a]], 2)
+
         w = parse("[x,y^2]", 2)
         base_tr = moment(w, (1,))
         base_pair = moment(w, (1, -1))
         images = []
-        for auto in type_ii_autos(2)[:6]:
-            images.append(auto.apply(w))
-        for auto in type_ii_autos(2)[6:9]:
-            images.append(auto.apply(images[0]))
+        for table in type_ii_autos(2)[:6]:
+            images.append(apply(table, w))
+        for table in type_ii_autos(2)[6:9]:
+            images.append(apply(table, images[0]))
         for image in images:
             assert moment(image, (1,)) == base_tr, str(image)
             assert moment(image, (1, -1)) == base_pair, str(image)

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+import wml.whitehead
 from wml.errors import UndecidedError
 from wml.whitehead import (
     in_proper_free_factor,
@@ -24,10 +25,92 @@ def random_word(rng, rank=2, max_len=8):
     return Word(letters, rank)
 
 
+class ReferenceTypeII:
+    """Whitehead automorphism (A, a): a in A, -a not in A, applied to a
+    whole word.  The reference the automorphism tables are checked against.
+
+    On a generator x (positive letter, |x| != |a|):
+      x in A only      -> x a
+      -x in A only     -> a^-1 x
+      x and -x in A    -> a^-1 x a
+      neither          -> x
+    and a maps to itself.
+    """
+
+    def __init__(self, letters, multiplier):
+        self.letters = letters
+        self.multiplier = multiplier
+
+    def image_of_generator(self, g):
+        a = self.multiplier
+        if g == abs(a):
+            return (g,)
+        pre = (-a,) if -g in self.letters else ()
+        post = (a,) if g in self.letters else ()
+        return pre + (g,) + post
+
+    def apply(self, w):
+        out = []
+        for letter in w.letters:
+            image = self.image_of_generator(abs(letter))
+            if letter < 0:
+                image = tuple(-x for x in reversed(image))
+            out.extend(image)
+        return Word(out, w.rank)
+
+
+def reference_autos(rank):
+    """Every nontrivial second-kind automorphism, in the library's order."""
+    signed = [g for g in range(1, rank + 1)] + [-g for g in range(1, rank + 1)]
+    out = []
+    for a in signed:
+        others = [x for x in signed if x != a and x != -a]
+        for bits in product((False, True), repeat=len(others)):
+            chosen = frozenset(
+                [a] + [x for x, keep in zip(others, bits) if keep]
+            )
+            if len(chosen) > 1:
+                out.append(ReferenceTypeII(chosen, a))
+    return out
+
+
+def reference_minimize(w, rank):
+    """Greedy Whitehead minimization on whole words: the first automorphism
+    (in library order) that shortens the cyclic core is taken, then the scan
+    restarts."""
+    autos = reference_autos(rank)
+    current, _ = w.cyclic_reduce()
+    improved = True
+    while improved and len(current) > 0:
+        improved = False
+        for auto in autos:
+            core, _ = auto.apply(current).cyclic_reduce()
+            if len(core) < len(current):
+                current = core
+                improved = True
+                break
+    return current
+
+
+def apply_table(images, w):
+    """The image of a word under an automorphism table."""
+    return Word([x for a in w.letters for x in images[a]], w.rank)
+
+
+def inverse_table(images):
+    """The inverse (A - a + a^-1, a^-1) of a Whitehead automorphism: every
+    letter an image adds around its own generator changes sign."""
+    n = len(images)
+    return tuple(
+        image and tuple(x if abs(x) in (i, n - i) else -x for x in image)
+        for i, image in enumerate(images)
+    )
+
+
 class TestTypeII:
     def test_identity_excluded(self):
-        for auto in type_ii_autos(2):
-            assert len(auto.letters) >= 2
+        for images in type_ii_autos(2):
+            assert any(images[g] != (g,) for g in (1, 2))
 
     def test_counts(self):
         # 2k choices of multiplier, 2^(2k-2) admissible sets, minus identities
@@ -36,20 +119,32 @@ class TestTypeII:
 
     def test_inverse_on_generators(self):
         rng = random.Random(1)
-        for auto in type_ii_autos(2):
-            inv = auto.inverse()
+        for images in type_ii_autos(2):
+            inv = inverse_table(images)
             for _ in range(5):
                 w = random_word(rng)
-                assert inv.apply(auto.apply(w)) == w
-                assert auto.apply(inv.apply(w)) == w
+                assert apply_table(inv, apply_table(images, w)) == w
+                assert apply_table(images, apply_table(inv, w)) == w
 
     def test_is_homomorphism(self):
         rng = random.Random(2)
-        for auto in type_ii_autos(3)[::7]:
+        for images in type_ii_autos(3)[::7]:
             for _ in range(5):
                 u = random_word(rng, rank=3)
                 v = random_word(rng, rank=3)
-                assert auto.apply(u * v) == auto.apply(u) * auto.apply(v)
+                assert apply_table(images, u * v) == \
+                    apply_table(images, u) * apply_table(images, v)
+
+    def test_tables_match_reference(self):
+        rng = random.Random(11)
+        for rank in (2, 3, 4):
+            tables = type_ii_autos(rank)
+            references = reference_autos(rank)
+            assert len(tables) == len(references)
+            for images, auto in zip(tables, references):
+                for _ in range(3):
+                    w = random_word(rng, rank=rank)
+                    assert apply_table(images, w) == auto.apply(w)
 
 
 class TestTypeI:
@@ -87,6 +182,30 @@ class TestMinimize:
             w = random_word(rng)
             core, _ = w.cyclic_reduce()
             assert len(minimize(w, 2)) <= len(core)
+
+    def test_matches_reference(self):
+        rng = random.Random(12)
+        for rank, count in ((2, 40), (3, 25), (4, 10)):
+            for _ in range(count):
+                w = random_word(rng, rank=rank, max_len=10)
+                assert minimize(w, rank) == reference_minimize(w, rank), str(w)
+
+    def test_rejects_letters_above_rank(self):
+        # a rank-2 table has no image for x3
+        with pytest.raises(ValueError):
+            minimize(parse("x y z", 3), 2)
+
+    def test_search_builds_at_most_one_word(self, monkeypatch):
+        # the search runs on letter tuples; only the returned word is a Word
+        built = []
+
+        def counting_word(letters, rank):
+            built.append(tuple(letters))
+            return Word(letters, rank)
+
+        monkeypatch.setattr(wml.whitehead, "Word", counting_word)
+        assert not is_primitive(parse("[x1,x2][x3,x4]", 4), 4)
+        assert len(built) <= 1
 
 
 class TestPrimitivity:
@@ -153,6 +272,18 @@ class TestProperFreeFactor:
         with pytest.raises(UndecidedError):
             in_proper_free_factor(parse("[x,y]", 2), 2, orbit_cap=0)
 
+    def test_cap_message_names_the_word(self):
+        # the word as given, not its minimal form
+        for text, rank, cap, printed in [
+            ("y [x,y] Y", 2, 0, "x2 x1 x2 x1^-1 x2^-2"),
+            ("z [x,y][x,z] Z", 3, 3,
+             "x3 x1 x2 x1^-1 x2^-1 x1 x3 x1^-1 x3^-2"),
+        ]:
+            with pytest.raises(UndecidedError) as exc:
+                in_proper_free_factor(parse(text, rank), rank, orbit_cap=cap)
+            assert str(exc.value) == \
+                f"orbit level of {printed} exceeds the cap {cap}"
+
 
 class TestOrbitEquivalence:
     def test_commutator_swap(self):
@@ -201,6 +332,19 @@ class TestOrbitEquivalence:
         # [x,y]^-1 = [y,x] lies in the same orbit
         w = parse("[x,y]", 2)
         assert orbit_equivalent(w, ~w, 2)
+
+
+    def test_cap_message_names_the_minimal_word(self):
+        # the minimal form of u, whose level is searched
+        for u, v, rank, cap, printed in [
+            ("y [x,y] Y", "x^2 y^2", 2, 0, "x1 x2 x1^-1 x2^-1"),
+            ("y x^2 y^2 z^2 Y", "x^3 y^3", 3, 3, "x1^2 x2^2 x3^2"),
+        ]:
+            with pytest.raises(UndecidedError) as exc:
+                orbit_equivalent(parse(u, rank), parse(v, rank), rank,
+                                 orbit_cap=cap)
+            assert str(exc.value) == \
+                f"orbit level of {printed} exceeds the cap {cap}"
 
 
 class TestPrimitivityVsNielsenEnumeration:
@@ -253,15 +397,15 @@ class TestTypeICanonical:
     def test_relabeling_invariance(self):
         w = parse("x y^2 X", 2)
         v = parse("y x^2 Y", 2)  # x <-> y relabel
-        assert type_i_canonical(w) == type_i_canonical(v)
+        assert type_i_canonical(w.letters) == type_i_canonical(v.letters)
 
     def test_inversion_invariance(self):
         w = parse("x y^2", 2)
         v = parse("x Y Y", 2)  # y -> y^-1
-        assert type_i_canonical(w) == type_i_canonical(v)
+        assert type_i_canonical(w.letters) == type_i_canonical(v.letters)
 
     def test_different_generator_sets(self):
         # a word in {y} alone matches the same word written in {x}
         w = parse("y^3", 2)
         v = parse("x^3", 2)
-        assert type_i_canonical(w) == type_i_canonical(v)
+        assert type_i_canonical(w.letters) == type_i_canonical(v.letters)

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
+import wml.words
 from wml.errors import ParseError
 from wml.words import Word, commutator, cyclic_key, free_reduce, is_balanced, parse
 
@@ -84,11 +87,41 @@ class TestParsing:
             ("[x,,y]", "empty word expression", 3),
             ("x!y", "unexpected character '!'", 1),
             ("z", "generator x3 exceeds rank 2", 0),
+            ("x^- 1", "expected an integer", 2),
         ]:
             with pytest.raises(ParseError) as exc:
                 parse(text, 2)
             assert exc.value.position == position, text
             assert str(exc.value) == f"{message} (at position {position})"
+
+    def test_length_bound(self, monkeypatch):
+        # powers, products and commutators are checked before they are
+        # spelled, at the position of the exponent, factor or bracket
+        monkeypatch.setattr(wml.words, "MAX_WORD_LENGTH", 10)
+        for text in ["x^10", "(x y)^-5", "x^6 y^4", "[x^2,y^3]"]:
+            assert len(parse(text, 2)) == 10
+        for text, position in [("x^11", 2), ("x^-11", 2), ("(x y)^6", 6),
+                               ("x^6 y^5", 4), ("[x^3,y^3]", 0),
+                               ("x [x^2,y^3]", 2)]:
+            with pytest.raises(ParseError) as exc:
+                parse(text, 2)
+            assert str(exc.value) == \
+                f"word longer than 10 letters (at position {position})"
+
+    def test_huge_power_refused_before_it_is_built(self):
+        # 10^8 letters would take about 2.3 GB; a syntax error after the
+        # power must not build it either
+        tracemalloc.start()
+        try:
+            for text in ["x^100000000", "x^100000000 !"]:
+                with pytest.raises(ParseError) as exc:
+                    parse(text, 1)
+                assert str(exc.value) == \
+                    "word longer than 1000000 letters (at position 2)"
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2 ** 20
 
     def test_printed_forms_pinned(self):
         for text, printed in [
