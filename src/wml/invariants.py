@@ -69,11 +69,14 @@ def primitivity_rank(w, rank, fringe_cap=DEFAULT_FRINGE_VERTEX_CAP):
     witnesses = []
     best = INFINITY
     # the fringe is sorted by subgroup rank, and every graph in it contains
-    # w, so none has rank 0 and every rewrite succeeds
+    # w, so none has rank 0 and every rewrite succeeds; a loop crossing
+    # some edge once certifies w primitive in the graph without a rewrite
     for graph in fringe(w, vertex_cap=fringe_cap):
         r = graph.subgroup_rank
         if r > best:
             break
+        if graph.crosses_an_edge_once(w):
+            continue
         rewritten = graph.rewrite(w)
         if primitive_in(rewritten, r):
             continue

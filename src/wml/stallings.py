@@ -20,6 +20,8 @@ serializations coincide.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .errors import UndecidedError
 from .words import Word
 
@@ -84,6 +86,32 @@ class LabeledGraph:
     def contains(self, word):
         """Subgroup membership: the word reads a loop at the basepoint."""
         return self.trace(word) == self.basepoint
+
+    def _loop_edges(self, word):
+        """The edges the word's loop at the basepoint crosses, in order, as
+        ``(edge, forward)`` pairs; None when the word is not a member."""
+        v = self.basepoint
+        crossed = []
+        for a in word.letters:
+            u = self.step(v, a)
+            if u is None:
+                return None
+            crossed.append(((v, u, a), True) if a > 0 else ((u, v, -a), False))
+            v = u
+        return crossed if v == self.basepoint else None
+
+    def crosses_an_edge_once(self, word):
+        """Whether the loop of a member word crosses some edge exactly once.
+
+        Such an edge is no bridge (a closed walk crosses a bridge an even
+        number of times), so some spanning tree avoids it and the word,
+        rewritten in that tree's basis, uses the edge's letter once: the
+        word is primitive in the subgroup.
+        """
+        crossed = self._loop_edges(word)
+        if crossed is None:
+            raise ValueError("the word is not a member of the subgroup")
+        return 1 in Counter(edge for edge, _ in crossed).values()
 
     def serialize(self):
         """Canonical text form: marked-vertex header plus one edge per line."""
@@ -156,20 +184,13 @@ class LabeledGraph:
         Returns a word over a rank-(subgroup rank) alphabet, or None when
         the trace does not close at the basepoint (not a member).
         """
+        crossed = self._loop_edges(word)
+        if crossed is None:
+            return None
         parent, non_tree = self.spanning_tree()
         index = {e: i + 1 for i, e in enumerate(non_tree)}
-        v = self.basepoint
-        letters = []
-        for a in word.letters:
-            u = self.step(v, a)
-            if u is None:
-                return None
-            edge = (v, u, a) if a > 0 else (u, v, -a)
-            if edge in index:
-                letters.append(index[edge] if a > 0 else -index[edge])
-            v = u
-        if v != self.basepoint:
-            return None
+        letters = [index[edge] if forward else -index[edge]
+                   for edge, forward in crossed if edge in index]
         return Word(letters, max(1, len(non_tree)))
 
 

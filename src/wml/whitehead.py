@@ -99,12 +99,18 @@ def type_i_canonical(letters):
                for to in relabelings)
 
 
-def minimize(w, rank):
-    """Greedy Whitehead minimization: a cyclically reduced word of minimal
-    cyclic length in the Aut(F_rank)-orbit of w."""
-    current = cyclic_core(w.letters)
-    if any(abs(a) > rank for a in current):
+def _core_in_rank(w, rank):
+    """The cyclic core of w, checked to use only generators 1..rank."""
+    core = cyclic_core(w.letters)
+    if any(abs(a) > rank for a in core):
         raise ValueError(f"{w} has letters outside rank {rank}")
+    return core
+
+
+def _minimal_core(letters, rank):
+    """Greedy Whitehead minimization of a cyclic core over F_rank: a cyclic
+    core of minimal length in its Aut(F_rank)-orbit."""
+    current = letters
     while current:
         for images in type_ii_autos(rank):
             core = _image(images, current)
@@ -113,12 +119,19 @@ def minimize(w, rank):
                 break
         else:
             break  # no automorphism shortens it
-    return Word(current, w.rank)
+    return current
+
+
+def minimize(w, rank):
+    """Greedy Whitehead minimization: a cyclically reduced word of minimal
+    cyclic length in the Aut(F_rank)-orbit of w."""
+    return Word(_minimal_core(_core_in_rank(w, rank), rank), w.rank)
 
 
 def is_primitive(w, rank):
     """A nontrivial word is primitive iff its minimal cyclic length is 1."""
-    return not w.is_identity() and len(minimize(w, rank)) == 1
+    core = _core_in_rank(w, rank)
+    return bool(core) and len(_minimal_core(core, rank)) == 1
 
 
 def _minimal_level(w, core, rank, orbit_cap, stop):
@@ -173,8 +186,8 @@ def in_proper_free_factor(w, rank, orbit_cap=DEFAULT_ORBIT_CAP):
     def omits_generator(state):
         return len({abs(a) for a in state}) < rank
 
-    minimal = minimize(w, rank)
-    return _minimal_level(w, minimal.letters, rank, orbit_cap, omits_generator)
+    minimal = _minimal_core(_core_in_rank(w, rank), rank)
+    return _minimal_level(w, minimal, rank, orbit_cap, omits_generator)
 
 
 def orbit_equivalent(u, v, rank, orbit_cap=DEFAULT_ORBIT_CAP):

@@ -19,7 +19,9 @@ to powers and takes commutators of :class:`Word` values as it reads:
 
 Indexed form is the canonical output; ``str(word)`` round-trips through the
 parser.  No power, product or commutator may spell more than
-:data:`MAX_WORD_LENGTH` letters before free reduction.
+:data:`MAX_WORD_LENGTH` letters before free reduction, and an exponent or
+index is a run of ASCII digits with at most :data:`MAX_DIGITS` digits after
+its leading zeros.
 """
 
 from __future__ import annotations
@@ -32,6 +34,11 @@ _LETTER_INDEX = {c: i + 1 for i, c in enumerate(_ALPHABET)}
 
 # Most letters the parser spells for one word, counted before free reduction.
 MAX_WORD_LENGTH = 10 ** 6
+
+# Most significant digits in an exponent or index: the least limit that
+# Python's int() conversion of a digit string can be set to, so converting a
+# run this long never fails.
+MAX_DIGITS = 640
 
 
 def free_reduce(letters):
@@ -106,6 +113,8 @@ class Word:
         return Word(tuple(-a for a in reversed(self.letters)), self.rank)
 
     def __pow__(self, k):
+        if self.is_identity():
+            return self  # any exponent, however large
         if k < 0:
             return (~self) ** (-k)
         base = self
@@ -267,11 +276,21 @@ class _Parser:
         if length > MAX_WORD_LENGTH:
             raise ParseError(f"word longer than {MAX_WORD_LENGTH} letters", at)
 
+    def _digit_at(self, pos):
+        return pos < len(self.text) and "0" <= self.text[pos] <= "9"
+
     def _index_suffix(self):
+        """The ASCII digit run at the cursor as an int; None if there is
+        none."""
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self._digit_at(self.pos):
             self.pos += 1
-        return int(self.text[start:self.pos]) if self.pos > start else None
+        if self.pos == start:
+            return None
+        digits = self.text[start:self.pos].lstrip("0") or "0"
+        if len(digits) > MAX_DIGITS:
+            raise ParseError(f"number longer than {MAX_DIGITS} digits", start)
+        return int(digits)
 
     def parse(self):
         word = self._sequence()
@@ -339,7 +358,7 @@ class _Parser:
                     if idx < 1:
                         self.error("generator index must be >= 1")
                     return self._generator(idx, inverse, start)
-            if self.pos < len(self.text) and self.text[self.pos].isdigit():
+            if self._digit_at(self.pos):
                 self.error("only 'x' takes an index suffix")
             if lower not in _LETTER_INDEX:
                 self.error(f"unknown generator letter {ch!r}")

@@ -32,6 +32,12 @@ class TestParse:
         assert result.exit_code == 2
         assert result.stderr.startswith("parse error: ")
 
+    def test_long_digit_run_exit_code(self, runner):
+        result = runner.invoke(cli, ["parse", "x^" + "9" * 5000])
+        assert result.exit_code == 2
+        assert result.stderr == \
+            "parse error: number longer than 640 digits (at position 2)\n"
+
     def test_rank_violation_exit_code(self, runner):
         result = runner.invoke(cli, ["parse", "y", "--rank", "1"])
         assert result.exit_code == 2

@@ -12,9 +12,59 @@ from wml.invariants import (
     standard_surface_word,
 )
 from wml.stallings import core_graph, fringe
-from wml.words import Word, parse
+from wml.words import Word, cyclic_key, parse
 
 F2 = 2
+
+# the eleven (word, rank) items of the benchmark's invariants workload
+INVARIANTS_CORPUS = (
+    ("[x,y]", 2), ("x^2 y^2 z^2", 3), ("[x,y]^3", 2), ("[x,y][x,z]", 3),
+    ("x^2y^2x^-2y^-2", 2), ("[x,y^3]", 2), ("[x,y][x,y^-1]", 2),
+    ("[x^2,y^2]", 2), ("[x,[x,y]]", 2), ("[x1,x2][x3,x4]", 4),
+    ("([x,y][x,z])^2", 3),
+)
+
+
+class TestPrimitivityCertificates:
+    def test_once_crossed_edge_means_primitive(self):
+        # every fringe graph of a non-power corpus word whose loop crosses
+        # an edge once: the Whitehead search minimizes the rewrite to one
+        # letter
+        from wml.whitehead import _minimal_core
+
+        certified, searched = 0, set()  # primitivity is conjugacy-invariant
+        for text, rank in INVARIANTS_CORPUS:
+            w = parse(text, rank)
+            if w.is_proper_power()[0]:
+                continue
+            for graph in fringe(w):
+                if graph.crosses_an_edge_once(w):
+                    certified += 1
+                    r = graph.subgroup_rank
+                    key = (r, cyclic_key(graph.rewrite(w).letters))
+                    if key not in searched:
+                        searched.add(key)
+                        assert len(_minimal_core(key[1], r)) == 1, text
+        assert certified > 500
+
+    def test_search_steps_on_the_corpus(self, monkeypatch):
+        # only primitivity_rank runs the search; without the once-crossed
+        # edge certificate these sweeps take 71,528 images
+        import wml.whitehead
+
+        image = wml.whitehead._image
+        calls = []
+
+        def counting_image(images, core):
+            calls.append(None)
+            return image(images, core)
+
+        monkeypatch.setattr(wml.whitehead, "_image", counting_image)
+        for text, rank in INVARIANTS_CORPUS:
+            w = parse(text, rank)
+            if not w.is_proper_power()[0]:
+                primitivity_rank(w, rank)
+        assert len(calls) <= 3000
 
 
 class TestPrimitivityRank:
@@ -308,8 +358,10 @@ class TestAnalyze:
             assert rep.to_json()["pi"] == "inf"
 
     def test_one_primitivity_test_per_distinct_word(self, monkeypatch):
-        # the sweep tests each (rank, least rotation of the cyclic core)
-        # once; conjugate rewrites share the verdict
+        # a graph whose loop crosses an edge once is certified without a
+        # test; the sweep tests each (rank, least rotation of the cyclic
+        # core) of the other rewrites once, so conjugate rewrites share
+        # the verdict
         import wml.invariants
         from wml.whitehead import is_primitive
 
@@ -321,18 +373,27 @@ class TestAnalyze:
 
         monkeypatch.setattr(wml.invariants, "is_primitive",
                             counting_is_primitive)
-        w = parse("[x1,x2][x3,x4]", 4)
-        rep = analyze(w, 4)
-        assert rep.pi == 4
-        swept = [g for g in fringe(w) if g.subgroup_rank <= rep.pi]
-        rewrites = [(g, g.rewrite(w)) for g in swept]
-        keys = {(g.subgroup_rank, min(u.letters for u in r.cyclic_rotations()))
-                for g, r in rewrites}
-        assert len(calls) == len(keys) == 113
-        unmemoized = [(g.serialize(), str(r)) for g, r in rewrites
-                      if not is_primitive(r, g.subgroup_rank)]
-        assert [(g.serialize(), str(r))
-                for g, r in rep.pi_witnesses] == unmemoized
+        for text, rank, pi, uncertified, tested in [
+            ("[x1,x2][x3,x4]", 4, 4, 1, 1),
+            ("x^2y^2x^-2y^-2", 2, 2, 8, 6),
+        ]:
+            calls.clear()
+            w = parse(text, rank)
+            rep = analyze(w, rank)
+            assert rep.pi == pi
+            swept = [g for g in fringe(w) if g.subgroup_rank <= rep.pi]
+            rewrites = [(g, g.rewrite(w)) for g in swept]
+            tested_rewrites = [(g, r) for g, r in rewrites
+                               if not g.crosses_an_edge_once(w)]
+            keys = {(g.subgroup_rank,
+                     min(u.letters for u in r.cyclic_rotations()))
+                    for g, r in tested_rewrites}
+            assert len(tested_rewrites) == uncertified, text
+            assert len(calls) == len(keys) == tested, text
+            unmemoized = [(g.serialize(), str(r)) for g, r in rewrites
+                          if not is_primitive(r, g.subgroup_rank)]
+            assert [(g.serialize(), str(r))
+                    for g, r in rep.pi_witnesses] == unmemoized
 
     def test_twelve_vertex_fringe_decided(self):
         # the core graph has 12 vertices, the default fringe cap

@@ -287,6 +287,20 @@ class TestMembershipRewrite:
         g = core_graph([parse("[x,y]", 2)], 2)
         assert g.rewrite(parse("x", 2)) is None
 
+    def test_crosses_an_edge_once(self):
+        rose = core_graph([parse("x", 2), parse("y", 2)], 2)
+        assert rose.crosses_an_edge_once(parse("x y x", 2))
+        assert not rose.crosses_an_edge_once(parse("[x,y]", 2))
+        # x^2 and x y X: the x y X loop crosses the x edges twice, y once
+        g = core_graph([parse("x^2", 2), parse("x y X", 2)], 2)
+        assert g.crosses_an_edge_once(parse("x y X", 2))
+        assert not g.crosses_an_edge_once(parse("x y^2 X", 2))
+        assert g.crosses_an_edge_once(parse("x^2", 2))
+        assert not g.crosses_an_edge_once(parse("x^4", 2))
+        for text in ["x", "y"]:
+            with pytest.raises(ValueError):
+                g.crosses_an_edge_once(parse(text, 2))
+
 
 class TestBasis:
     def test_size_is_rank(self):

@@ -192,8 +192,11 @@ class TestMinimize:
 
     def test_rejects_letters_above_rank(self):
         # a rank-2 table has no image for x3
-        with pytest.raises(ValueError):
-            minimize(parse("x y z", 3), 2)
+        for check in (minimize, is_primitive, in_proper_free_factor):
+            with pytest.raises(ValueError):
+                check(parse("x y z", 3), 2)
+            with pytest.raises(ValueError):
+                check(parse("x^2 z^2", 3), 2)
 
     def test_search_builds_at_most_one_word(self, monkeypatch):
         # the search runs on letter tuples; only the returned word is a Word

@@ -88,11 +88,32 @@ class TestParsing:
             ("x!y", "unexpected character '!'", 1),
             ("z", "generator x3 exceeds rank 2", 0),
             ("x^- 1", "expected an integer", 2),
+            ("x^" + "9" * 5000, "number longer than 640 digits", 2),
+            ("x" + "9" * 5000, "number longer than 640 digits", 1),
+            ("x^\u00b2", "expected an integer", 2),
+            ("x^\u0663", "expected an integer", 2),
+            ("x\u0663", "unexpected character '\u0663'", 1),
         ]:
             with pytest.raises(ParseError) as exc:
                 parse(text, 2)
             assert exc.value.position == position, text
             assert str(exc.value) == f"{message} (at position {position})"
+
+    def test_digit_runs(self):
+        # leading zeros do not count against the digit bound, and a run at
+        # the bound converts before the length bound judges it
+        assert parse("x^" + "0" * 5000 + "2", 2) == parse("x^2", 2)
+        assert parse("x" + "0" * 5000 + "2", 2) == parse("y", 2)
+        assert parse("1^" + "9" * 640, 2).is_identity()
+        assert parse("(x X)^-99999999999999999999", 2).is_identity()
+        with pytest.raises(ParseError) as exc:
+            parse("x^-" + "9" * 640, 2)
+        assert str(exc.value) == \
+            "word longer than 1000000 letters (at position 2)"
+        with pytest.raises(ParseError) as exc:
+            parse("1^-" + "9" * 641, 2)
+        assert str(exc.value) == \
+            "number longer than 640 digits (at position 3)"
 
     def test_length_bound(self, monkeypatch):
         # powers, products and commutators are checked before they are
