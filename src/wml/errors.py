@@ -1,4 +1,9 @@
-"""Shared exception types."""
+"""Shared exception types, and the counts that cap messages quote."""
+
+# The most digits a cap message writes for a count: Python's default limit
+# on the digits ``str`` writes for an int.
+_PRINTED_DIGITS = 4300
+_MAX_PRINTED_COUNT = 10 ** _PRINTED_DIGITS - 1
 
 
 class ParseError(ValueError):
@@ -19,3 +24,24 @@ class UndecidedError(RuntimeError):
     def __init__(self, reason):
         super().__init__(reason)
         self.reason = reason
+
+
+def capped_product(factors, cap):
+    """Product of the positive integers ``factors``, or None as soon as it
+    exceeds both ``cap`` and every count of at most 4300 digits: a count that
+    only has to be compared with a cap is never multiplied out further."""
+    bound = max(cap, _MAX_PRINTED_COUNT)
+    total = 1
+    for f in factors:
+        total *= f
+        if total > bound:
+            return None
+    return total
+
+
+def count_text(count, suffix=""):
+    """A count from :func:`capped_product` in a cap message: its decimal
+    digits and ``suffix``, or a bound when it was too large to keep."""
+    if count is None:
+        return f"at least 10^{_PRINTED_DIGITS}"
+    return f"{count}{suffix}"

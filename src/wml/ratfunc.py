@@ -4,8 +4,12 @@ All coefficients are arbitrary-precision integers (Python ints); no floating
 point enters anywhere.  A :class:`RationalFunction` is kept in a unique
 canonical form: numerator and denominator coprime in Q[n], their integer
 contents coprime, and the denominator's leading coefficient positive.
+Polynomial arithmetic stays in Z[n]: division is integer long division, and
+the gcd is a primitive remainder sequence (pseudo-remainders over Z, each cut
+to its primitive part).
 
-The Laurent expansion (in powers of 1/n) is computed by exact long division.
+The Laurent expansion (in powers of 1/n) is computed by exact long division
+over Q, where its coefficients live.
 """
 
 from __future__ import annotations
@@ -101,12 +105,22 @@ class Polynomial:
         return acc
 
     def divmod_exact(self, other):
-        """Quotient and remainder over Q (returned with Fraction coefficients
-        cleared back to ints when exact)."""
-        q, r = _divmod_fraction(
-            [Fraction(c) for c in self.coeffs], [Fraction(c) for c in other.coeffs]
-        )
-        return _from_fractions(q), _from_fractions(r)
+        """``(q, r)`` with ``self = q * other + r`` and ``deg r < deg other``,
+        by long division over Z; ``ValueError`` when a quotient coefficient
+        is not an integer."""
+        b = other.coeffs
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        r = list(self.coeffs)
+        q = [0] * max(0, len(r) - len(b) + 1)
+        while len(r) >= len(b):
+            shift = len(r) - len(b)
+            coef, rest = divmod(r[-1], b[-1])
+            if rest:
+                raise ValueError("division was not exact over Z")
+            q[shift] = coef
+            _subtract_shifted(r, coef, b, shift)
+        return Polynomial(q), Polynomial(r)
 
     def __str__(self):
         if self.is_zero():
@@ -131,59 +145,29 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def _divmod_fraction(a, b):
-    """Long division of coefficient lists over Q (ascending order)."""
-    while b and b[-1] == 0:
-        b.pop()
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        shift = len(a) - len(b)
-        coef = a[-1] / b[-1]
-        q[shift] = coef
-        for i, bc in enumerate(b):
-            a[shift + i] -= coef * bc
-        a.pop()
-    return q, a
-
-
-def _from_fractions(coeffs):
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    if denom != 1:
-        raise ValueError("division was not exact over Z")
-    return Polynomial(tuple(int(c) for c in coeffs))
+def _subtract_shifted(r, c, b, shift):
+    """``r -= c * n^shift * b`` in place, where this cancels the leading
+    coefficient of ``r``; trailing zeros are then stripped."""
+    for i, bc in enumerate(b):
+        r[shift + i] -= c * bc
+    while r and r[-1] == 0:
+        r.pop()
 
 
 def poly_gcd(a, b):
     """Greatest common divisor in Q[n], returned primitive over Z with
-    positive leading coefficient."""
-    fa = [Fraction(c) for c in a.coeffs]
-    fb = [Fraction(c) for c in b.coeffs]
-    while fb and any(fb):
-        _, r = _divmod_fraction(fa, list(fb))
-        while r and r[-1] == 0:
-            r.pop()
-        fa, fb = fb, r
-    while fa and fa[-1] == 0:
-        fa.pop()
-    if not fa:
-        return Polynomial()
-    lcm = 1
-    for c in fa:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in fa]
-    g = Polynomial(ints).primitive()
-    if g.leading() < 0:
-        g = -g
-    return g
+    positive leading coefficient, by a primitive remainder sequence (Brown,
+    JACM 1971): each pseudo-remainder over Z, its dividend scaled by the least
+    integer that cancels each leading term, is cut to its primitive part."""
+    a, b = a.primitive(), b.primitive()
+    while b.coeffs:
+        r, lead = list(a.coeffs), b.coeffs[-1]
+        while len(r) >= len(b.coeffs):
+            scale = lead // gcd(r[-1], lead)
+            r = [c * scale for c in r]
+            _subtract_shifted(r, r[-1] // lead, b.coeffs, len(r) - len(b.coeffs))
+        a, b = b, Polynomial(r).primitive()
+    return -a if a.leading() < 0 else a
 
 
 class RationalFunction:
@@ -208,17 +192,12 @@ class RationalFunction:
         if num.is_zero():
             num, den = Polynomial(), Polynomial.const(1)
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, _ = num.divmod_exact(g)
-                den, _ = den.divmod_exact(g)
-            cn, cd = num.content(), den.content()
-            c = gcd(cn, cd)
-            if c > 1:
-                num = Polynomial(tuple(x // c for x in num.coeffs))
-                den = Polynomial(tuple(x // c for x in den.coeffs))
-            if den.leading() < 0:
-                num, den = -num, -den
+            # the gcd is primitive, so dividing by it leaves both contents
+            # as they were (Gauss's lemma): one exact division does all
+            c = gcd(num.content(), den.content())
+            g = poly_gcd(num, den) * (c if den.leading() > 0 else -c)
+            if g.coeffs != (1,):
+                num, den = num.divmod_exact(g)[0], den.divmod_exact(g)[0]
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "n_min", n_min)

@@ -17,9 +17,9 @@ first subdivision level.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement, permutations, product
-from math import comb, factorial
+from math import comb
 
-from .errors import UndecidedError
+from .errors import UndecidedError, capped_product, count_text
 from .stallings import fold
 from .words import is_balanced
 
@@ -342,11 +342,14 @@ def enumerate_matchings(words, max_subdivision=1, spec_cap=DEFAULT_SPEC_CAP):
 
     total = 1
     for g in gens:
-        singles = factorial(len(occ[g][0]))
-        total *= comb(singles + max_subdivision, max_subdivision) - 1
-        if total > spec_cap:
+        singles = capped_product(range(1, len(occ[g][0]) + 1), spec_cap)
+        total = None if singles is None else capped_product(
+            (total, comb(singles + max_subdivision, max_subdivision) - 1),
+            spec_cap)
+        if total is None or total > spec_cap:
             raise UndecidedError(
-                f"matching enumeration needs {total}+ collections, over the cap"
+                f"matching enumeration needs {count_text(total, '+')} "
+                "collections, over the cap"
             )
 
     per_gen_choices = []

@@ -30,7 +30,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import factorial, inf
 
-from .errors import UndecidedError
+from .errors import UndecidedError, capped_product, count_text
 from .partitions import (
     cycle_type,
     dimension,
@@ -40,7 +40,7 @@ from .partitions import (
     z_order,
 )
 from .ratfunc import Polynomial, RationalFunction, laurent, poly_gcd
-from .words import cyclic_key, is_balanced
+from .words import MAX_WORD_LENGTH, cyclic_key, is_balanced
 
 DEFAULT_TERM_CAP = 10 ** 8
 
@@ -186,10 +186,11 @@ def _integrate_letter(monomial, gen, term_budget):
     if p == 0:
         return {tuple(sorted(passthrough)): RationalFunction(1)}
 
-    cost = factorial(p) ** 2
-    if cost > term_budget[0]:
+    cost = capped_product((k * k for k in range(1, p + 1)), term_budget[0])
+    if cost is None or cost > term_budget[0]:
         raise UndecidedError(
-            f"pair sum for generator {gen} needs {cost} terms, over the cap"
+            f"pair sum for generator {gen} needs {count_text(cost)} terms, "
+            "over the cap"
         )
     term_budget[0] -= cost
 
@@ -330,9 +331,16 @@ def word_moment(words, term_cap=DEFAULT_TERM_CAP, force_pair_sum=False):
 
 def moment(w, trace_monomial, term_cap=DEFAULT_TERM_CAP):
     """E_w[xi_{m_1} ... xi_{m_l}]: the trace-monomial moment of the word
-    measure of w, i.e. the mixed moment of (w^{m_1}, ..., w^{m_l})."""
+    measure of w, i.e. the mixed moment of (w^{m_1}, ..., w^{m_l}).
+
+    Like the parser, refuses a power w^m of more than ``MAX_WORD_LENGTH``
+    letters before free reduction with a ``ValueError``, before building it.
+    """
     if isinstance(trace_monomial, (tuple, list)):
         trace_monomial = TraceMonomial(trace_monomial)
+    if len(w) * max(map(abs, trace_monomial.exponents), default=0) > \
+            MAX_WORD_LENGTH:
+        raise ValueError(f"word power longer than {MAX_WORD_LENGTH} letters")
     boundary = [w ** m for m in trace_monomial.exponents]
     return word_moment(boundary, term_cap=term_cap)
 

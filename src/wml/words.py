@@ -62,11 +62,36 @@ def cyclic_core(letters):
     return tuple(letters[i:j])
 
 
+def _least_rotation(c):
+    """Index of the lexicographically least rotation of the tuple ``c``, the
+    first one when ``c`` is periodic; 0 for ``()``.  Booth's algorithm
+    (Inf. Process. Lett. 10, 1980): a failure function over ``c + c``, in
+    linear time and memory."""
+    s = c + c
+    f = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        sj = s[j]
+        i = f[j - k - 1]
+        while i != -1 and sj != s[k + i + 1]:
+            if sj < s[k + i + 1]:
+                k = j - i - 1
+            i = f[i]
+        if i == -1 and sj != s[k]:
+            if sj < s[k]:
+                k = j
+            f[j - k] = -1
+        else:
+            f[j - k] = i + 1
+    return k
+
+
 def cyclic_key(letters):
     """Least rotation of the cyclic reduction of a letter sequence; ``()``
     when it reduces to the identity."""
     c = cyclic_core(free_reduce(letters))
-    return min([c[k:] + c[:k] for k in range(len(c))]) if c else ()
+    k = _least_rotation(c)
+    return c[k:] + c[:k]
 
 
 class Word:
@@ -211,7 +236,7 @@ class Word:
         c = core.letters
         if not c:
             return "|"
-        best_i = min(range(len(c)), key=lambda i: c[i:] + c[:i])
+        best_i = _least_rotation(c)
         rot = Word(c[best_i:] + c[:best_i], self.rank)
         conj_adj = conj * Word(c[:best_i], self.rank)
         return f"{conj_adj}|{rot}"

@@ -239,6 +239,33 @@ class TestVerify:
         assert result.stderr.startswith("undecided: pi: ")
 
 
+class TestHugeCounts:
+    @pytest.mark.parametrize("args", [
+        ["moment", "[x,y]", "-T", "1000"],
+        ["surfaces", "[x^2000,y]"],
+        ["verify", "[x^2000,y]"],
+    ])
+    def test_cap_exits_3(self, runner, args):
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("undecided: ")
+
+    def test_invariants_report_survives(self, runner):
+        # the undecided invariant is reported in the JSON, as for any cap
+        result = runner.invoke(cli, ["invariants", "[x^2000,y]", "--no-cache"])
+        assert result.exit_code == 3
+        data = json.loads(result.stdout)
+        assert data["cl"] == "undecided"
+        assert data["undecided"]["cl"].startswith("matching enumeration needs")
+
+    def test_long_trace_power_exits_2(self, runner):
+        result = runner.invoke(cli, ["moment", "[x,y]", "-T", "300000"])
+        assert result.exit_code == 2
+        assert result.stderr == \
+            "invalid input: word power longer than 1000000 letters\n"
+
+
 class TestInvalidInput:
     @pytest.mark.parametrize("args", [
         ["moment", "[x,y]^3", "-T", "1", "--numeric", "2"],

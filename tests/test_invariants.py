@@ -328,6 +328,13 @@ class TestAnalyze:
         data = rep.to_json()
         assert data["pi"] == "undecided"
 
+    def test_cl_undecided_on_a_huge_count(self):
+        # 2000! matchings of x: a count too long for str() is still a cap
+        rep = analyze(parse("[x^2000,y]", F2), F2)
+        assert rep.cl == "undecided"
+        assert rep.undecided["cl"] == "matching enumeration needs at least " \
+            "10^4300 collections, over the cap"
+
     def test_one_fringe_pass(self, monkeypatch):
         import wml.invariants
 

@@ -1,9 +1,12 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from wml.partitions import partitions_of
 from wml.ratfunc import Polynomial, RationalFunction, laurent, poly_gcd
+from wml.weingarten import wg
 
 N = RationalFunction.n_power(1)
 ONE = RationalFunction(1)
@@ -14,6 +17,64 @@ def rf(num, den=(1,)):
 
 
 small_polys = st.lists(st.integers(min_value=-9, max_value=9), max_size=5).map(Polynomial)
+# degree up to 8
+polys = st.lists(st.integers(min_value=-50, max_value=50), max_size=9).map(Polynomial)
+
+
+def _fraction_divmod(a, b):
+    """Long division of coefficient lists over Q (ascending order)."""
+    while b and b[-1] == 0:
+        b.pop()
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = list(a)
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b) and any(a):
+        while a and a[-1] == 0:
+            a.pop()
+        if len(a) < len(b):
+            break
+        shift = len(a) - len(b)
+        coef = a[-1] / b[-1]
+        q[shift] = coef
+        for i, bc in enumerate(b):
+            a[shift + i] -= coef * bc
+        a.pop()
+    return q, a
+
+
+def _to_integers(coeffs):
+    if any(c.denominator != 1 for c in coeffs):
+        raise ValueError("division was not exact over Z")
+    return Polynomial(tuple(int(c) for c in coeffs))
+
+
+def reference_divmod(a, b):
+    """Division by Euclid over Q, cleared back to integers when exact."""
+    q, r = _fraction_divmod([Fraction(c) for c in a.coeffs],
+                            [Fraction(c) for c in b.coeffs])
+    return _to_integers(q), _to_integers(r)
+
+
+def reference_gcd(a, b):
+    """Euclid over Q, scaled to a primitive integer polynomial with positive
+    leading coefficient."""
+    fa = [Fraction(c) for c in a.coeffs]
+    fb = [Fraction(c) for c in b.coeffs]
+    while fb and any(fb):
+        _, r = _fraction_divmod(fa, list(fb))
+        while r and r[-1] == 0:
+            r.pop()
+        fa, fb = fb, r
+    while fa and fa[-1] == 0:
+        fa.pop()
+    if not fa:
+        return Polynomial()
+    lcm = 1
+    for c in fa:
+        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    g = Polynomial([int(c * lcm) for c in fa]).primitive()
+    return -g if g.leading() < 0 else g
 
 
 class TestPolynomial:
@@ -28,14 +89,70 @@ class TestPolynomial:
         assert r.is_zero()
         assert q == Polynomial((0, 1, 1))  # n^2 + n
 
+    def test_divmod_inexact(self):
+        # n^2 = (n/2 - 1/4)(2n + 1) + 1/4: the quotient is not over Z
+        with pytest.raises(ValueError, match="division was not exact over Z"):
+            Polynomial((0, 0, 1)).divmod_exact(Polynomial((1, 2)))
+        with pytest.raises(ZeroDivisionError):
+            Polynomial((1, 2)).divmod_exact(Polynomial())
+
     @given(small_polys, small_polys, small_polys)
     def test_gcd_divides(self, a, b, c):
         g = poly_gcd(a * c, b * c)
         if not c.is_zero() and (not a.is_zero() or not b.is_zero()):
-            _, r = g.divmod_exact(c.primitive())
             # c (primitive) divides gcd(ac, bc)
             q, rem = g.divmod_exact(c.primitive())
             assert rem.is_zero()
+
+    @given(polys, polys)
+    def test_divmod_matches_reference(self, a, b):
+        if b.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                a.divmod_exact(b)
+            return
+        try:
+            expected = reference_divmod(a, b)
+        except ValueError:
+            with pytest.raises(ValueError, match="not exact over Z"):
+                a.divmod_exact(b)
+            return
+        assert a.divmod_exact(b) == expected
+
+    @given(polys, polys, polys)
+    def test_divmod_recovers_quotient(self, a, b, c):
+        if c.is_zero():
+            return
+        assert (a * c).divmod_exact(c) == (a, Polynomial())
+        monic = Polynomial(c.coeffs[:-1] + (1,))
+        r = Polynomial(b.coeffs[:monic.degree])
+        assert (a * monic + r).divmod_exact(monic) == (a, r)
+        assert reference_divmod(a * monic + r, monic) == (a, r)
+
+    @given(polys, polys)
+    def test_gcd_matches_reference(self, a, b):
+        assert poly_gcd(a, b) == reference_gcd(a, b)
+
+    @given(polys, polys, polys)
+    def test_gcd_matches_reference_with_common_factor(self, a, b, c):
+        assert poly_gcd(a * c, b * c) == reference_gcd(a * c, b * c)
+
+    def test_weingarten_denominators(self):
+        # the gcds and exact divisions behind D_p for p = 1..5
+        for p in range(1, 6):
+            dens = [wg(t).den for t in partitions_of(p)]
+            for d1 in dens:
+                for d2 in dens:
+                    assert poly_gcd(d1, d2) == reference_gcd(d1, d2)
+            den = Polynomial.const(1)
+            for d in dens:
+                g = poly_gcd(den, d)
+                assert g == reference_gcd(den, d)
+                prod = den * d
+                assert prod.divmod_exact(g) == reference_divmod(prod, g)
+                den = prod.divmod_exact(g)[0]
+            for d in dens:
+                assert den.divmod_exact(d) == reference_divmod(den, d)
+                assert den.divmod_exact(d)[1].is_zero()
 
     def test_str(self):
         assert str(Polynomial((-1, 0, 1))) == "n^2 - 1"

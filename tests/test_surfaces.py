@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from itertools import permutations, product
 
@@ -182,6 +183,21 @@ class TestEnumeration:
         assert len(list(enumerate_matchings(words, 3, spec_cap=81))) == 81
         with pytest.raises(UndecidedError):
             next(enumerate_matchings(words, 3, spec_cap=80))
+
+    def test_cap_messages(self):
+        # the partial count is quoted in full while str() can write it
+        with pytest.raises(UndecidedError) as exc:
+            next(enumerate_matchings([parse("[x^3,y^4]", 2)], 1, spec_cap=30))
+        assert str(exc.value) == \
+            "matching enumeration needs 144+ collections, over the cap"
+        with pytest.raises(UndecidedError) as exc:
+            next(enumerate_matchings([parse("[x^500,y]", 2)]))
+        assert str(exc.value) == f"matching enumeration needs " \
+            f"{math.factorial(500)}+ collections, over the cap"
+        with pytest.raises(UndecidedError) as exc:
+            next(enumerate_matchings([parse("[x^2000,y]", 2)]))
+        assert str(exc.value) == "matching enumeration needs at least " \
+            "10^4300 collections, over the cap"
 
     def test_rejects_nonpositive_subdivision(self):
         for k in (0, -1):

@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from wml.errors import UndecidedError
+from wml.errors import UndecidedError, capped_product
 from wml.partitions import cycle_type, murnaghan_nakayama, partitions_of, schur_dim
 from wml.ratfunc import Polynomial, RationalFunction, laurent
 from wml.weingarten import (
@@ -147,6 +147,34 @@ class TestWordMoment:
         w = parse("[x,y]", 2)
         with pytest.raises(UndecidedError):
             moment(w, (1, -1), term_cap=1)
+
+    def test_cap_messages(self):
+        # a count that str() can write is quoted in full; a longer one is
+        # not multiplied out, and the message gives a bound instead
+        w = parse("[x,y]", 2)
+        with pytest.raises(UndecidedError) as exc:
+            moment(w, (500,))
+        assert str(exc.value) == f"pair sum for generator 1 needs " \
+            f"{math.factorial(500) ** 2} terms, over the cap"
+        with pytest.raises(UndecidedError) as exc:
+            moment(w, (1000,))
+        assert str(exc.value) == \
+            "pair sum for generator 1 needs at least 10^4300 terms, over the cap"
+
+    def test_long_power_refused_before_it_is_built(self):
+        w = parse("[x,y]", 2)
+        for exponents in [(250001,), (1, -250001), (10 ** 5000,)]:
+            with pytest.raises(ValueError) as exc:
+                moment(w, exponents)
+            assert str(exc.value) == "word power longer than 1000000 letters"
+
+    def test_capped_product_bound(self):
+        # counts of up to 4300 digits are kept; past that, only a larger
+        # cap keeps multiplying
+        assert capped_product([10 ** 4300 - 1], 0) == 10 ** 4300 - 1
+        assert capped_product([10 ** 4300], 0) is None
+        assert capped_product([10 ** 4300], 10 ** 4301) == 10 ** 4300
+        assert capped_product([], 0) == 1
 
 
 class TestIntegratorConsistency:

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -301,6 +302,42 @@ class TestCyclicKey:
         assert cyclic_key(parse("x y", 2).letters) != \
             cyclic_key(parse("x Y", 2).letters)
         assert cyclic_key(parse("x^2 y", 2).letters) == (1, 1, 2)
+
+    def test_long_word_in_linear_memory(self):
+        # building every rotation of x y^4000 held about 122 MiB
+        letters = (1,) + (2,) * 4000
+        tracemalloc.start()
+        try:
+            key = cyclic_key(letters)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert key == letters
+        assert peak < 5 * 2 ** 20
+
+
+def reference_least_rotation(c):
+    """The first index of a least rotation, by comparing all rotations."""
+    return min(range(len(c)), key=lambda i: c[i:] + c[:i]) if c else 0
+
+
+class TestLeastRotation:
+    def test_matches_reference_on_random_words(self):
+        rng = random.Random(7)
+        for _ in range(2000):
+            c = tuple(rng.choice((1, -1, 2, -2, 3))
+                      for _ in range(rng.randint(0, 16)))
+            assert wml.words._least_rotation(c) == reference_least_rotation(c)
+
+    def test_periodic_words_give_the_first_least_index(self):
+        rng = random.Random(11)
+        for _ in range(2000):
+            base = tuple(rng.choice((1, -1, 2, -2))
+                         for _ in range(rng.randint(1, 5)))
+            c = base * rng.randint(2, 5)
+            k = rng.randrange(len(c))
+            c = c[k:] + c[:k]
+            assert wml.words._least_rotation(c) == reference_least_rotation(c)
 
 
 def test_module_doctests():
