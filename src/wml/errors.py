@@ -39,6 +39,24 @@ def capped_product(factors, cap):
     return total
 
 
+def capped_multisets(kinds, size, cap):
+    """C(kinds + size, size) - 1, the number of nonempty multisets of at
+    most ``size`` of ``kinds`` things, or None as soon as it exceeds the
+    bound of :func:`capped_product`.
+
+    C(m + i, i) for i = 1..min(kinds, size), m the larger of the two, is a
+    running product that never decreases, and at least doubles while i <= m.
+    """
+    bound = max(cap, _MAX_PRINTED_COUNT)
+    m = max(kinds, size)
+    total = 1
+    for i in range(1, min(kinds, size) + 1):
+        total = total * (m + i) // i
+        if total - 1 > bound:
+            return None
+    return total - 1
+
+
 def count_text(count, suffix=""):
     """A count from :func:`capped_product` in a cap message: its decimal
     digits and ``suffix``, or a bound when it was too large to keep."""

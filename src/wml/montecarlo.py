@@ -102,15 +102,22 @@ def sample_haar(n, rng_state):
 
 
 def _evaluate_word_batch(word, unitaries):
-    """w(U_1..U_r) for a batch: product of the per-letter matrices."""
+    """w(U_1..U_r) for a batch: the per-letter matrices multiplied left to
+    right, starting from the first letter's (the identity for the empty
+    word)."""
     import numpy as np
 
-    count = unitaries[1].shape[0] if unitaries else 0
-    n = unitaries[1].shape[1]
-    out = np.broadcast_to(np.eye(n, dtype=np.complex128), (count, n, n)).copy()
-    for a in word.letters:
+    def letter(a):
         m = unitaries[abs(a)]
-        out = out @ (m if a > 0 else m.conj().transpose(0, 2, 1))
+        return m if a > 0 else m.conj().transpose(0, 2, 1)
+
+    if not word.letters:
+        count, n, _ = unitaries[1].shape
+        return np.broadcast_to(np.eye(n, dtype=np.complex128),
+                               (count, n, n)).copy()
+    out = letter(word.letters[0])
+    for a in word.letters[1:]:
+        out = out @ letter(a)
     return out
 
 

@@ -17,9 +17,8 @@ first subdivision level.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement, permutations, product
-from math import comb
 
-from .errors import UndecidedError, capped_product, count_text
+from .errors import UndecidedError, capped_multisets, capped_product, count_text
 from .stallings import fold
 from .words import is_balanced
 
@@ -343,9 +342,10 @@ def enumerate_matchings(words, max_subdivision=1, spec_cap=DEFAULT_SPEC_CAP):
     total = 1
     for g in gens:
         singles = capped_product(range(1, len(occ[g][0]) + 1), spec_cap)
-        total = None if singles is None else capped_product(
-            (total, comb(singles + max_subdivision, max_subdivision) - 1),
-            spec_cap)
+        choices = None if singles is None else \
+            capped_multisets(singles, max_subdivision, spec_cap)
+        total = None if choices is None else \
+            capped_product((total, choices), spec_cap)
         if total is None or total > spec_cap:
             raise UndecidedError(
                 f"matching enumeration needs {count_text(total, '+')} "

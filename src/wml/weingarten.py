@@ -13,11 +13,21 @@ sigma tau^-1, closed loops).  After the loop, every Wg(t, n) on S_p is
 written as A_t / D_p over one common denominator D_p (cached per p), so the
 coefficient of a rewired monomial is the integer polynomial
 sum count * A_t * n^loops over D_p, put in canonical form once.  The work
-cap ``term_cap`` still counts the p!^2 pairs of every such sum.
+cap ``term_cap`` still counts the p!^2 pairs of every such sum.  The pairs
+run as (rho, tau) with rho = sigma tau^-1, so each cycle type is computed
+once per rho, and for each tau the strands are joined, once, into chains
+that end where sigma picks the next strand.
 
 The last remaining generator is integrated in closed form via the classical
 power-sum orthogonality on U(n): E[p_alpha(U) conj(p_beta(U))] equals
-delta_{alpha beta} * z_alpha exactly once n >= |alpha|.
+delta_{alpha beta} * z_alpha exactly once n >= |alpha|.  The pair sum just
+before it builds no rewired word: every strand between two occurrences of
+its generator is then a power of the last one, so it reduces to an integer
+exponent sum.  Each pair adds 1 to an integer tally keyed by (cycle type,
+sorted cycle sums); after the loop each key gets its closed-form value, an
+integer, and one rational function per monomial is built.
+``force_pair_sum`` integrates every generator by the general rewiring
+instead, as an oracle.
 
 Every returned value is an exact :class:`~wml.ratfunc.RationalFunction`
 tagged with the validity bound n_min = max_x p_x.
@@ -99,9 +109,6 @@ class TraceMonomial:
     def __setattr__(self, name, value):
         raise AttributeError("TraceMonomial is immutable")
 
-    def conjugate(self):
-        return TraceMonomial(tuple(-m for m in self.exponents))
-
     def __eq__(self, other):
         return isinstance(other, TraceMonomial) and sorted(self.exponents) == sorted(
             other.exponents
@@ -139,6 +146,121 @@ def stable_inner_product(t1, t2):
 # --- trace-cycle states -----------------------------------------------------
 
 
+def _split_at(monomial, gen, term_budget):
+    """Cut the words of ``monomial`` at the occurrences of ``gen``.
+
+    Returns ``(passthrough, segments, arrive)``: the words without ``gen``,
+    then per occurrence the letters departing from it up to the next
+    occurrence on its word, and the index of that next occurrence.  The p
+    positive occurrences are indexed 0..p-1 and the p negative ones
+    p..2p-1, each in order of appearance.  Returns None when ``gen`` is
+    unbalanced, so that the integral vanishes; otherwise ``term_budget`` is
+    charged the p!^2 pairs of the sum (nothing when p = 0).
+    """
+    passthrough = []
+    cut = []
+    for cw in monomial:
+        idxs = [i for i, a in enumerate(cw) if abs(a) == gen]
+        if idxs:
+            cut.append((cw, idxs))
+        else:
+            passthrough.append(cw)
+    signs = [cw[i] > 0 for cw, idxs in cut for i in idxs]
+    p = sum(signs)
+    if 2 * p != len(signs):
+        return None
+    if p:
+        cost = capped_product((k * k for k in range(1, p + 1)), term_budget[0])
+        if cost is None or cost > term_budget[0]:
+            raise UndecidedError(
+                f"pair sum for generator {gen} needs {count_text(cost)} terms, "
+                "over the cap"
+            )
+        term_budget[0] -= cost
+
+    segments = [None] * (2 * p)
+    arrive = [None] * (2 * p)
+    next_id = [p, 0]  # the next index for a negative, a positive occurrence
+    for cw, idxs in cut:
+        ids = []
+        for i in idxs:
+            positive = cw[i] > 0
+            ids.append(next_id[positive])
+            next_id[positive] += 1
+        for k, i in enumerate(idxs):
+            j = idxs[(k + 1) % len(idxs)]
+            segments[ids[k]] = cw[i + 1:j] if j > i else cw[i + 1:] + cw[:j]
+            arrive[ids[k]] = ids[(k + 1) % len(idxs)]
+    return passthrough, segments, arrive
+
+
+def _rewirings(arrive, strands):
+    """Every pair (sigma, tau) of bijections from the positive to the
+    negative occurrences: yields the cycle type of sigma tau^-1 and the
+    list of rewired cycles, each the ``+``-join of the ``strands`` (letter
+    tuples or exponent sums) departing from its occurrences.
+
+    The strand arriving at negative j continues from positive tau^-1(j),
+    and the one arriving at positive i from negative sigma(i).  So for a
+    fixed tau, the strands from each negative occurrence are joined up to
+    the next positive arrival once, along with the cycles that never reach
+    one; each sigma = rho tau then only closes up these chains.  The cycle
+    type of rho = sigma tau^-1 is computed once per rho.
+    """
+    p = len(arrive) // 2
+    perms = list(permutations(range(p)))
+    ctypes = [cycle_type(rho) for rho in perms]
+    for tau in perms:
+        tau_inv = [0] * p
+        for i, t in enumerate(tau):
+            tau_inv[t] = i
+        # chain k: from negative occurrence p + k to a positive arrival i,
+        # recorded as tau(i), the slot rho reads next
+        joined = [None] * p
+        ends = [None] * p
+        used = [False] * (2 * p)
+        for k in range(p):
+            o = p + k
+            used[o] = True
+            acc = strands[o]
+            a = arrive[o]
+            while a >= p:
+                o = tau_inv[a - p]
+                used[o] = True
+                acc = acc + strands[o]
+                a = arrive[o]
+            joined[k] = acc
+            ends[k] = tau[a]
+        fixed = []
+        for start in range(p):
+            if used[start]:
+                continue
+            o = start
+            acc = None
+            while not used[o]:
+                used[o] = True
+                acc = strands[o] if acc is None else acc + strands[o]
+                o = tau_inv[arrive[o] - p]
+            fixed.append(acc)
+        for rho, ctype in zip(perms, ctypes):
+            cycles = list(fixed)
+            seen = [False] * p
+            for start in range(p):
+                if seen[start]:
+                    continue
+                seen[start] = True
+                k = rho[start]
+                acc = joined[k]
+                m = ends[k]
+                while not seen[m]:
+                    seen[m] = True
+                    k = rho[m]
+                    acc = acc + joined[k]
+                    m = ends[k]
+                cycles.append(acc)
+            yield ctype, cycles
+
+
 def _integrate_letter(monomial, gen, term_budget):
     """Integrate out one generator from a multiset of cyclic words.
 
@@ -151,83 +273,26 @@ def _integrate_letter(monomial, gen, term_budget):
     common denominator D_p of :func:`_wg_over_common_denominator`, reduced
     once.  ``term_budget`` is charged all p!^2 pairs.
     """
-    active = []
-    passthrough = []
-    for cw in monomial:
-        if any(abs(a) == gen for a in cw):
-            active.append(cw)
-        else:
-            passthrough.append(cw)
-    if not active:
-        return {tuple(sorted(passthrough)): RationalFunction(1)}
-
-    # occurrences and the in-between segments, per active word
-    positives = []  # ids
-    negatives = []
-    segments = {}  # occurrence id -> letters departing from it
-    arrive = {}  # occurrence id at which each departing segment arrives
-    occ_id = 0
-    for cw in active:
-        idxs = [i for i, a in enumerate(cw) if abs(a) == gen]
-        ids = []
-        for i in idxs:
-            ids.append((occ_id, cw[i] > 0))
-            (positives if cw[i] > 0 else negatives).append(occ_id)
-            occ_id += 1
-        for k, i in enumerate(idxs):
-            j = idxs[(k + 1) % len(idxs)]
-            seg = cw[i + 1:j] if j > i else cw[i + 1:] + cw[:j]
-            segments[ids[k][0]] = seg
-            arrive[ids[k][0]] = ids[(k + 1) % len(idxs)][0]
-    p = len(positives)
-    if p != len(negatives):
-        # unbalanced in this letter: the integral vanishes
+    split = _split_at(monomial, gen, term_budget)
+    if split is None:
         return {}
-    if p == 0:
+    passthrough, segments, arrive = split
+    if not segments:
         return {tuple(sorted(passthrough)): RationalFunction(1)}
-
-    cost = capped_product((k * k for k in range(1, p + 1)), term_budget[0])
-    if cost is None or cost > term_budget[0]:
-        raise UndecidedError(
-            f"pair sum for generator {gen} needs {count_text(cost)} terms, "
-            "over the cap"
-        )
-    term_budget[0] -= cost
 
     tally = Counter()
-    pos = tuple(positives)
-    neg = tuple(negatives)
-    for tau in permutations(range(p)):
-        tau_inv = [0] * p
-        for i, t in enumerate(tau):
-            tau_inv[t] = i
-        for sigma in permutations(range(p)):
-            # sigma, tau: positions of positives -> positions of negatives
-            ctype = cycle_type(tuple(sigma[tau_inv[i]] for i in range(p)))
-            # rewire: successor of the segment arriving at each occurrence
-            succ = {}
-            for i in range(p):
-                succ[pos[i]] = neg[sigma[i]]  # arriving at positive i
-                succ[neg[i]] = pos[tau_inv[i]]  # arriving at negative i
-            new_words = list(passthrough)
-            loops = 0
-            seen = set()
-            for start in segments:
-                if start in seen:
-                    continue
-                letters = []
-                cur = start
-                while cur not in seen:
-                    seen.add(cur)
-                    letters.extend(segments[cur])
-                    cur = succ[arrive[cur]]
-                key = cyclic_key(letters)
-                if not key:
-                    loops += 1
-                else:
-                    new_words.append(key)
-            tally[tuple(sorted(new_words)), ctype, loops] += 1
+    for ctype, cycles in _rewirings(arrive, segments):
+        new_words = list(passthrough)
+        loops = 0
+        for letters in cycles:
+            key = cyclic_key(letters)
+            if key:
+                new_words.append(key)
+            else:
+                loops += 1
+        tally[tuple(sorted(new_words)), ctype, loops] += 1
 
+    p = len(arrive) // 2
     den, numerators = _wg_over_common_denominator(p)
     sums = {}
     for (key, ctype, loops), count in tally.items():
@@ -236,35 +301,74 @@ def _integrate_letter(monomial, gen, term_budget):
     return {key: RationalFunction(num, den, n_min=p) for key, num in sums.items()}
 
 
-def _power_sum_expectation(alpha, beta):
-    """E[p_alpha(U) conj(p_beta(U))] over Haar U(n), exact for n >= |alpha|.
+def _exponent_sum(letters, gen):
+    """The exponent sum of letters that are all ``gen`` or its inverse."""
+    total = 0
+    for a in letters:
+        if abs(a) != gen:
+            raise RuntimeError("monomial still mixes generators")
+        total += 1 if a > 0 else -1
+    return total
 
-    This is the one-matrix orthogonality: nonzero only when the two
-    partitions coincide, in which case the value is the centralizer order.
+
+def _power_sum_expectation(exponents):
+    """E[prod_k tr(U^{e_k})] over Haar U(n) for nonzero exponents e_k,
+    exact for n >= the sum of the positive ones.
+
+    This is the one-matrix orthogonality E[p_alpha(U) conj(p_beta(U))], alpha
+    the positive exponents and beta the negated negative ones: nonzero only
+    when the two partitions coincide, in which case the value is the
+    centralizer order.
     """
-    alpha = tuple(sorted(alpha, reverse=True))
-    beta = tuple(sorted(beta, reverse=True))
+    alpha = sorted((e for e in exponents if e > 0), reverse=True)
+    beta = sorted((-e for e in exponents if e < 0), reverse=True)
     if alpha != beta:
         return 0
     return z_order(alpha)
 
 
 def _final_letter_value(monomial, gen):
-    """Closed-form Haar expectation of a monomial in a single generator."""
-    alpha, beta = [], []
-    for cw in monomial:
-        total = 0
-        for a in cw:
-            if abs(a) != gen:
-                raise RuntimeError("monomial still mixes generators")
-            total += 1 if a > 0 else -1
-        if total > 0:
-            alpha.append(total)
-        elif total < 0:
-            beta.append(-total)
-        # a cyclic word over one letter always reduces to a pure power,
-        # so total == 0 cannot occur for a nonempty reduced cyclic word
-    return _power_sum_expectation(alpha, beta)
+    """Closed-form Haar expectation of a monomial in a single generator.
+
+    A reduced cyclic word over one letter is a nonzero power of it.
+    """
+    return _power_sum_expectation([_exponent_sum(cw, gen) for cw in monomial])
+
+
+def _close_last_generator(monomial, gen, final, term_budget):
+    """Integrate out ``gen`` and then ``final`` from a monomial in those two
+    alone, without building any rewired word.
+
+    Each strand between occurrences of ``gen`` is a power of ``final``, so
+    it reduces to its exponent sum, as does each passthrough word.  A pair
+    (sigma, tau) joins the strands into cycles: a cycle with sum 0 closes a
+    loop, and the others are traces of powers of ``final``, whose
+    expectation :func:`_power_sum_expectation` gives.  Each pair adds 1 to
+    an integer tally keyed by (cycle type of sigma tau^-1, cycle sums); the
+    result is sum count * value * A_t * n^loops over D_p.
+    """
+    split = _split_at(monomial, gen, term_budget)
+    if split is None:
+        return RationalFunction(0)
+    passthrough, segments, arrive = split
+    if not segments:
+        return RationalFunction(_final_letter_value(passthrough, final))
+    fixed = [_exponent_sum(cw, final) for cw in passthrough]
+    strands = [_exponent_sum(seg, final) for seg in segments]
+
+    tally = Counter()
+    for ctype, cycle_sums in _rewirings(arrive, strands):
+        tally[ctype, tuple(sorted(cycle_sums))] += 1
+
+    p = len(arrive) // 2
+    den, numerators = _wg_over_common_denominator(p)
+    num = Polynomial()
+    for (ctype, cycle_sums), count in tally.items():
+        value = _power_sum_expectation(fixed + [s for s in cycle_sums if s])
+        if value:
+            num = num + Polynomial.monomial(count * value, cycle_sums.count(0)) \
+                * numerators[ctype]
+    return RationalFunction(num, den, n_min=p)
 
 
 def word_moment(words, term_cap=DEFAULT_TERM_CAP, force_pair_sum=False):
@@ -295,9 +399,12 @@ def word_moment(words, term_cap=DEFAULT_TERM_CAP, force_pair_sum=False):
     gens = sorted(counts, key=lambda g: counts[g])
     final = gens[-1]
     pair_sum_gens = gens[:-1]
+    closed = None  # the last pair sum, integrated together with final
     if force_pair_sum:
         pair_sum_gens = gens
         final = None
+    elif pair_sum_gens:
+        closed = pair_sum_gens.pop()
 
     budget = [term_cap]
     keys = [cyclic_key(cw) for cw in remaining]
@@ -319,11 +426,13 @@ def word_moment(words, term_cap=DEFAULT_TERM_CAP, force_pair_sum=False):
             # all letters integrated by pair sums; only loops remain
             if monomial:
                 raise RuntimeError("letters left after integrating all generators")
-            value = 1
+            value = RationalFunction(1)
+        elif closed is None:
+            value = RationalFunction(_final_letter_value(monomial, final))
         else:
-            value = _final_letter_value(monomial, final)
-        if value:
-            total = total + coeff * RationalFunction(value)
+            value = _close_last_generator(monomial, closed, final, budget)
+        if not value.is_zero():
+            total = total + coeff * value
     if prefactor_exp:
         total = total * RationalFunction.n_power(prefactor_exp)
     return total.with_n_min(max(total.n_min, n_min))

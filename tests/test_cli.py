@@ -2,6 +2,7 @@ import io
 import json
 import os
 import sys
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -250,6 +251,16 @@ class TestHugeCounts:
         assert result.exit_code == 3
         assert result.stdout == ""
         assert result.stderr.startswith("undecided: ")
+
+    @pytest.mark.parametrize("k", ["200000", "1000000"])
+    def test_large_subdivision_exits_3_promptly(self, runner, k):
+        start = time.perf_counter()
+        result = runner.invoke(cli, ["surfaces", "[x^10,y]", "-K", k])
+        assert time.perf_counter() - start < 5
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == "undecided: matching enumeration needs at " \
+            "least 10^4300 collections, over the cap\n"
 
     def test_invariants_report_survives(self, runner):
         # the undecided invariant is reported in the JSON, as for any cap

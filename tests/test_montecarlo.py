@@ -7,6 +7,9 @@ from wml.montecarlo import (
     UNITARITY_TOL,
     UnitarySample,
     _chunk_moments,
+    _chunk_rng,
+    _evaluate_word_batch,
+    _haar_batch,
     _merge_moments,
     estimate_moment,
     sample_haar,
@@ -119,6 +122,32 @@ class TestEstimates:
             est = estimate_moment(w, (1, -1), n=n, samples=30_000,
                                   seed=600 + n)
             assert abs(est.mean - exact) <= 4 * est.stderr, n
+
+
+class TestWordProduct:
+    @pytest.mark.parametrize("text", ["[x,y]", "[x,y^2]", "x^2 y^-3 x y",
+                                      "X", "xX"])
+    def test_left_to_right_product(self, text):
+        rng = _chunk_rng(11, 0)
+        unitaries = {g: _haar_batch(rng, 5, 4) for g in (1, 2)}
+        w = parse(text, 2)
+        got = _evaluate_word_batch(w, unitaries)
+        assert got.shape == (5, 4, 4)
+        for b in range(5):
+            expected = np.eye(4, dtype=np.complex128)
+            for a in w.letters:
+                m = unitaries[abs(a)][b]
+                expected = expected @ (m if a > 0 else m.conj().T)
+            assert np.allclose(got[b], expected, rtol=0, atol=1e-12)
+        # starting from the first letter rather than the identity batch
+        # changes no bit: multiplying by the identity is exact
+        identity_start = np.broadcast_to(np.eye(4, dtype=np.complex128),
+                                         (5, 4, 4)).copy()
+        for a in w.letters:
+            m = unitaries[abs(a)]
+            identity_start = identity_start @ (
+                m if a > 0 else m.conj().transpose(0, 2, 1))
+        assert np.array_equal(got, identity_start)
 
 
 class TestVarianceMerge:

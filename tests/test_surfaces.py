@@ -1,10 +1,11 @@
 import math
+import time
 import tracemalloc
 from itertools import permutations, product
 
 import pytest
 
-from wml.errors import UndecidedError
+from wml.errors import UndecidedError, capped_multisets
 from wml.stallings import core_graph
 from wml.surfaces import (
     MatchingSpec,
@@ -198,6 +199,41 @@ class TestEnumeration:
             next(enumerate_matchings([parse("[x^2000,y]", 2)]))
         assert str(exc.value) == "matching enumeration needs at least " \
             "10^4300 collections, over the cap"
+
+    def test_large_subdivision_stops_at_the_bound(self):
+        # C(10! + K, K) has over 4300 digits for these K; the running
+        # binomial stops once it passes that bound
+        for k in (200_000, 1_000_000):
+            start = time.perf_counter()
+            with pytest.raises(UndecidedError) as exc:
+                next(enumerate_matchings([parse("[x^10,y]", 2)], k))
+            assert time.perf_counter() - start < 5, k
+            assert str(exc.value) == "matching enumeration needs at least " \
+                "10^4300 collections, over the cap"
+
+    def test_exact_count_under_the_bound(self):
+        # C(10! + 2, 2) - 1 is over the cap but printable, so it is quoted
+        with pytest.raises(UndecidedError) as exc:
+            next(enumerate_matchings([parse("[x^10,y]", 2)], 2))
+        count = math.comb(math.factorial(10) + 2, 2) - 1
+        assert count == 6584100163200
+        assert str(exc.value) == \
+            f"matching enumeration needs {count}+ collections, over the cap"
+
+    def test_capped_multisets(self):
+        # C(kinds + size, size) - 1, kept exactly up to the capped_product
+        # bound and None past it
+        for kinds in (1, 2, 3, 24, 720):
+            for size in (1, 2, 5, 40):
+                assert capped_multisets(kinds, size, 0) == \
+                    math.comb(kinds + size, size) - 1
+        assert capped_multisets(1, 10 ** 12, 0) == 10 ** 12
+        big = math.comb(4000 + 4000, 4000) - 1  # 2407 digits
+        assert capped_multisets(4000, 4000, 0) == big
+        huge = math.comb(8000 + 8000, 8000) - 1  # 4815 digits
+        assert capped_multisets(8000, 8000, 0) is None
+        assert capped_multisets(8000, 8000, huge) == huge
+        assert capped_multisets(8000, 8000, huge - 1) is None
 
     def test_rejects_nonpositive_subdivision(self):
         for k in (0, -1):

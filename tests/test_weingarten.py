@@ -8,6 +8,7 @@ from wml.partitions import cycle_type, murnaghan_nakayama, partitions_of, schur_
 from wml.ratfunc import Polynomial, RationalFunction, laurent
 from wml.weingarten import (
     TraceMonomial,
+    _close_last_generator,
     _integrate_letter,
     expansion_prediction,
     moment,
@@ -284,6 +285,65 @@ class TestTalliedPairSum:
             {k: v.n_min for k, v in expected.items()}
 
 
+class TestClosedLastGenerator:
+    # the last pair sum is closed with integer strand sums; the general
+    # rewiring of every generator must give the same bytes
+    @pytest.mark.parametrize("text, rank, exps", [
+        ("[x,y]", 2, (4,)),
+        ("[x,y]", 2, (2, -2)),
+        ("[x,y]", 2, (2, -1, -1)),
+        ("[x,[x,y]]", 2, (1, -1)),
+        ("x^2y^2x^-2y^-2", 2, (1, -1)),
+        ("[x,y][x,z]", 3, (1, -1)),
+    ])
+    def test_matches_forced_pair_sum(self, text, rank, exps):
+        w = parse(text, rank)
+        words = [w ** m for m in exps]
+        assert word_moment(words).serialize() == \
+            word_moment(words, force_pair_sum=True).serialize()
+
+    def test_pinned_value_past_the_forced_cap(self):
+        # forcing the pair sum on y (p = 8) would take 8!^2 pairs, so the
+        # value the general rewiring gave before the closed path is pinned
+        f = moment(parse("[x,y^2]", 2), (2, -2))
+        assert f.serialize() == {
+            "num_coeffs": [1344, 0, 80, 0, 106, 0, -28, 0, 2],
+            "den_coeffs": [0, 0, -36, 0, 49, 0, -14, 0, 1],
+            "n_min": 8,
+        }
+
+    def test_term_cap_boundary(self):
+        # [x,y]^3 closes x (p = 3) with y: 3!^2 = 36 pairs
+        w = parse("[x,y]", 2)
+        with pytest.raises(UndecidedError) as exc:
+            moment(w, (3,), term_cap=35)
+        assert str(exc.value) == \
+            "pair sum for generator 1 needs 36 terms, over the cap"
+        assert moment(w, (3,), term_cap=36) == moment(w, (3,))
+
+    def test_term_cap_charged_per_monomial(self):
+        # y (p = 2) is integrated first, then z is closed on each of the
+        # two monomials that leaves: 4 + 4 + 4 pairs
+        w = parse("[x,y][x,z]", 3)
+        with pytest.raises(UndecidedError) as exc:
+            moment(w, (1, -1), term_cap=11)
+        assert str(exc.value) == \
+            "pair sum for generator 3 needs 4 terms, over the cap"
+        assert moment(w, (1, -1), term_cap=12) == moment(w, (1, -1))
+
+    def test_early_returns_charge_nothing(self):
+        budget = [0]
+        # unbalanced in the closed generator: the integral vanishes
+        assert _close_last_generator(((1, 2), (2, -1, -1)), 1, 2,
+                                     budget).is_zero()
+        # the closed generator no longer occurs: tr(y^2) tr(y^-2) = 2
+        assert _close_last_generator(((2, 2), (-2, -2)), 1, 2, budget) == \
+            RationalFunction(2)
+        assert budget == [0]
+        with pytest.raises(UndecidedError):
+            _close_last_generator(((1, 2, -1, -2),), 1, 2, budget)
+
+
 def character_expansion(m, genus):
     """Frobenius-Mednykh: E[tr W^m] for W = [x1,y1]...[xg,yg] equals
     sum_{|lam| = m} chi^lam((m)) / s_lam(1^n)^(2g - 1)."""
@@ -300,7 +360,7 @@ def character_expansion(m, genus):
 
 class TestCharacterExpansionOracle:
     @pytest.mark.parametrize("text, rank, genus, m", [
-        *[("[x,y]", 2, 1, m) for m in range(1, 6)],
+        *[("[x,y]", 2, 1, m) for m in range(1, 7)],
         *[("[x1,x2][x3,x4]", 4, 2, m) for m in (1, 2)],
     ])
     def test_surface_word_power_trace(self, text, rank, genus, m):
