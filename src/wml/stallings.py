@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .errors import UndecidedError
-from .words import Word
+from .words import Word, cyclic_core
 
 DEFAULT_FRINGE_VERTEX_CAP = 12
 
@@ -73,10 +73,10 @@ class LabeledGraph:
             return self._out.get((vertex, letter))
         return self._in.get((vertex, -letter))
 
-    def trace(self, word, start=None):
-        """Trace a word from a vertex; final vertex or None if it leaves
-        the graph."""
-        v = self.basepoint if start is None else start
+    def trace(self, word):
+        """Trace a word from the basepoint; final vertex or None if it
+        leaves the graph."""
+        v = self.basepoint
         for a in word.letters:
             v = self.step(v, a)
             if v is None:
@@ -139,7 +139,6 @@ class LabeledGraph:
         """BFS spanning tree: parent map {vertex: (parent, signed letter)}
         and the list of non-tree edges in canonical order."""
         parent = {self.basepoint: None}
-        order = [self.basepoint]
         queue = [self.basepoint]
         tree_edges = set()
         while queue:
@@ -151,7 +150,6 @@ class LabeledGraph:
                         continue
                     parent[u] = (v, sign * lab)
                     tree_edges.add((v, u, lab) if sign > 0 else (u, v, lab))
-                    order.append(u)
                     queue.append(u)
         non_tree = [e for e in self.edges if e not in tree_edges]
         return parent, non_tree
@@ -358,13 +356,18 @@ def fringe(w, vertex_cap=DEFAULT_FRINGE_VERTEX_CAP):
     """
     if w.is_identity():
         raise ValueError("fringe of the trivial word is not defined")
-    base = core_graph([w], w.rank)
-    num_vertices = base.num_vertices
+    # the core graph of <w> is the cycle on the cyclic core of w plus the
+    # conjugator as a hair, so its size is known before it is built
+    num_vertices = (len(w) + len(cyclic_core(w.letters))) // 2
     if num_vertices > vertex_cap:
         raise UndecidedError(
             f"fringe needs set partitions of {num_vertices} vertices, "
             f"over the cap {vertex_cap}"
         )
+    base = core_graph([w], w.rank)
+    if base.num_vertices != num_vertices:
+        raise RuntimeError(f"core graph of <{w}> has {base.num_vertices} "
+                           f"vertices, not {num_vertices}")
     graphs = []
 
     def visit(i, parent, out, inc):

@@ -8,7 +8,7 @@ reversed orientation yields a compact oriented surface whose boundary
 circles are the inner circles of the annuli.
 
 Everything topological is computed combinatorially: Euler characteristics
-by union-find over cellulation vertices, genus from chi = 2 - 2g - b, and
+by union-find over the outer corners, genus from chi = 2 - 2g - b, and
 the image subgroup of a component from the dual graph whose vertices are
 the regions between cut arcs and whose edges are the matched pairs of the
 first subdivision level.
@@ -16,32 +16,15 @@ first subdivision level.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, permutations, product
+from collections import Counter
+from itertools import (accumulate, combinations_with_replacement, permutations,
+                       product)
 
 from .errors import UndecidedError, capped_multisets, capped_product, count_text
 from .stallings import fold
 from .words import is_balanced
 
 DEFAULT_SPEC_CAP = 200_000
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
 
 
 class MatchingSpec:
@@ -200,79 +183,71 @@ class SurfaceComplex:
         return f"SurfaceComplex(chi={self.chi}, components={list(self.components)})"
 
 
+def _find(parent, x):
+    """Root of ``x`` in a parent list, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def build_surface(spec):
     """Cellulate the annuli, glue matched outer edges, and read off the
-    topology of every connected component."""
+    topology of every connected component.
+
+    An annulus of s sub-quadrilaterals has s inner corners, s inner and s
+    radial edges and s faces, and gluing touches none of them; it merges
+    outer edges in pairs and outer corners into classes.  So a component's
+    chi is its number of outer-corner classes minus its glued pairs.
+    """
     words = spec.words
-    # each annulus: one quadrilateral per letter sub-segment
+    # each annulus: one quadrilateral per letter sub-segment, levels
+    # 1..k along a positive letter and k..1 along a negative one
     sub_letters = []  # per annulus: list of (letter position, letter, level j)
-    sub_index = []  # per annulus: {(position, level) -> subquad index}
+    first = []  # per annulus: index of each letter's first subquad
     for w in words:
         subs = []
-        index = {}
+        first.append([])
         for t, a in enumerate(w.letters):
             k = spec.subdivision(abs(a))
             levels = range(1, k + 1) if a > 0 else range(k, 0, -1)
-            for j in levels:
-                index[(t, j)] = len(subs)
-                subs.append((t, a, j))
+            first[-1].append(len(subs))
+            subs += [(t, a, j) for j in levels]
         sub_letters.append(tuple(subs))
-        sub_index.append(index)
 
     glue_pairs = []
     for gen in sorted(spec.matchings):
+        k = spec.subdivision(gen)
         for j, matching in enumerate(spec.matchings[gen], start=1):
             for (wi, pos), (wj, njpos) in matching:
-                q = sub_index[wi][(pos, j)]
-                q2 = sub_index[wj][(njpos, j)]
-                glue_pairs.append((gen, j, (wi, q), (wj, q2)))
+                glue_pairs.append((gen, j, (wi, first[wi][pos] + j - 1),
+                                   (wj, first[wj][njpos] + k - j)))
 
-    # vertices: inner and outer ring corners, merged along gluings
-    uf = _UnionFind()
+    # outer corner q of annulus m is offset[m] + q
     sizes = [len(s) for s in sub_letters]
-    for m, s in enumerate(sizes):
-        for q in range(s):
-            uf.add(("i", m, q))
-            uf.add(("o", m, q))
-    annuli_uf = _UnionFind()
-    for m in range(len(words)):
-        annuli_uf.add(m)
+    offset = [0, *accumulate(sizes)]
+    corner = list(range(offset[-1]))
+    annulus = list(range(len(words)))
     for (_, _, (m, q), (m2, q2)) in glue_pairs:
         # orientation-reversing: start of one to end of the other
-        uf.union(("o", m, q), ("o", m2, (q2 + 1) % sizes[m2]))
-        uf.union(("o", m, (q + 1) % sizes[m]), ("o", m2, q2))
-        annuli_uf.union(m, m2)
+        for a, b in ((offset[m] + q, offset[m2] + (q2 + 1) % sizes[m2]),
+                     (offset[m] + (q + 1) % sizes[m], offset[m2] + q2)):
+            corner[_find(corner, a)] = _find(corner, b)
+        annulus[_find(annulus, m)] = _find(annulus, m2)
 
-    comp_of = {m: annuli_uf.find(m) for m in range(len(words))}
-    comp_ids = sorted(set(comp_of.values()))
-    vertex_count = {c: 0 for c in comp_ids}
-    seen = set()
+    members = {}
     for m in range(len(words)):
-        for q in range(sizes[m]):
-            for kind in ("i", "o"):
-                root = uf.find((kind, m, q))
-                if root not in seen:
-                    seen.add(root)
-                    vertex_count[comp_of[root[1]]] += 1
-    edge_count = {c: 0 for c in comp_ids}
-    face_count = {c: 0 for c in comp_ids}
-    for m in range(len(words)):
-        c = comp_of[m]
-        edge_count[c] += 2 * sizes[m]  # inner + radial
-        face_count[c] += sizes[m]
-    for (_, _, (m, _), _) in glue_pairs:
-        edge_count[comp_of[m]] += 1  # each glued pair is one outer edge
-
+        members.setdefault(_find(annulus, m), []).append(m)
+    glued = Counter(_find(annulus, m) for (_, _, (m, _), _) in glue_pairs)
     components = []
-    for c in comp_ids:
-        members = [m for m in range(len(words)) if comp_of[m] == c]
-        chi = vertex_count[c] - edge_count[c] + face_count[c]
-        components.append(SurfaceComponent(members, chi, boundary=len(members)))
-    cells = (
-        sum(vertex_count.values()),
-        sum(edge_count.values()),
-        sum(face_count.values()),
-    )
+    for root in sorted(members):
+        classes = sum(corner[x] == x for m in members[root]
+                      for x in range(offset[m], offset[m + 1]))
+        components.append(SurfaceComponent(members[root], classes - glued[root],
+                                           boundary=len(members[root])))
+    faces = offset[-1]
+    cells = (faces + sum(c.chi for c in components) + len(glue_pairs),
+             2 * faces + len(glue_pairs), faces)
     return SurfaceComplex(spec, tuple(sub_letters), glue_pairs, components,
                           cells)
 

@@ -124,23 +124,11 @@ class TraceMonomial:
 def stable_inner_product(t1, t2):
     """Large-n inner product of two trace monomials on U(n).
 
-    Combines t1 with the conjugate of t2, tallies a_p (count of exponent +p)
-    and b_p (count of -p), and returns prod_p delta_{a_p b_p} a_p! p^{a_p}.
+    Combines t1 with the conjugate of t2: the expectation of the product,
+    prod_p delta_{a_p b_p} a_p! p^{a_p} with a_p (b_p) the count of
+    exponent +p (-p).
     """
-    exps = list(t1.exponents) + [-m for m in t2.exponents]
-    a, b = {}, {}
-    for m in exps:
-        if m > 0:
-            a[m] = a.get(m, 0) + 1
-        else:
-            b[-m] = b.get(-m, 0) + 1
-    value = 1
-    for p in set(a) | set(b):
-        ap, bp = a.get(p, 0), b.get(p, 0)
-        if ap != bp:
-            return 0
-        value *= factorial(ap) * p ** ap
-    return value
+    return _power_sum_expectation(t1.exponents + tuple(-m for m in t2.exponents))
 
 
 # --- trace-cycle states -----------------------------------------------------

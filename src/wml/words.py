@@ -217,17 +217,26 @@ class Word:
         The identity is not considered a proper power.
         """
         core, conj = self.cyclic_reduce()
-        n = len(core)
+        c = core.letters
+        n = len(c)
         if n == 0:
             return False, self, 1
-        c = core.letters
-        for p in range(1, n):
-            if n % p:
-                continue
-            if all(c[i] == c[i % p] for i in range(n)):
-                root = conj * Word(c[:p], self.rank) * ~conj
-                return True, root, n // p
-        return False, self, 1
+        # the least period is n minus the longest proper border, read off
+        # the Knuth-Morris-Pratt failure function; c is a proper power
+        # exactly when that period divides n and is below it
+        border = [0] * n
+        k = 0
+        for i in range(1, n):
+            while k and c[i] != c[k]:
+                k = border[k - 1]
+            if c[i] == c[k]:
+                k += 1
+            border[i] = k
+        p = n - k
+        if p == n or n % p:
+            return False, self, 1
+        root = conj * Word(c[:p], self.rank) * ~conj
+        return True, root, n // p
 
     def canonical_key(self):
         """Conjugacy-aware text key: minimal rotation of the cyclic core plus

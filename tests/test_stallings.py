@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import wml.stallings
 from wml.errors import UndecidedError
 from wml.stallings import (
     LabeledGraph,
@@ -384,6 +385,20 @@ class TestFringe:
         w = parse("[x,y]^4", 2)  # 16 vertices
         with pytest.raises(UndecidedError):
             fringe(w)
+
+    def test_cap_fires_before_the_core_graph(self, monkeypatch):
+        # V = (|w| + |cyclic core|) / 2 is read off the lengths, so a long
+        # word over the cap is refused without building its graph
+        def no_core_graph(*args):
+            raise AssertionError("core_graph called")
+
+        monkeypatch.setattr(wml.stallings, "core_graph", no_core_graph)
+        for text, vertices in [("[x^200000,y]", 400002),
+                               ("y x^100000 y^2 x^-100000 Y", 100003)]:
+            with pytest.raises(UndecidedError) as exc:
+                fringe(parse(text, 2))
+            assert str(exc.value) == f"fringe needs set partitions of " \
+                f"{vertices} vertices, over the cap 12"
 
     def test_deterministic_order(self):
         a = [g.serialize() for g in fringe(parse("[x,y]", 2))]

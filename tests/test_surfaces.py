@@ -53,6 +53,49 @@ def collapse_spec(w):
     return MatchingSpec(words, {g: (tuple(m),) for g, m in matchings.items()})
 
 
+def all_corner_counts(surface):
+    """Reference Euler count: union-find over every inner and outer corner
+    of the cellulation, then V, E and F tallied per component.  Returns
+    the total (V, E, F) and the sorted (annuli, chi, boundary, genus) of
+    the components."""
+    sizes = [len(s) for s in surface.sub_letters]
+    parent = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        parent[find(a)] = find(b)
+
+    for (_, _, (m, q), (m2, q2)) in surface.glue_pairs:
+        union(("o", m, q), ("o", m2, (q2 + 1) % sizes[m2]))
+        union(("o", m, (q + 1) % sizes[m]), ("o", m2, q2))
+        union(("a", m), ("a", m2))
+    comp_of = [find(("a", m)) for m in range(len(sizes))]
+    vertices, edges, faces = {}, {}, {}
+    for kind in ("i", "o"):
+        for m, size in enumerate(sizes):
+            for q in range(size):
+                vertices.setdefault(comp_of[m], set()).add(find((kind, m, q)))
+    for m, size in enumerate(sizes):
+        edges[comp_of[m]] = edges.get(comp_of[m], 0) + 2 * size
+        faces[comp_of[m]] = faces.get(comp_of[m], 0) + size
+    for (_, _, (m, _), _) in surface.glue_pairs:
+        edges[comp_of[m]] += 1
+    components = []
+    for c in set(comp_of):
+        annuli = tuple(m for m in range(len(sizes)) if comp_of[m] == c)
+        chi = len(vertices[c]) - edges[c] + faces[c]
+        boundary = len(annuli)
+        components.append((annuli, chi, boundary, (2 - boundary - chi) // 2))
+    cells = (sum(map(len, vertices.values())), sum(edges.values()),
+             sum(faces.values()))
+    return cells, sorted(components)
+
+
 class TestBuildSurface:
     def test_commutator_once_punctured_torus(self):
         # V=5, E=10, F=4: chi=-1, one boundary, genus 1
@@ -79,6 +122,26 @@ class TestBuildSurface:
     def test_unbalanced_rejected(self):
         with pytest.raises(ValueError):
             MatchingSpec((parse("x", 1),), {})
+
+    def test_matches_all_corner_reference(self):
+        # chi from outer-corner classes agrees with counting every vertex,
+        # edge and face of the cellulation
+        cases = [
+            (["[x,y]", "[y,x]"], 2, 2),
+            (["[x,y]^2"], 2, 2),
+            (["[x,y^2]", "[y^2,x]"], 2, 1),
+            (["x", "X"], 1, 1),
+            (["[x,y][x,z]"], 3, 1),
+        ]
+        for texts, rank, k in cases:
+            words = [parse(t, rank) for t in texts]
+            specs = list(enumerate_matchings(words, max_subdivision=k))
+            assert specs, texts
+            for spec in specs:
+                s = build_surface(spec)
+                got = sorted((c.annuli, c.chi, c.boundary, c.genus)
+                             for c in s.components)
+                assert (s.cells, got) == all_corner_counts(s), (texts, spec)
 
     def test_chi_invariant_under_equal_subdivision(self):
         # splitting every gluing into two parallel copies refines the

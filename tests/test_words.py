@@ -247,6 +247,31 @@ class TestProperPower:
             if got:
                 assert d >= 2
 
+    def test_matches_divisor_scan(self):
+        # the least period agrees with trying every divisor period, on
+        # seeded random periodic words, conjugated or not
+        rng = random.Random(12)
+        for _ in range(300):
+            rank = rng.randint(1, 3)
+            root = Word([rng.choice((1, -1)) * rng.randint(1, rank)
+                         for _ in range(rng.randint(1, 6))], rank)
+            conj = Word([rng.choice((1, -1)) * rng.randint(1, rank)
+                         for _ in range(rng.randint(0, 4))], rank)
+            w = conj * root ** rng.randint(1, 6) * ~conj
+            assert w.is_proper_power() == divisor_scan_power(w), w
+
+
+def divisor_scan_power(w):
+    """Reference: the least divisor p of the cyclic core length whose
+    p-periodic extension is the core."""
+    core, conj = w.cyclic_reduce()
+    c = core.letters
+    n = len(c)
+    for p in range(1, n):
+        if n % p == 0 and all(c[i] == c[i % p] for i in range(n)):
+            return True, conj * Word(c[:p], w.rank) * ~conj, n // p
+    return False, w, 1
+
 
 class TestBalance:
     def test_commutator_balanced(self):
