@@ -259,7 +259,8 @@ def cmd_invariants(word_text, rank, fringe_cap, orbit_cap, genus_cap,
     w = parse_text(word_text, rank)
 
     directory = None if no_cache else _cache_dir(cache_dir, settings)
-    key = _cache_key("invariants", w, caps)
+    # the key reads the whole word, so it is computed only for a cache
+    key = _cache_key("invariants", w, caps) if directory else None
     cached = _cache_lookup(directory, key)
     if cached is not None:
         _echo(cached.rstrip("\n"))

@@ -66,23 +66,19 @@ def primitivity_rank(w, rank, fringe_cap=DEFAULT_FRINGE_VERTEX_CAP):
     # the fringe could only confirm pi = infinity
     if primitive_in(w, w.rank):
         return INFINITY, []
+    # the fringe comes in rising subgroup rank, and every graph in it
+    # contains w, so none has rank 0 and every rewrite succeeds; the graphs
+    # in which w's loop crosses some edge once are left out of it, since w
+    # is primitive there.  The first rank with a witness is pi.
     witnesses = []
-    best = INFINITY
-    # the fringe is sorted by subgroup rank, and every graph in it contains
-    # w, so none has rank 0 and every rewrite succeeds; a loop crossing
-    # some edge once certifies w primitive in the graph without a rewrite
-    for graph in fringe(w, vertex_cap=fringe_cap):
-        r = graph.subgroup_rank
-        if r > best:
-            break
-        if graph.crosses_an_edge_once(w):
-            continue
-        rewritten = graph.rewrite(w)
-        if primitive_in(rewritten, r):
-            continue
-        best = r
-        witnesses.append((graph, rewritten))
-    return best, witnesses
+    for r, graphs in fringe(w, vertex_cap=fringe_cap).uncertified():
+        for graph in graphs:
+            rewritten = graph.rewrite(w)
+            if not primitive_in(rewritten, r):
+                witnesses.append((graph, rewritten))
+        if witnesses:
+            return r, witnesses
+    return INFINITY, []
 
 
 def is_algebraic_extension(graph, w, orbit_cap=DEFAULT_ORBIT_CAP):

@@ -10,9 +10,10 @@ Every graph is folded by one closure, :func:`_close`: it merges given
 vertex pairs, then identifies offending edge pairs from a worklist until
 none remain; the result is independent of the order in which pairs are
 processed.  :func:`fold` runs it once, for core graphs and the image
-subgroups of glued surfaces; :func:`fringe` runs it once per join while
-it lists the congruences (fold-closed vertex partitions) of a core graph,
-each of which gives one fringe quotient.  Graphs are canonicalized by
+subgroups of glued surfaces; :func:`fringe` runs it once per join
+while it lists the congruences (fold-closed vertex partitions) of a core
+graph, each of which gives one fringe quotient, and rolls each join back
+from a trail of the changes it made.  Graphs are canonicalized by
 breadth-first relabeling from the basepoint with a fixed edge order, so
 two folded graphs represent the same subgroup exactly when their
 serializations coincide.
@@ -21,6 +22,7 @@ serializations coincide.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 
 from .errors import UndecidedError
 from .words import Word, cyclic_core
@@ -45,13 +47,15 @@ class LabeledGraph:
         object.__setattr__(self, "basepoint", basepoint)
         object.__setattr__(self, "marked", frozenset(marked))
         object.__setattr__(self, "rank", rank)
-        out = {}
-        inc = {}
+        # per vertex, the target of each out-edge and the source of each
+        # in-edge by label, the shape of the class maps of _close
+        out = [{} for _ in range(num_vertices)]
+        inc = [{} for _ in range(num_vertices)]
         for (src, dst, lab) in self.edges:
-            if (src, lab) in out or (dst, lab) in inc:
+            if lab in out[src] or lab in inc[dst]:
                 raise ValueError("graph is not folded")
-            out[(src, lab)] = dst
-            inc[(dst, lab)] = src
+            out[src][lab] = dst
+            inc[dst][lab] = src
         object.__setattr__(self, "_out", out)
         object.__setattr__(self, "_in", inc)
 
@@ -70,35 +74,17 @@ class LabeledGraph:
     def step(self, vertex, letter):
         """Follow a signed letter from a vertex; None if no such edge."""
         if letter > 0:
-            return self._out.get((vertex, letter))
-        return self._in.get((vertex, -letter))
+            return self._out[vertex].get(letter)
+        return self._in[vertex].get(-letter)
 
-    def trace(self, word):
-        """Trace a word from the basepoint; final vertex or None if it
-        leaves the graph."""
-        v = self.basepoint
-        for a in word.letters:
-            v = self.step(v, a)
-            if v is None:
-                return None
-        return v
+    def _loop(self, word):
+        """:func:`_loop_edges` of the word's loop at the basepoint."""
+        return _loop_edges(self._out, self._in, range(self.num_vertices),
+                           self.basepoint, word)
 
     def contains(self, word):
         """Subgroup membership: the word reads a loop at the basepoint."""
-        return self.trace(word) == self.basepoint
-
-    def _loop_edges(self, word):
-        """The edges the word's loop at the basepoint crosses, in order, as
-        ``(edge, forward)`` pairs; None when the word is not a member."""
-        v = self.basepoint
-        crossed = []
-        for a in word.letters:
-            u = self.step(v, a)
-            if u is None:
-                return None
-            crossed.append(((v, u, a), True) if a > 0 else ((u, v, -a), False))
-            v = u
-        return crossed if v == self.basepoint else None
+        return self._loop(word) is not None
 
     def crosses_an_edge_once(self, word):
         """Whether the loop of a member word crosses some edge exactly once.
@@ -108,10 +94,10 @@ class LabeledGraph:
         rewritten in that tree's basis, uses the edge's letter once: the
         word is primitive in the subgroup.
         """
-        crossed = self._loop_edges(word)
+        crossed = self._loop(word)
         if crossed is None:
             raise ValueError("the word is not a member of the subgroup")
-        return 1 in Counter(edge for edge, _ in crossed).values()
+        return _crosses_once(crossed)
 
     def serialize(self):
         """Canonical text form: marked-vertex header plus one edge per line."""
@@ -182,14 +168,49 @@ class LabeledGraph:
         Returns a word over a rank-(subgroup rank) alphabet, or None when
         the trace does not close at the basepoint (not a member).
         """
-        crossed = self._loop_edges(word)
+        crossed = self._loop(word)
         if crossed is None:
             return None
         parent, non_tree = self.spanning_tree()
         index = {e: i + 1 for i, e in enumerate(non_tree)}
-        letters = [index[edge] if forward else -index[edge]
-                   for edge, forward in crossed if edge in index]
+        letters = [index[edge] if a > 0 else -index[edge]
+                   for edge, a in zip(crossed, word.letters) if edge in index]
         return Word(letters, max(1, len(non_tree)))
+
+
+def _loop_edges(out, inc, root, basepoint, word):
+    """The edges ``(src, dst, label)`` that the word's loop at the
+    basepoint crosses, one per letter; None when the walk leaves the graph
+    or ends away from the basepoint (the word is not a member).
+
+    ``out[v]`` and ``inc[v]`` map each label at vertex v to the target of
+    its out-edge and the source of its in-edge, and ``root`` maps those to
+    vertices of the walk: the class roots of a :func:`_close` state, or
+    each vertex to itself in a built graph.
+    """
+    v = basepoint
+    crossed = []
+    for a in word.letters:
+        if a > 0:
+            u = out[v].get(a)
+            if u is None:
+                return None
+            u = root[u]
+            crossed.append((v, u, a))
+        else:
+            u = inc[v].get(-a)
+            if u is None:
+                return None
+            u = root[u]
+            crossed.append((u, v, -a))
+        v = u
+    return crossed if v == basepoint else None
+
+
+def _crosses_once(crossed):
+    """Whether a loop, given by its :func:`_loop_edges`, crosses some edge
+    exactly once."""
+    return 1 in Counter(crossed).values()
 
 
 def fold(num_vertices, edges, basepoint, rank, identify=()):
@@ -200,10 +221,11 @@ def fold(num_vertices, edges, basepoint, rank, identify=()):
     The folded graph is trimmed to its core (keeping the basepoint) and
     canonicalized.
     """
+    edges = tuple(edges)
     parent, out, inc, pending = _unfolded(num_vertices, edges)
     pending.extend(identify)
     _close(parent, out, inc, pending)
-    return _quotient(parent, out, basepoint, rank)
+    return _quotient(_roots(parent), edges, basepoint, rank)
 
 
 def _unfolded(num_vertices, edges):
@@ -228,15 +250,18 @@ def _unfolded(num_vertices, edges):
     return parent, out, inc, pending
 
 
-def _close(parent, out, inc, pending, decided=0):
+def _close(parent, out, inc, pending, decided=0, trail=None):
     """Merge the pending vertex pairs and every pair they force, in place.
 
     A worklist over the union-find whose class roots carry the per-label
     maps: merging class ``a`` into class ``b`` queues one pair for each
-    label the two maps share.  The root of a class is always its least
-    vertex.  Returns False, leaving the state part-merged, as soon as two
-    roots below ``decided`` would merge; True once the partition is a
-    congruence (closed under folding).
+    label the two maps share, and copies the others into ``b``'s map.  The
+    root of a class is always its least vertex.  Returns False, leaving
+    the state part-merged, as soon as two roots below ``decided`` would
+    merge; True once the partition is a congruence (closed under folding).
+    Given a ``trail`` list, each join ``a`` and each copied label, as a
+    ``(map, label)`` pair, is appended to it, so that :func:`_undo` can
+    restore the state, whichever way the closure ended.
     """
     while pending:
         a, b = pending.pop()
@@ -251,6 +276,8 @@ def _close(parent, out, inc, pending, decided=0):
         if a < decided:
             return False
         parent[a] = b
+        if trail is not None:
+            trail.append(a)
         for maps in (out, inc):
             into = maps[b]
             for lab, v in maps[a].items():
@@ -258,21 +285,39 @@ def _close(parent, out, inc, pending, decided=0):
                     pending.append((v, into[lab]))
                 else:
                     into[lab] = v
+                    if trail is not None:
+                        trail.append((into, lab))
     return True
 
 
-def _quotient(parent, out, basepoint, rank):
-    """The folded graph of a congruence, trimmed and canonicalized."""
+def _undo(parent, trail, mark):
+    """Roll a :func:`_close` state back until ``trail`` has ``mark``
+    entries: a join is split again (the merged class kept its own maps),
+    and a copied label deleted."""
+    while len(trail) > mark:
+        entry = trail.pop()
+        if type(entry) is int:
+            parent[entry] = entry
+        else:
+            into, lab = entry
+            del into[lab]
+
+
+def _roots(parent):
+    """The root of every vertex.  A root is the least vertex of its class,
+    so every parent is below its child and one pass in order suffices."""
     root = []
-    for v in range(len(parent)):
-        while parent[v] != v:
-            v = parent[v]
-        root.append(v)
+    for v, p in enumerate(parent):
+        root.append(v if p == v else root[p])
+    return root
+
+
+def _quotient(root, edges, basepoint, rank):
+    """The folded graph of a congruence, given by the root of each vertex:
+    the images of the edges, trimmed and canonicalized."""
     base = root[basepoint]
-    vertices = {v for v in range(len(parent)) if root[v] == v}
-    folded = {
-        (v, root[dst], lab) for v in vertices for lab, dst in out[v].items()
-    }
+    vertices = {v for v, r in enumerate(root) if r == v}
+    folded = {(root[src], root[dst], lab) for (src, dst, lab) in edges}
     vertices, folded = _trim(vertices, folded, keep={base})
     return _canonicalize(vertices, folded, base, rank)
 
@@ -339,7 +384,8 @@ def core_graph(generators, rank):
 
 def fringe(w, vertex_cap=DEFAULT_FRINGE_VERTEX_CAP):
     """All distinct subgroups arising as folded vertex quotients of the
-    core graph of <w>.
+    core graph of <w>, as a :class:`Fringe`: a sequence sorted by subgroup
+    rank, then canonical form.  Every graph contains w.
 
     Every algebraic extension of <w> occurs among these, so the fringe is a
     complete search space for minimal-rank witnesses.  A vertex partition
@@ -347,12 +393,20 @@ def fringe(w, vertex_cap=DEFAULT_FRINGE_VERTEX_CAP):
     listed directly, each once, in the manner of Ganter's NextClosure
     ("Two basic algorithms in concept analysis", 1984): vertices are
     decided in order, each either opening a class of its own or joining
-    the class of an earlier root, and a join is closed by :func:`_close`.
-    A branch dies when the closure merges two classes already decided
-    apart.  Distinct congruences give distinct graphs, since a morphism out
-    of a connected graph is fixed by where the basepoint goes.  Returns the
-    folded graphs sorted by subgroup rank, then canonical form; every one
-    contains w.
+    the class of an earlier root, and a join is closed by :func:`_close` in
+    place and undone from its trail afterwards.  A branch dies when the
+    closure merges two classes already decided apart.  Distinct
+    congruences give distinct graphs, since a morphism out of a connected
+    graph is fixed by where the basepoint goes.
+
+    Each congruence is read on the union-find state before any graph is
+    built.  Its rank E' - V' + 1 comes from the class maps (trimming drops
+    a vertex with each edge), and the loop of w is traced through them: a
+    loop that does not close raises RuntimeError, and a loop that crosses
+    some edge once certifies w primitive there.  The trimmed edges are
+    bridges, which a closed walk crosses an even number of times, so the
+    built graph gives the same verdict (see
+    :meth:`LabeledGraph.crosses_an_edge_once`).
     """
     if w.is_identity():
         raise ValueError("fringe of the trivial word is not defined")
@@ -368,28 +422,74 @@ def fringe(w, vertex_cap=DEFAULT_FRINGE_VERTEX_CAP):
     if base.num_vertices != num_vertices:
         raise RuntimeError(f"core graph of <{w}> has {base.num_vertices} "
                            f"vertices, not {num_vertices}")
-    graphs = []
+    parent, out, inc, _ = _unfolded(num_vertices, base.edges)
+    trail = []
+    classes = {}  # subgroup rank -> [(root of each vertex, certified)]
 
-    def visit(i, parent, out, inc):
+    def read():
+        root = _roots(parent)
+        roots = [v for v, r in enumerate(root) if r == v]
+        rank = sum(len(out[v]) for v in roots) - len(roots) + 1
+        crossed = _loop_edges(out, inc, root, root[base.basepoint], w)
+        if crossed is None:
+            g = _quotient(root, base.edges, base.basepoint, base.rank)
+            raise RuntimeError(f"fringe quotient {g!r} does not contain {w}")
+        classes.setdefault(rank, []).append((root, _crosses_once(crossed)))
+
+    def visit(i):
         # the state is a congruence in which vertices below i are decided;
-        # it is copied before a join, never changed in place
+        # a join changes it in place, and is undone before the next one
         while i < num_vertices and parent[i] != i:
             i += 1
         if i == num_vertices:
-            graphs.append(_quotient(parent, out, base.basepoint, base.rank))
+            read()
             return
-        visit(i + 1, parent, out, inc)
+        visit(i + 1)
         for j in range(i):
             if parent[j] != j:
                 continue
-            joined = (parent[:], [m.copy() for m in out],
-                      [m.copy() for m in inc])
-            if _close(*joined, [(i, j)], decided=i):
-                visit(i + 1, *joined)
+            mark = len(trail)
+            if _close(parent, out, inc, [(i, j)], decided=i, trail=trail):
+                visit(i + 1)
+            _undo(parent, trail, mark)
 
-    parent, out, inc, _ = _unfolded(num_vertices, base.edges)
-    visit(0, parent, out, inc)
-    for g in graphs:
-        if not g.contains(w):
-            raise RuntimeError(f"fringe quotient {g!r} does not contain {w}")
-    return sorted(graphs, key=lambda g: (g.subgroup_rank, g.serialize()))
+    visit(0)
+    return Fringe(base, classes)
+
+
+class Fringe(Sequence):
+    """The fringe of <w> as :func:`fringe` lists it.
+
+    It keeps the congruences of the core graph of <w>, not their graphs:
+    the graphs are built when first read, all of them for the sequence,
+    one rank at a time for :meth:`uncertified`.
+    """
+
+    def __init__(self, base, classes):
+        self._base = base
+        self._classes = classes
+        self._graphs = None
+
+    def __len__(self):
+        return sum(map(len, self._classes.values()))
+
+    def __getitem__(self, index):
+        if self._graphs is None:
+            self._graphs = [g for rank in sorted(self._classes)
+                            for g in self._build(self._classes[rank])]
+        return self._graphs[index]
+
+    def uncertified(self):
+        """``(rank, graphs)`` pairs in rising subgroup rank, of the graphs
+        in which w's loop crosses no edge once, each list sorted by
+        canonical form; a rank's graphs are built when it is reached."""
+        for rank in sorted(self._classes):
+            kept = [c for c in self._classes[rank] if not c[1]]
+            if kept:
+                yield rank, self._build(kept)
+
+    def _build(self, congruences):
+        base = self._base
+        built = [_quotient(root, base.edges, base.basepoint, base.rank)
+                 for root, _ in congruences]
+        return sorted(built, key=LabeledGraph.serialize)

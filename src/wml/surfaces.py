@@ -17,8 +17,8 @@ first subdivision level.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import (accumulate, combinations_with_replacement, permutations,
-                       product)
+from itertools import (accumulate, chain, combinations_with_replacement,
+                       permutations, product)
 
 from .errors import UndecidedError, capped_multisets, capped_product, count_text
 from .stallings import fold
@@ -301,8 +301,8 @@ def enumerate_matchings(words, max_subdivision=1, spec_cap=DEFAULT_SPEC_CAP):
 
     A generator with p positive letters has p! single matchings, and so
     C(p! + K, K) - 1 multisets of 1..K of them (K = ``max_subdivision``);
-    ``spec_cap`` bounds the product of these counts before any choice is
-    built.  Yields :class:`MatchingSpec` objects.
+    ``spec_cap`` bounds the product of these counts before any letter
+    occurrence is listed.  Yields :class:`MatchingSpec` objects.
     """
     if max_subdivision < 1:
         raise ValueError(f"max_subdivision must be at least 1, got "
@@ -311,12 +311,13 @@ def enumerate_matchings(words, max_subdivision=1, spec_cap=DEFAULT_SPEC_CAP):
     balanced, _ = is_balanced(words)
     if not balanced:
         raise ValueError("only balanced collections bound surfaces")
-    occ = _occurrences(tuple(words))
-    gens = sorted(g for g, (pos, neg) in occ.items() if pos)
-
+    counts = Counter()
+    for w in words:
+        counts.update(w.letters)
+    gens = sorted(g for g in counts if g > 0)
     total = 1
     for g in gens:
-        singles = capped_product(range(1, len(occ[g][0]) + 1), spec_cap)
+        singles = capped_product(range(1, counts[g] + 1), spec_cap)
         choices = None if singles is None else \
             capped_multisets(singles, max_subdivision, spec_cap)
         total = None if choices is None else \
@@ -327,6 +328,7 @@ def enumerate_matchings(words, max_subdivision=1, spec_cap=DEFAULT_SPEC_CAP):
                 "collections, over the cap"
             )
 
+    occ = _occurrences(tuple(words))
     per_gen_choices = []
     for g in gens:
         pos, neg = occ[g]
@@ -343,11 +345,13 @@ def enumerate_matchings(words, max_subdivision=1, spec_cap=DEFAULT_SPEC_CAP):
 def minimal_single_boundary_genus(word, spec_cap=DEFAULT_SPEC_CAP):
     """Least genus over the subdivision-1 matching-built surfaces with the
     single boundary word; None when the word is not balanced."""
-    balanced, _ = is_balanced([word])
-    if not balanced:
+    specs = enumerate_matchings([word], 1, spec_cap)
+    try:
+        first = next(specs)
+    except ValueError:  # raised only for an unbalanced word
         return None
     # one boundary word glues into one connected component
     return min(
         build_surface(spec).components[0].genus
-        for spec in enumerate_matchings([word], 1, spec_cap)
+        for spec in chain((first,), specs)
     )

@@ -104,6 +104,25 @@ class TestInvariants:
         second = runner.invoke(cli, args)
         assert second.output == first.output
 
+    def test_no_cache_computes_no_key(self, runner, monkeypatch):
+        # the key reads the whole word; with no cache it is never needed
+        import wml.cli
+
+        args = ["invariants", "[x,y]", "--rank", "2", "--no-cache"]
+        expected = runner.invoke(cli, args)
+        monkeypatch.delenv("WML_CACHE", raising=False)
+
+        def no_key(*args):
+            raise AssertionError("cache key computed")
+
+        monkeypatch.setattr(wml.cli, "_cache_key", no_key)
+        for extra in ([], ["--cache-dir", "unused"]):
+            result = runner.invoke(cli, args + extra)
+            assert (result.exit_code, result.output) == \
+                (0, expected.output)
+        result = runner.invoke(cli, ["invariants", "[x,y]", "--rank", "2"])
+        assert (result.exit_code, result.output) == (0, expected.output)
+
     def test_cache_key_depends_on_caps(self, runner, tmp_path):
         cache = str(tmp_path / "cache")
         runner.invoke(cli, ["invariants", "[x,y]", "--rank", "2",

@@ -349,6 +349,54 @@ class TestAnalyze:
         assert rep.pi == 2 and rep.comm_crit_count == 1
         assert len(calls) == 1
 
+    def test_builds_only_the_swept_uncertified_graphs(self, monkeypatch):
+        # [x,[x,y]] has 174 fringe graphs; w's loop crosses an edge once in
+        # all but 4 (two of rank 2, two of rank 3), and pi = 2, so the
+        # sweep builds the two of rank 2, besides the core graph of <w>
+        import wml.stallings
+
+        w = parse("[x,[x,y]]", F2)
+        uncertified = [g for g in fringe(w) if not g.crosses_an_edge_once(w)]
+        assert [g.subgroup_rank for g in uncertified] == [2, 2, 3, 3]
+        core = core_graph([w], F2).serialize()
+        built = []
+        canonicalize = wml.stallings._canonicalize
+
+        def counting_canonicalize(*args, **kwargs):
+            built.append(canonicalize(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(wml.stallings, "_canonicalize",
+                            counting_canonicalize)
+        rep = analyze(w, F2)
+        assert rep.pi == 2
+        assert built[0].serialize() == core
+        assert sorted(g.serialize() for g in built[1:]) == \
+            [g.serialize() for g in uncertified[:2]]
+
+    def test_reports_pinned(self):
+        # sha256 of the reports of 100 seeded random words of ranks 2-3 and
+        # lengths 3-10, recorded before the fringe sweep read congruences on
+        # the union-find state
+        import hashlib
+        import json
+        import random
+
+        rng = random.Random(13)
+        digest = hashlib.sha256()
+        for _ in range(100):
+            rank, length = rng.randint(2, 3), rng.randint(3, 10)
+            letters = []
+            while len(letters) < length:
+                a = rng.choice((1, -1)) * rng.randint(1, rank)
+                if not letters or a != -letters[-1]:
+                    letters.append(a)
+            w = Word(letters, rank)
+            report = json.dumps(analyze(w, rank).to_json(), sort_keys=True)
+            digest.update(report.encode() + b"\n")
+        assert digest.hexdigest() == \
+            "f561ea3b660fc2300b5367dafd2c6bd6aa41b22842fbaf2b195d9ebad8e602eb"
+
     def test_primitive_word_skips_fringe(self, monkeypatch):
         # a primitive word is primitive in every subgroup containing it,
         # so pi = inf is settled before the fringe, whatever its cap

@@ -85,6 +85,31 @@ def bell_fringe(w):
                   key=lambda g: (g.subgroup_rank, g.serialize()))
 
 
+def bell_reference_words():
+    """The 21 words of ``test_matches_bell_reference``: [x,[x,y]] (V=9)
+    and 20 seeded random freely reduced words with V = 4-8."""
+    rng = random.Random(2024)
+    words = [parse("[x,[x,y]]", 2)]
+    while len(words) < 21:
+        rank, length = rng.randint(1, 3), rng.randint(4, 8)
+        letters = []
+        while len(letters) < length:
+            a = rng.choice((1, -1)) * rng.randint(1, rank)
+            if not letters or a != -letters[-1]:
+                letters.append(a)
+        words.append(Word(letters, rank))
+    return words
+
+
+# the non-power words of the benchmark's invariants corpus; the sweep of
+# primitivity_rank never reaches the fringe of a proper power
+SWEPT_CORPUS = (
+    ("[x,y]", 2), ("x^2 y^2 z^2", 3), ("[x,y][x,z]", 3),
+    ("x^2y^2x^-2y^-2", 2), ("[x,y^3]", 2), ("[x,y][x,y^-1]", 2),
+    ("[x^2,y^2]", 2), ("[x,[x,y]]", 2), ("[x1,x2][x3,x4]", 4),
+)
+
+
 def loop_edges(words):
     """Unfolded bouquet of the words: one loop per word at vertex 0."""
     num_vertices, edges = 1, []
@@ -365,6 +390,20 @@ class TestFringe:
         for w in words:
             assert ([g.serialize() for g in fringe(w)]
                     == [g.serialize() for g in bell_fringe(w)]), w
+
+    def test_uncertified_buckets_match_the_certificate(self):
+        # Fringe.uncertified reads each congruence on the
+        # union-find state; the built graphs, filtered by the certificate
+        # and grouped by rank, are the oracle
+        words = bell_reference_words() + [
+            parse(text, rank) for text, rank in SWEPT_CORPUS]
+        for w in words:
+            kept = [g for g in fringe(w) if not g.crosses_an_edge_once(w)]
+            want = [(r, [g.serialize() for g in graphs]) for r, graphs
+                    in itertools.groupby(kept, key=lambda g: g.subgroup_rank)]
+            got = [(r, [g.serialize() for g in graphs])
+                   for r, graphs in fringe(w).uncertified()]
+            assert got == want, w
 
     def test_every_member_contains_word(self):
         for text in ["[x,y]", "x^2 y^2", "x^3"]:

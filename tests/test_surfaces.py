@@ -335,6 +335,27 @@ class TestEnumeration:
             tracemalloc.stop()
         assert peak < 20 * 2 ** 20
 
+    def test_cap_fires_before_occurrences_are_listed(self, monkeypatch):
+        # the count needs only the letter counts of each generator, and an
+        # unbalanced collection is refused before the cap is looked at
+        import wml.surfaces
+
+        def no_occurrences(words):
+            raise AssertionError("letter occurrences listed")
+
+        monkeypatch.setattr(wml.surfaces, "_occurrences", no_occurrences)
+        w = parse("[x^200000,y]", 2)
+        for search in (lambda: next(enumerate_matchings([w])),
+                       lambda: minimal_single_boundary_genus(w)):
+            with pytest.raises(UndecidedError) as exc:
+                search()
+            assert str(exc.value) == "matching enumeration needs at " \
+                "least 10^4300 collections, over the cap"
+        unbalanced = parse("x^200000 y x^-199999", 2)
+        with pytest.raises(ValueError, match="only balanced"):
+            next(enumerate_matchings([unbalanced], spec_cap=0))
+        assert minimal_single_boundary_genus(unbalanced, spec_cap=0) is None
+
 
 class TestSpectrumMap:
     """Total Euler characteristics of the enumerated surfaces, keyed by
