@@ -206,18 +206,11 @@ class RationalFunction:
         raise AttributeError("RationalFunction is immutable")
 
     @staticmethod
-    def from_fraction(q, n_min=1):
-        q = Fraction(q)
-        return RationalFunction(
-            Polynomial.const(q.numerator), Polynomial.const(q.denominator), n_min
-        )
-
-    @staticmethod
-    def n_power(k, n_min=1):
+    def n_power(k):
         """The monomial n**k (k may be negative)."""
         if k >= 0:
-            return RationalFunction(Polynomial.monomial(1, k), None, n_min)
-        return RationalFunction(Polynomial.const(1), Polynomial.monomial(1, -k), n_min)
+            return RationalFunction(Polynomial.monomial(1, k))
+        return RationalFunction(Polynomial.const(1), Polynomial.monomial(1, -k))
 
     def is_zero(self):
         return self.num.is_zero()
@@ -261,8 +254,8 @@ class RationalFunction:
         )
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _coerce(other)
+        if isinstance(other, int):
+            other = RationalFunction(other)
         return (
             isinstance(other, RationalFunction)
             and self.num == other.num
@@ -316,8 +309,6 @@ def _coerce(v):
         return v
     if isinstance(v, int):
         return RationalFunction(v)
-    if isinstance(v, Fraction):
-        return RationalFunction.from_fraction(v)
     raise TypeError(f"cannot coerce {v!r} to RationalFunction")
 
 
@@ -336,17 +327,6 @@ class LaurentSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentSeries is immutable")
-
-    def coefficient(self, exponent):
-        """Coefficient of n**exponent; raises if beyond the truncation."""
-        if self.e0 is None:
-            return Fraction(0)
-        if exponent > self.e0:
-            return Fraction(0)
-        k = self.e0 - exponent
-        if k >= len(self.coeffs):
-            raise ValueError(f"exponent {exponent} beyond truncation")
-        return self.coeffs[k]
 
     def serialize(self):
         return {

@@ -1,10 +1,9 @@
 """Stallings core graphs for finitely generated subgroups of a free group.
 
 A labeled graph is a connected directed graph whose edges carry generator
-labels, with a basepoint and an optional set of marked vertices.  A folded
-graph (no two equal-label edges sharing a source, nor sharing a target)
-canonically represents the subgroup of words readable as loops at the
-basepoint.
+labels, with a basepoint.  A folded graph (no two equal-label edges sharing
+a source, nor sharing a target) canonically represents the subgroup of
+words readable as loops at the basepoint.
 
 Every graph is folded by one closure, :func:`_close`: it merges given
 vertex pairs, then identifies offending edge pairs from a worklist until
@@ -35,17 +34,15 @@ class LabeledGraph:
 
     Built by :func:`fold` (which :func:`core_graph` calls) and
     :func:`fringe`; the constructor expects data that is already folded
-    and canonical.
+    and canonical.  Subgroup membership is ``rewrite(word) is not None``.
     """
 
-    __slots__ = ("num_vertices", "edges", "basepoint", "marked", "rank",
-                 "_out", "_in")
+    __slots__ = ("num_vertices", "edges", "basepoint", "rank", "_out", "_in")
 
-    def __init__(self, num_vertices, edges, basepoint, marked, rank):
+    def __init__(self, num_vertices, edges, basepoint, rank):
         object.__setattr__(self, "num_vertices", num_vertices)
         object.__setattr__(self, "edges", tuple(sorted(edges)))
         object.__setattr__(self, "basepoint", basepoint)
-        object.__setattr__(self, "marked", frozenset(marked))
         object.__setattr__(self, "rank", rank)
         # per vertex, the target of each out-edge and the source of each
         # in-edge by label, the shape of the class maps of _close
@@ -71,20 +68,10 @@ class LabeledGraph:
         """E - V + 1 for a connected graph."""
         return self.num_edges - self.num_vertices + 1
 
-    def step(self, vertex, letter):
-        """Follow a signed letter from a vertex; None if no such edge."""
-        if letter > 0:
-            return self._out[vertex].get(letter)
-        return self._in[vertex].get(-letter)
-
     def _loop(self, word):
         """:func:`_loop_edges` of the word's loop at the basepoint."""
         return _loop_edges(self._out, self._in, range(self.num_vertices),
                            self.basepoint, word)
-
-    def contains(self, word):
-        """Subgroup membership: the word reads a loop at the basepoint."""
-        return self._loop(word) is not None
 
     def crosses_an_edge_once(self, word):
         """Whether the loop of a member word crosses some edge exactly once.
@@ -100,10 +87,11 @@ class LabeledGraph:
         return _crosses_once(crossed)
 
     def serialize(self):
-        """Canonical text form: marked-vertex header plus one edge per line."""
-        header = "marked: " + " ".join(str(v) for v in sorted(self.marked))
+        """Canonical text form: the header ``marked: `` (no graph has marked
+        vertices; the header keeps the bytes of older reports and caches)
+        plus one edge per line."""
         lines = [f"{src} {dst} {lab}" for (src, dst, lab) in self.edges]
-        return "\n".join([header] + lines)
+        return "\n".join(["marked: "] + lines)
 
     def __eq__(self, other):
         return (
@@ -130,8 +118,8 @@ class LabeledGraph:
         while queue:
             v = queue.pop(0)
             for lab in range(1, self.rank + 1):
-                for sign in (1, -1):
-                    u = self.step(v, sign * lab)
+                for sign, maps in ((1, self._out), (-1, self._in)):
+                    u = maps[v].get(lab)
                     if u is None or u in parent:
                         continue
                     parent[u] = (v, sign * lab)
@@ -360,7 +348,7 @@ def _canonicalize(vertices, edges, basepoint, rank):
     new_edges = {
         (number[src], number[dst], lab) for (src, dst, lab) in edges
     }
-    return LabeledGraph(len(number), new_edges, 0, (), rank)
+    return LabeledGraph(len(number), new_edges, 0, rank)
 
 
 def core_graph(generators, rank):

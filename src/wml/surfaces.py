@@ -31,40 +31,35 @@ class MatchingSpec:
     """Boundary words plus, per generator, one matching per subdivision index.
 
     A matching is a tuple of pairs ``(positive, negative)`` of letter
-    occurrences, each occurrence being ``(word_index, position)``.
+    occurrences, each occurrence being ``(word_index, position)``.  The
+    words must be nontrivial: an empty annulus has no corners to glue.
     """
 
     __slots__ = ("words", "matchings")
 
     def __init__(self, words, matchings):
         words = tuple(words)
-        balanced, _ = is_balanced(list(words))
-        if not balanced:
-            raise ValueError("matching specs need balanced word collections")
+        if any(w.is_identity() for w in words):
+            raise ValueError("matching specs need nontrivial boundary words")
         occ = _occurrences(words)
+        if any(len(pos) != len(neg) for pos, neg in occ.values()):
+            raise ValueError("matching specs need balanced word collections")
+        sorted_matchings = {}
         for gen, levels in matchings.items():
-            pos, neg = occ.get(gen, ((), ()))
-            for matching in levels:
-                if sorted(p for p, _ in matching) != sorted(pos):
+            pos, neg = occ.get(gen, ([], []))
+            sorted_matchings[gen] = tuple(tuple(sorted(m)) for m in levels)
+            for matching in sorted_matchings[gen]:
+                if [p for p, _ in matching] != pos:
                     raise ValueError(f"matching does not cover the {gen}-letters")
-                if sorted(n for _, n in matching) != sorted(neg):
+                if sorted(n for _, n in matching) != neg:
                     raise ValueError(
                         f"matching is not a bijection onto the inverse {gen}-letters"
                     )
         for gen, (pos, neg) in occ.items():
             if pos and gen not in matchings:
                 raise ValueError(f"no matching supplied for generator {gen}")
-        object.__setattr__(
-            self,
-            "words",
-            words,
-        )
-        object.__setattr__(
-            self,
-            "matchings",
-            {g: tuple(tuple(sorted(m)) for m in levels)
-             for g, levels in matchings.items()},
-        )
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "matchings", sorted_matchings)
 
     def __setattr__(self, name, value):
         raise AttributeError("MatchingSpec is immutable")
@@ -72,25 +67,16 @@ class MatchingSpec:
     def subdivision(self, gen):
         return len(self.matchings.get(gen, ()))
 
-    def key(self):
-        return tuple(sorted(self.matchings.items()))
-
-    def __eq__(self, other):
-        return isinstance(other, MatchingSpec) and self.words == other.words \
-            and self.key() == other.key()
-
-    def __hash__(self):
-        return hash((self.words, self.key()))
-
 
 def _occurrences(words):
-    """Per generator: ordered positive and negative letter occurrences."""
+    """Per generator: the lists of its positive and of its negative letter
+    occurrences, each in order."""
     occ = {}
     for wi, w in enumerate(words):
         for pos, a in enumerate(w.letters):
             lists = occ.setdefault(abs(a), ([], []))
             lists[0 if a > 0 else 1].append((wi, pos))
-    return {g: (tuple(p), tuple(n)) for g, (p, n) in occ.items()}
+    return occ
 
 
 class SurfaceComponent:
@@ -308,13 +294,10 @@ def enumerate_matchings(words, max_subdivision=1, spec_cap=DEFAULT_SPEC_CAP):
         raise ValueError(f"max_subdivision must be at least 1, got "
                          f"{max_subdivision}")
     words = list(words)
-    balanced, _ = is_balanced(words)
+    balanced, counts = is_balanced(words)
     if not balanced:
         raise ValueError("only balanced collections bound surfaces")
-    counts = Counter()
-    for w in words:
-        counts.update(w.letters)
-    gens = sorted(g for g in counts if g > 0)
+    gens = sorted(counts)
     total = 1
     for g in gens:
         singles = capped_product(range(1, counts[g] + 1), spec_cap)
@@ -342,10 +325,14 @@ def enumerate_matchings(words, max_subdivision=1, spec_cap=DEFAULT_SPEC_CAP):
         yield MatchingSpec(words, dict(zip(gens, assignment)))
 
 
-def minimal_single_boundary_genus(word, spec_cap=DEFAULT_SPEC_CAP):
+def minimal_single_boundary_genus(word):
     """Least genus over the subdivision-1 matching-built surfaces with the
-    single boundary word; None when the word is not balanced."""
-    specs = enumerate_matchings([word], 1, spec_cap)
+    single boundary word, at most ``DEFAULT_SPEC_CAP`` of them; 0 for the
+    identity, which bounds a disc, and None when the word is not
+    balanced."""
+    if word.is_identity():
+        return 0
+    specs = enumerate_matchings([word], 1, DEFAULT_SPEC_CAP)
     try:
         first = next(specs)
     except ValueError:  # raised only for an unbalanced word

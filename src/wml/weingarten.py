@@ -109,14 +109,6 @@ class TraceMonomial:
     def __setattr__(self, name, value):
         raise AttributeError("TraceMonomial is immutable")
 
-    def __eq__(self, other):
-        return isinstance(other, TraceMonomial) and sorted(self.exponents) == sorted(
-            other.exponents
-        )
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.exponents)))
-
     def __repr__(self):
         return f"TraceMonomial{self.exponents}"
 
@@ -368,7 +360,7 @@ def word_moment(words, term_cap=DEFAULT_TERM_CAP, force_pair_sum=False):
     words = list(words)
     if not words:
         return RationalFunction(1)
-    balanced, totals = is_balanced(words)
+    balanced, counts = is_balanced(words)
     if not balanced:
         return RationalFunction(0)
 
@@ -378,11 +370,6 @@ def word_moment(words, term_cap=DEFAULT_TERM_CAP, force_pair_sum=False):
     if not remaining:
         return RationalFunction.n_power(prefactor_exp)
 
-    counts = {}
-    for cw in remaining:
-        for a in cw:
-            if a > 0:
-                counts[a] = counts.get(a, 0) + 1
     n_min = max(counts.values())
     gens = sorted(counts, key=lambda g: counts[g])
     final = gens[-1]

@@ -26,6 +26,8 @@ its leading zeros.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .errors import ParseError
 
 # Single-letter alphabet, in generator order: x is generator 1, y is 2, ...
@@ -142,13 +144,7 @@ class Word:
             return self  # any exponent, however large
         if k < 0:
             return (~self) ** (-k)
-        base = self
-        if len(base) >= 2 and base.letters[0] == -base.letters[-1]:
-            # conjugate form: take powers of the cyclic core to avoid
-            # quadratic re-reduction
-            core, conj = base.cyclic_reduce()
-            return conj * (core ** k) * ~conj
-        return Word(base.letters * k, self.rank)
+        return Word(self.letters * k, self.rank)
 
     def __eq__(self, other):
         return (
@@ -196,12 +192,6 @@ class Word:
         core = cyclic_core(self.letters)
         prefix = self.letters[:(len(self.letters) - len(core)) // 2]
         return Word(core, self.rank), Word(prefix, self.rank)
-
-    def cyclic_rotations(self):
-        """All rotations of the cyclic core (with the same conjugator dropped)."""
-        core, _ = self.cyclic_reduce()
-        c = core.letters
-        return [Word(c[i:] + c[:i], self.rank) for i in range(max(1, len(c)))]
 
     def abelianization(self):
         """Total exponent of each generator, as a tuple of length ``rank``."""
@@ -258,17 +248,15 @@ def commutator(u, v):
 def is_balanced(words):
     """Check that every generator has total exponent zero over all words.
 
-    Returns ``(flag, totals)`` where ``totals`` maps generator index to its
-    total exponent.
+    Returns ``(flag, counts)`` where ``counts`` maps each generator with a
+    positive letter to its number of positive letters, keyed in order of
+    the first positive letter of each.
     """
-    if not words:
-        return True, {}
-    rank = max(w.rank for w in words)
-    totals = {g: 0 for g in range(1, rank + 1)}
+    letters = Counter()
     for w in words:
-        for a in w.letters:
-            totals[abs(a)] += 1 if a > 0 else -1
-    return all(t == 0 for t in totals.values()), totals
+        letters.update(w.letters)
+    counts = {a: c for a, c in letters.items() if a > 0}
+    return all(letters[-a] == c for a, c in letters.items()), counts
 
 
 # --- parser -----------------------------------------------------------------

@@ -32,7 +32,7 @@ def _coefficient(f, exponent):
     order = f.laurent_order
     if exponent > order:
         return Fraction(0)
-    return laurent(f, order - exponent).coefficient(exponent)
+    return laurent(f, order - exponent).coeffs[-1]
 
 
 def test_criterion_01_frobenius_exact():

@@ -205,6 +205,17 @@ class TestSurfaces:
         result = runner.invoke(cli, ["surfaces", "x", "--rank", "1"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("texts", [
+        ["x X"], ["1"], ["[y,x][x,y]"], ["[x,y]", "1"],
+    ])
+    def test_trivial_boundary_word_rejected(self, runner, texts):
+        # an empty annulus has no corners to glue
+        result = runner.invoke(cli, ["surfaces", *texts])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == \
+            "invalid input: matching specs need nontrivial boundary words\n"
+
 
 class TestVerify:
     def test_commutator_json(self, runner):

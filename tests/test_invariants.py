@@ -441,7 +441,8 @@ class TestAnalyze:
             tested_rewrites = [(g, r) for g, r in rewrites
                                if not g.crosses_an_edge_once(w)]
             keys = {(g.subgroup_rank,
-                     min(u.letters for u in r.cyclic_rotations()))
+                     min(c[i:] + c[:i] for c in [r.cyclic_reduce()[0].letters]
+                         for i in range(max(1, len(c)))))
                     for g, r in tested_rewrites}
             assert len(tested_rewrites) == uncertified, text
             assert len(calls) == len(keys) == tested, text

@@ -106,3 +106,30 @@ def test_benchmark_bindings_resolve():
     json.dumps({"rational": f.serialize(),
                 "laurent": wml.laurent(f, 3).serialize()})
     json.dumps(wml.analyze(wml.parse("[x,y]", 2), 2).to_json())
+
+
+def test_every_private_helper_is_used():
+    # a private function, class or method that nothing in the package
+    # reads outside its own body is dead code left behind by a change
+    defined = []
+    used = []
+    for path, node in _nodes():
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            name = node.name
+            if name.startswith("_") and not name.endswith("__"):
+                defined.append((path, node))
+        elif isinstance(node, ast.Name):
+            used.append((path, node.lineno, node.id))
+        elif isinstance(node, ast.Attribute):
+            used.append((path, node.lineno, node.attr))
+        elif isinstance(node, ast.alias):
+            used.append((path, node.lineno, node.name))
+    unused = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, node in defined
+        if not any(name == node.name and not (
+            where == path and node.lineno <= line <= node.end_lineno)
+            for where, line, name in used)
+    ]
+    assert unused == []
