@@ -1,6 +1,6 @@
 """Command-line interface: parse | invariants | moment | surfaces | verify.
 
-A click shell over the library: every command parses its flags, reads
+An argparse shell over the library: every command parses its flags, reads
 config fallbacks and the library's default caps, calls one library entry
 point and prints the result.  Output is JSON by default (CSV for verify
 tables on request).  Exact rational functions are printed as
@@ -9,21 +9,18 @@ depend on the word and the flags are cached by canonical word form under
 ``--cache-dir`` (or ``$WML_CACHE``), written atomically so concurrent
 invocations are safe.
 
-Exit codes: 0 ok, 2 parse error or invalid input, 3 undecided at a
-resource cap, 4 internal.
+Exit codes: 0 ok, 2 parse error, invalid input or usage error, 3
+undecided at a resource cap, 4 internal.
 """
 
 from __future__ import annotations
 
-import hashlib
+import argparse
 import io
 import json
 import os
 import sys
-import tempfile
 import time
-
-import click
 
 from . import __version__
 from .errors import ParseError, UndecidedError
@@ -59,23 +56,26 @@ def _load_config(path):
 class Settings:
     """Flag values with config-file fallbacks."""
 
-    def __init__(self, config_path=None):
-        self.config = _load_config(config_path)
+    def __init__(self, args):
+        self.args = args
+        self.config = _load_config(args.config)
 
-    def get(self, name, flag_value, default):
+    def get(self, name, default):
+        """The flag stored under ``name``, else the config file's ``name``,
+        else ``default``."""
+        flag_value = getattr(self.args, name)
         if flag_value is not None:
             return flag_value
         if name in self.config:
             return int(self.config[name])
         return default
 
-    def analysis_caps(self, fringe_cap, orbit_cap, genus_cap):
+    def analysis_caps(self):
         """The caps of :func:`wml.invariants.analyze`, by parameter name."""
         return {
-            "fringe_cap": self.get("fringe_cap", fringe_cap,
-                                   DEFAULT_FRINGE_VERTEX_CAP),
-            "orbit_cap": self.get("orbit_cap", orbit_cap, DEFAULT_ORBIT_CAP),
-            "genus_cap": self.get("genus_cap", genus_cap, DEFAULT_GENUS_CAP),
+            "fringe_cap": self.get("fringe_cap", DEFAULT_FRINGE_VERTEX_CAP),
+            "orbit_cap": self.get("orbit_cap", DEFAULT_ORBIT_CAP),
+            "genus_cap": self.get("genus_cap", DEFAULT_GENUS_CAP),
         }
 
 
@@ -97,6 +97,8 @@ def _cache_lookup(directory, key):
 def _cache_store(directory, key, payload_text):
     if not directory:
         return
+    import tempfile
+
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, key + ".json")
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -111,6 +113,8 @@ def _cache_store(directory, key, payload_text):
 
 
 def _cache_key(command, word, params):
+    import hashlib
+
     blob = json.dumps(
         {
             "command": command,
@@ -137,7 +141,8 @@ def _echo(text):
     stream = sys.stdout
     raw = getattr(stream, "buffer", None)
     if not isinstance(raw, io.FileIO):
-        click.echo(text)
+        stream.write(text + "\n")
+        stream.flush()
         return
     stream.flush()
     data = memoryview((text + "\n").encode(stream.encoding, stream.errors))
@@ -149,86 +154,25 @@ def _emit(data):
     _echo(json.dumps(data, indent=2))
 
 
+class _UsageError(Exception):
+    """A command line that names no command, an unknown option or a bad
+    option value."""
+
+
 def _parse_exponents(text):
     try:
         exps = tuple(int(piece) for piece in text.split(","))
     except ValueError:
-        raise click.BadParameter(f"bad exponent list {text!r}")
+        raise _UsageError(f"bad exponent list {text!r}")
     if not exps or any(m == 0 for m in exps):
-        raise click.BadParameter("exponents must be nonzero integers")
+        raise _UsageError("exponents must be nonzero integers")
     return exps
 
 
-class _Commands(click.Group):
-    """The error boundary of every command: library exceptions become a
-    one-line message on stderr and the documented exit code."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except ParseError as exc:  # a ValueError, so it is matched first
-            click.echo(f"parse error: {exc}", err=True)
-            sys.exit(EXIT_INPUT)
-        except ValueError as exc:
-            click.echo(f"invalid input: {exc}", err=True)
-            sys.exit(EXIT_INPUT)
-        except UndecidedError as exc:
-            click.echo(f"undecided: {exc}", err=True)
-            sys.exit(EXIT_UNDECIDED)
-
-
-@click.group(cls=_Commands)
-def cli():
-    """Free-group word invariants and exact unitary word-measure moments."""
-
-
-def main():
-    """Console entry point: click's usage errors exit 2, anything the
-    command boundary does not map exits 4."""
-    try:
-        cli(standalone_mode=False)
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        sys.exit(EXIT_INPUT)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(exc.exit_code)
-    except click.Abort:
-        sys.exit(EXIT_INTERNAL)
-    except Exception as exc:  # noqa: BLE001 - the CLI boundary
-        click.echo(f"internal error: {exc}", err=True)
-        sys.exit(EXIT_INTERNAL)
-
-
-_rank_option = click.option("--rank", type=int, default=None,
-                            help="ambient rank")
-_config_option = click.option("--config", "config_path", type=click.Path(),
-                              default=None, help="key = value config file")
-
-
-def _analysis_cap_options(command):
-    """--fringe-cap, --orbit-cap and --genus-cap, the caps of ``analyze``."""
-    for option in reversed([
-        click.option("--fringe-cap", type=int, default=None,
-                     help="largest core-graph vertex count enumerated"),
-        click.option("--orbit-cap", type=int, default=None,
-                     help="most minimal-level states explored by the "
-                          "orbit search"),
-        click.option("--genus-cap", type=int, default=None,
-                     help="largest commutator length reported exactly"),
-    ]):
-        command = option(command)
-    return command
-
-
-@cli.command("parse")
-@click.argument("word_text")
-@_rank_option
-@_config_option
-def cmd_parse(word_text, rank, config_path):
+def cmd_parse(args, settings):
     """Parse a word and print its canonical form."""
-    rank = Settings(config_path).get("rank", rank, 2)
-    w = parse_text(word_text, rank)
+    rank = settings.get("rank", 2)
+    w = parse_text(args.word_text, rank)
     core, conj = w.cyclic_reduce()
     _emit(
         {
@@ -243,22 +187,13 @@ def cmd_parse(word_text, rank, config_path):
     )
 
 
-@cli.command("invariants")
-@click.argument("word_text")
-@_rank_option
-@_analysis_cap_options
-@click.option("--cache-dir", type=click.Path(), default=None)
-@click.option("--no-cache", is_flag=True)
-@_config_option
-def cmd_invariants(word_text, rank, fringe_cap, orbit_cap, genus_cap,
-                   cache_dir, no_cache, config_path):
+def cmd_invariants(args, settings):
     """Primitivity rank, commutator length, and critical-subgroup data."""
-    settings = Settings(config_path)
-    rank = settings.get("rank", rank, 2)
-    caps = settings.analysis_caps(fringe_cap, orbit_cap, genus_cap)
-    w = parse_text(word_text, rank)
+    rank = settings.get("rank", 2)
+    caps = settings.analysis_caps()
+    w = parse_text(args.word_text, rank)
 
-    directory = None if no_cache else _cache_dir(cache_dir, settings)
+    directory = None if args.no_cache else _cache_dir(args.cache_dir, settings)
     # the key reads the whole word, so it is computed only for a cache
     key = _cache_key("invariants", w, caps) if directory else None
     cached = _cache_lookup(directory, key)
@@ -275,34 +210,18 @@ def cmd_invariants(word_text, rank, fringe_cap, orbit_cap, genus_cap,
         sys.exit(EXIT_UNDECIDED)
 
 
-@cli.command("moment")
-@click.argument("word_text")
-@click.option("-T", "--exponents", "exponents_text", default="1",
-              help="comma-separated trace exponents, e.g. 1,-1")
-@_rank_option
-@click.option("--symbolic", "mode", flag_value="symbolic", default=True)
-@click.option("--numeric", "numeric_n", type=int, default=None,
-              help="evaluate the exact value at this matrix size")
-@click.option("--mc", "mode", flag_value="mc")
-@click.option("--n", "mc_n", type=int, default=None)
-@click.option("--samples", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--term-cap", type=int, default=None)
-@_config_option
-def cmd_moment(word_text, exponents_text, rank, mode, numeric_n, mc_n,
-               samples, seed, term_cap, config_path):
+def cmd_moment(args, settings):
     """Exact or Monte Carlo moment of a word measure."""
-    settings = Settings(config_path)
-    rank = settings.get("rank", rank, 2)
-    term_cap = settings.get("term_cap", term_cap, DEFAULT_TERM_CAP)
-    exponents = _parse_exponents(exponents_text)
-    w = parse_text(word_text, rank)
+    rank = settings.get("rank", 2)
+    term_cap = settings.get("term_cap", DEFAULT_TERM_CAP)
+    exponents = _parse_exponents(args.exponents)
+    w = parse_text(args.word_text, rank)
 
-    if mode == "mc":
+    if args.mode == "mc":
         est = estimate_moment(w, exponents,
-                              n=settings.get("n", mc_n, 8),
-                              samples=settings.get("samples", samples, 100_000),
-                              seed=settings.get("seed", seed, 1))
+                              n=settings.get("n", 8),
+                              samples=settings.get("samples", 100_000),
+                              seed=settings.get("seed", 1))
         _emit({"word": str(w), "exponents": list(exponents),
                "estimate": est.to_json()})
         return
@@ -314,58 +233,36 @@ def cmd_moment(word_text, exponents_text, rank, mode, numeric_n, mc_n,
         "rational": f.serialize(),
         "display": str(f),
     }
-    if numeric_n is not None:
-        value = f.evaluate(numeric_n)
+    if args.numeric is not None:
+        value = f.evaluate(args.numeric)
         data["value_at_n"] = {
-            "n": numeric_n,
+            "n": args.numeric,
             "value": [value.numerator, value.denominator],
         }
     _emit(data)
 
 
-@cli.command("surfaces")
-@click.argument("word_texts", nargs=-1, required=True)
-@_rank_option
-@click.option("--max-subdivision", "-K", type=int, default=1)
-@click.option("--spec-cap", type=int, default=None)
-@click.option("--images/--no-images", default=False,
-              help="include image subgroup data per component")
-@_config_option
-def cmd_surfaces(word_texts, rank, max_subdivision, spec_cap, images,
-                 config_path):
+def cmd_surfaces(args, settings):
     """Enumerate matching-built surfaces for a balanced word collection."""
-    settings = Settings(config_path)
-    rank = settings.get("rank", rank, 2)
-    spec_cap = settings.get("spec_cap", spec_cap, DEFAULT_SPEC_CAP)
-    words = [parse_text(t, rank) for t in word_texts]
+    rank = settings.get("rank", 2)
+    spec_cap = settings.get("spec_cap", DEFAULT_SPEC_CAP)
+    words = [parse_text(t, rank) for t in args.word_texts]
     records = [
-        build_surface(spec).to_json(images=images)
-        for spec in enumerate_matchings(words, max_subdivision, spec_cap)
+        build_surface(spec).to_json(images=args.images)
+        for spec in enumerate_matchings(words, args.max_subdivision, spec_cap)
     ]
     _emit({"words": [str(w) for w in words], "count": len(records),
            "surfaces": records})
 
 
-@cli.command("verify")
-@click.argument("word_text")
-@click.option("-T", "--exponents", "exponent_texts", multiple=True,
-              default=("1", "-1", "1,-1", "2,-2"),
-              help="repeatable comma-separated exponent lists")
-@_rank_option
-@click.option("--depth", type=int, default=None)
-@click.option("--csv", "as_csv", is_flag=True)
-@_analysis_cap_options
-@click.option("--term-cap", type=int, default=None)
-@_config_option
-def cmd_verify(word_text, exponent_texts, rank, depth, as_csv, fringe_cap,
-               orbit_cap, genus_cap, term_cap, config_path):
+def cmd_verify(args, settings):
     """Check the expansion statements instance-by-instance for one word."""
-    settings = Settings(config_path)
-    rank = settings.get("rank", rank, 2)
-    caps = settings.analysis_caps(fringe_cap, orbit_cap, genus_cap)
-    term_cap = settings.get("term_cap", term_cap, DEFAULT_TERM_CAP)
-    w = parse_text(word_text, rank)
-    exponent_sets = [_parse_exponents(t) for t in exponent_texts]
+    rank = settings.get("rank", 2)
+    caps = settings.analysis_caps()
+    term_cap = settings.get("term_cap", DEFAULT_TERM_CAP)
+    w = parse_text(args.word_text, rank)
+    exponent_sets = [_parse_exponents(t) for t in
+                     args.exponents or ("1", "-1", "1,-1", "2,-2")]
 
     started = time.perf_counter()
     report = analyze(w, rank, **caps)
@@ -374,10 +271,10 @@ def cmd_verify(word_text, exponent_texts, rank, depth, as_csv, fringe_cap,
             "; ".join(f"{k}: {v}" for k, v in report.undecided.items())
         )
     rows = verify_word(w, exponent_sets, report.pi, report.comm_crit_count,
-                       depth=depth, term_cap=term_cap)
+                       depth=args.depth, term_cap=term_cap)
     elapsed = time.perf_counter() - started
 
-    if as_csv:
+    if args.csv:
         header = ["word", "exponents", "exact", "first_order_bound",
                   "two_term_expansion", "trace_pair_bound"]
         lines = [",".join(header)]
@@ -396,6 +293,108 @@ def cmd_verify(word_text, exponent_texts, rank, depth, as_csv, fringe_cap,
         _echo("\n".join(lines))
         return
     _emit({"rows": rows, "timings": {"total_seconds": elapsed}})
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises usage errors for ``main`` to report,
+    spells help ``--help`` only and takes no abbreviated long options."""
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        self.add_argument("--help", action="help",
+                          help="show this message and exit")
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
+_CAP_OPTIONS = (
+    ("--fringe-cap", "largest core-graph vertex count enumerated"),
+    ("--orbit-cap", "most minimal-level states explored by the orbit search"),
+    ("--genus-cap", "largest commutator length reported exactly"),
+)
+
+
+def _parser():
+    parser = _Parser(prog="wml", description="Free-group word invariants "
+                     "and exact unitary word-measure moments.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name, run, caps=False, nargs=None):
+        sub = commands.add_parser(name, help=run.__doc__,
+                                  description=run.__doc__)
+        sub.set_defaults(run=run)
+        sub.add_argument("word_texts" if nargs else "word_text", nargs=nargs)
+        sub.add_argument("--rank", type=int, help="ambient rank")
+        sub.add_argument("--config", help="key = value config file")
+        for flag, text in _CAP_OPTIONS if caps else ():
+            sub.add_argument(flag, type=int, help=text)
+        return sub
+
+    command("parse", cmd_parse)
+
+    sub = command("invariants", cmd_invariants, caps=True)
+    sub.add_argument("--cache-dir")
+    sub.add_argument("--no-cache", action="store_true")
+
+    sub = command("moment", cmd_moment)
+    sub.add_argument("-T", "--exponents", default="1",
+                     help="comma-separated trace exponents, e.g. 1,-1")
+    sub.add_argument("--symbolic", dest="mode", action="store_const",
+                     const="symbolic", default="symbolic")
+    sub.add_argument("--mc", dest="mode", action="store_const", const="mc")
+    sub.add_argument("--numeric", type=int,
+                     help="evaluate the exact value at this matrix size")
+    for flag in ("--n", "--samples", "--seed", "--term-cap"):
+        sub.add_argument(flag, type=int)
+
+    sub = command("surfaces", cmd_surfaces, nargs="+")
+    sub.add_argument("-K", "--max-subdivision", type=int, default=1)
+    sub.add_argument("--spec-cap", type=int)
+    sub.add_argument("--images", action=argparse.BooleanOptionalAction,
+                     default=False,
+                     help="include image subgroup data per component")
+
+    sub = command("verify", cmd_verify, caps=True)
+    # "append" adds to a default list, so cmd_verify fills in the default
+    sub.add_argument("-T", "--exponents", action="append",
+                     help="repeatable comma-separated exponent lists "
+                          "(default: 1, -1, 1,-1 and 2,-2)")
+    sub.add_argument("--depth", type=int)
+    sub.add_argument("--csv", action="store_true")
+    sub.add_argument("--term-cap", type=int)
+    return parser
+
+
+def _attach_exponents(argv):
+    """``-T VALUE`` as ``-T=VALUE``: argparse takes a value such as ``-1,1``
+    for an unknown option, so it is attached to its flag."""
+    rest = iter(argv)
+    return [f"{arg}={next(rest, '')}" if arg in ("-T", "--exponents")
+            else arg for arg in rest]
+
+
+def main(argv=None):
+    """Console entry point: run the command line ``argv`` (by default
+    ``sys.argv[1:]``).  Library errors, usage errors and anything else
+    become one line on stderr and the documented exit code."""
+    try:
+        args = _parser().parse_args(_attach_exponents(
+            sys.argv[1:] if argv is None else argv))
+        args.run(args, Settings(args))
+        return
+    except ParseError as exc:  # a ValueError, so it is matched first
+        message, code = f"parse error: {exc}", EXIT_INPUT
+    except ValueError as exc:
+        message, code = f"invalid input: {exc}", EXIT_INPUT
+    except UndecidedError as exc:
+        message, code = f"undecided: {exc}", EXIT_UNDECIDED
+    except _UsageError as exc:
+        message, code = f"error: {exc}", EXIT_INPUT
+    except (Exception, KeyboardInterrupt) as exc:  # noqa: BLE001 - the CLI boundary
+        message, code = f"internal error: {exc}", EXIT_INTERNAL
+    print(message, file=sys.stderr)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -88,6 +88,18 @@ def test_criterion_04_cross_oracle_coefficient():
     assert elapsed < 600
 
 
+def test_cross_oracle_coefficient_needs_pi_equal_to_twice_cl():
+    # criterion 4 holds where pi(w) = 2 cl(w); here pi = 2 < 4 = 2 cl, no
+    # subgroup is commutator-critical, yet the n^(1-2cl) coefficient is -2
+    w = parse("x^3 y x^-1 y^-1 x^-1 y x^-1 y^-1", 2)
+    assert primitivity_rank(w, 2)[0] == 2
+    assert commutator_length(w) == 2
+    assert comm_crit(w, 2)[1] == 0
+    f = moment(w, (1,))
+    assert f == RationalFunction(-2) / (N * N * N - N)
+    assert _coefficient(f, 1 - 2 * 2) == -2
+
+
 CORPUS = ["[x,y]", "[x,y^2]"]
 MONOMIALS = [(1,), (-1,), (1, -1), (2, -2)]
 

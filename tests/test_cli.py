@@ -1,51 +1,82 @@
+import contextlib
 import io
 import json
 import os
 import sys
 import time
+from typing import NamedTuple
 
 import pytest
-from click.testing import CliRunner
 
-from wml.cli import cli
+import wml.cli
+from wml.cli import main
 from wml.surfaces import build_surface, enumerate_matchings
 from wml.words import parse
 
 
+class Result(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
 @pytest.fixture
-def runner():
-    return CliRunner()
+def run():
+    """``run(argv)``: ``main(argv)`` with stdout and stderr captured."""
+    def invoke(argv):
+        out, err = io.StringIO(), io.StringIO()
+        code = 0
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return Result(code, out.getvalue(), err.getvalue())
+    return invoke
 
 
 def payload(result):
-    assert result.exit_code == 0, result.output
-    return json.loads(result.output)
+    assert result.exit_code == 0, result.stderr
+    return json.loads(result.stdout)
 
 
 class TestParse:
-    def test_commutator(self, runner):
-        data = payload(runner.invoke(cli, ["parse", "[x,y]", "--rank", "2"]))
+    def test_commutator(self, run):
+        data = payload(run(["parse", "[x,y]", "--rank", "2"]))
         assert data["letters"] == [1, 2, -1, -2]
         assert data["cyclic_core"] == data["word"]
 
-    def test_parse_error_exit_code(self, runner):
-        result = runner.invoke(cli, ["parse", "[x,y", "--rank", "2"])
+    def test_parse_error_exit_code(self, run):
+        result = run(["parse", "[x,y", "--rank", "2"])
         assert result.exit_code == 2
         assert result.stderr.startswith("parse error: ")
 
-    def test_long_digit_run_exit_code(self, runner):
-        result = runner.invoke(cli, ["parse", "x^" + "9" * 5000])
+    def test_long_digit_run_exit_code(self, run):
+        result = run(["parse", "x^" + "9" * 5000])
         assert result.exit_code == 2
         assert result.stderr == \
             "parse error: number longer than 640 digits (at position 2)\n"
 
-    def test_rank_violation_exit_code(self, runner):
-        result = runner.invoke(cli, ["parse", "y", "--rank", "1"])
+    def test_rank_violation_exit_code(self, run):
+        result = run(["parse", "y", "--rank", "1"])
         assert result.exit_code == 2
 
 
+class TestInternalError:
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, RuntimeError("bug")])
+    def test_unmapped_exception_exits_4(self, run, monkeypatch, exc):
+        def fail(*args):
+            raise exc
+
+        monkeypatch.setattr(wml.cli, "parse_text", fail)
+        result = run(["parse", "x"])
+        assert result.exit_code == 4
+        assert result.stdout == ""
+        assert result.stderr.startswith("internal error: ")
+
+
 class TestUnbufferedStdout:
-    def test_short_writes_are_resumed(self, runner, tmp_path, monkeypatch):
+    def test_short_writes_are_resumed(self, run, tmp_path, monkeypatch):
         # under python -u, stdout writes straight to the file descriptor,
         # and a write to a pipe returns short when the process is stopped
         # and continued; the whole payload must still arrive
@@ -58,58 +89,58 @@ class TestUnbufferedStdout:
         with ShortWrites(path, "w") as raw:
             monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(
                 raw, encoding="utf-8", write_through=True))
-            cli(args, standalone_mode=False)
+            main(args)
             sys.stdout.flush()
-        assert path.read_text() == runner.invoke(cli, args).output
+        assert path.read_text() == run(args).stdout
 
 
 class TestInvariants:
-    def test_commutator(self, runner):
+    def test_commutator(self, run):
         data = payload(
-            runner.invoke(cli, ["invariants", "[x,y]", "--rank", "2",
-                                 "--no-cache"])
+            run(["invariants", "[x,y]", "--rank", "2",
+                  "--no-cache"])
         )
         assert data["pi"] == 2 and data["cl"] == 1
         assert data["comm_crit_count"] == 1
 
-    def test_power(self, runner):
+    def test_power(self, run):
         data = payload(
-            runner.invoke(cli, ["invariants", "x^3", "--rank", "1",
-                                 "--no-cache"])
+            run(["invariants", "x^3", "--rank", "1",
+                  "--no-cache"])
         )
         assert data["pi"] == 1
         assert data["proper_power"]["is_power"]
         assert data["proper_power"]["exponent"] == 3
 
-    def test_primitive(self, runner):
+    def test_primitive(self, run):
         data = payload(
-            runner.invoke(cli, ["invariants", "x", "--rank", "2",
-                                 "--no-cache"])
+            run(["invariants", "x", "--rank", "2",
+                  "--no-cache"])
         )
         assert data["pi"] == "inf" and data["cl"] == "inf"
 
-    def test_undecided_exit_code(self, runner):
-        result = runner.invoke(
-            cli, ["invariants", "[x,y]", "--rank", "2", "--no-cache",
-                   "--fringe-cap", "3"]
+    def test_undecided_exit_code(self, run):
+        result = run(
+            ["invariants", "[x,y]", "--rank", "2", "--no-cache",
+             "--fringe-cap", "3"]
         )
         assert result.exit_code == 3
 
-    def test_cache_replays_byte_identical(self, runner, tmp_path):
+    def test_cache_replays_byte_identical(self, run, tmp_path):
         cache = str(tmp_path / "cache")
         args = ["invariants", "[x,y]", "--rank", "2", "--cache-dir", cache]
-        first = runner.invoke(cli, args)
+        first = run(args)
         assert first.exit_code == 0
         assert len(os.listdir(cache)) == 1
-        second = runner.invoke(cli, args)
-        assert second.output == first.output
+        second = run(args)
+        assert second.stdout == first.stdout
 
-    def test_no_cache_computes_no_key(self, runner, monkeypatch):
+    def test_no_cache_computes_no_key(self, run, monkeypatch):
         # the key reads the whole word; with no cache it is never needed
         import wml.cli
 
         args = ["invariants", "[x,y]", "--rank", "2", "--no-cache"]
-        expected = runner.invoke(cli, args)
+        expected = run(args)
         monkeypatch.delenv("WML_CACHE", raising=False)
 
         def no_key(*args):
@@ -117,28 +148,28 @@ class TestInvariants:
 
         monkeypatch.setattr(wml.cli, "_cache_key", no_key)
         for extra in ([], ["--cache-dir", "unused"]):
-            result = runner.invoke(cli, args + extra)
-            assert (result.exit_code, result.output) == \
-                (0, expected.output)
-        result = runner.invoke(cli, ["invariants", "[x,y]", "--rank", "2"])
-        assert (result.exit_code, result.output) == (0, expected.output)
+            result = run(args + extra)
+            assert (result.exit_code, result.stdout) == \
+                (0, expected.stdout)
+        result = run(["invariants", "[x,y]", "--rank", "2"])
+        assert (result.exit_code, result.stdout) == (0, expected.stdout)
 
-    def test_cache_key_depends_on_caps(self, runner, tmp_path):
+    def test_cache_key_depends_on_caps(self, run, tmp_path):
         cache = str(tmp_path / "cache")
-        runner.invoke(cli, ["invariants", "[x,y]", "--rank", "2",
-                             "--cache-dir", cache])
-        runner.invoke(cli, ["invariants", "[x,y]", "--rank", "2",
-                             "--cache-dir", cache, "--genus-cap", "4"])
+        run(["invariants", "[x,y]", "--rank", "2",
+              "--cache-dir", cache])
+        run(["invariants", "[x,y]", "--rank", "2",
+              "--cache-dir", cache, "--genus-cap", "4"])
         assert len(os.listdir(cache)) == 2
 
     @pytest.mark.parametrize("cap_args", [
         [], ["--fringe-cap", "12", "--orbit-cap", "1000000", "--genus-cap", "3"],
     ])
-    def test_cache_key_pinned(self, runner, tmp_path, cap_args):
+    def test_cache_key_pinned(self, run, tmp_path, cap_args):
         # the default caps are part of the key, whether spelled out or not
         cache = tmp_path / "cache"
-        payload(runner.invoke(cli, ["invariants", "[x,y]", "--rank", "2",
-                                     "--cache-dir", str(cache), *cap_args]))
+        payload(run(["invariants", "[x,y]", "--rank", "2",
+                      "--cache-dir", str(cache), *cap_args]))
         assert os.listdir(cache) == [
             "98b7c6131dcfce6b7aeb467e293a8f2e31b795d89f40893bfab174dbddfe594b"
             ".json"
@@ -146,54 +177,54 @@ class TestInvariants:
 
 
 class TestMoment:
-    def test_symbolic(self, runner):
+    def test_symbolic(self, run):
         data = payload(
-            runner.invoke(cli, ["moment", "[x,y]", "-T", "1", "--rank", "2"])
+            run(["moment", "[x,y]", "-T", "1", "--rank", "2"])
         )
         assert data["display"] == "1 / n"
         assert data["rational"]["num_coeffs"] == [1]
         assert data["rational"]["den_coeffs"] == [0, 1]
 
-    def test_ds_constant(self, runner):
+    def test_ds_constant(self, run):
         data = payload(
-            runner.invoke(cli, ["moment", "x", "-T", "1,-1", "--rank", "1"])
+            run(["moment", "x", "-T", "1,-1", "--rank", "1"])
         )
         assert data["display"] == "1"
 
-    def test_numeric(self, runner):
+    def test_numeric(self, run):
         data = payload(
-            runner.invoke(cli, ["moment", "[x,y]", "-T", "1", "--rank", "2",
-                                 "--numeric", "10"])
+            run(["moment", "[x,y]", "-T", "1", "--rank", "2",
+                  "--numeric", "10"])
         )
         assert data["value_at_n"]["value"] == [1, 10]
 
-    def test_mc(self, runner):
+    def test_mc(self, run):
         data = payload(
-            runner.invoke(cli, ["moment", "[x,y]", "-T", "1", "--rank", "2",
-                                 "--mc", "--n", "10", "--samples", "2000",
-                                 "--seed", "7"])
+            run(["moment", "[x,y]", "-T", "1", "--rank", "2",
+                  "--mc", "--n", "10", "--samples", "2000",
+                  "--seed", "7"])
         )
         est = data["estimate"]
         assert est["samples"] == 2000 and est["seed"] == 7
         assert abs(est["mean"][0] - 0.1) < 4 * est["stderr"] + 1e-9
 
-    def test_zero_exponent_rejected(self, runner):
-        result = runner.invoke(cli, ["moment", "x", "-T", "0", "--rank", "1"])
+    def test_zero_exponent_rejected(self, run):
+        result = run(["moment", "x", "-T", "0", "--rank", "1"])
         assert result.exit_code != 0
 
 
 class TestSurfaces:
-    def test_commutator_surface(self, runner):
+    def test_commutator_surface(self, run):
         data = payload(
-            runner.invoke(cli, ["surfaces", "[x,y]", "--rank", "2"])
+            run(["surfaces", "[x,y]", "--rank", "2"])
         )
         assert data["count"] == 1
         comp = data["surfaces"][0]["components"][0]
         assert comp["chi"] == -1 and comp["genus"] == 1
 
-    def test_images(self, runner):
+    def test_images(self, run):
         data = payload(
-            runner.invoke(cli, ["surfaces", "[x,y]", "--rank", "2", "--images"])
+            run(["surfaces", "[x,y]", "--rank", "2", "--images"])
         )
         comp = data["surfaces"][0]["components"][0]
         assert comp["image_rank"] == 2
@@ -201,16 +232,16 @@ class TestSurfaces:
         assert comp["image_graph"] == \
             build_surface(spec).image_subgroup(0).serialize()
 
-    def test_unbalanced_rejected(self, runner):
-        result = runner.invoke(cli, ["surfaces", "x", "--rank", "1"])
+    def test_unbalanced_rejected(self, run):
+        result = run(["surfaces", "x", "--rank", "1"])
         assert result.exit_code == 2
 
     @pytest.mark.parametrize("texts", [
         ["x X"], ["1"], ["[y,x][x,y]"], ["[x,y]", "1"],
     ])
-    def test_trivial_boundary_word_rejected(self, runner, texts):
+    def test_trivial_boundary_word_rejected(self, run, texts):
         # an empty annulus has no corners to glue
-        result = runner.invoke(cli, ["surfaces", *texts])
+        result = run(["surfaces", *texts])
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr == \
@@ -218,10 +249,10 @@ class TestSurfaces:
 
 
 class TestVerify:
-    def test_commutator_json(self, runner):
+    def test_commutator_json(self, run):
         data = payload(
-            runner.invoke(cli, ["verify", "[x,y]", "--rank", "2",
-                                 "-T", "1", "-T", "1,-1"])
+            run(["verify", "[x,y]", "--rank", "2",
+                  "-T", "1", "-T", "1,-1"])
         )
         rows = data["rows"]
         assert len(rows) == 2
@@ -231,31 +262,31 @@ class TestVerify:
         assert rows[1]["trace_pair_bound"]["passed"]
         assert "timings" in data
 
-    def test_csv(self, runner):
-        result = runner.invoke(cli, ["verify", "[x,y]", "--rank", "2",
-                                      "-T", "1", "--csv"])
+    def test_csv(self, run):
+        result = run(["verify", "[x,y]", "--rank", "2",
+                       "-T", "1", "--csv"])
         assert result.exit_code == 0
-        lines = result.output.strip().splitlines()
+        lines = result.stdout.strip().splitlines()
         assert lines[0].startswith("word,")
         assert "pass" in lines[1]
 
-    def test_primitive_word(self, runner):
+    def test_primitive_word(self, run):
         data = payload(
-            runner.invoke(cli, ["verify", "x", "--rank", "2", "-T", "1,-1"])
+            run(["verify", "x", "--rank", "2", "-T", "1,-1"])
         )
         row = data["rows"][0]
         assert row["pi"] == "inf"
         assert row["first_order_bound_passed"]
 
-    def test_rows_deterministic(self, runner):
+    def test_rows_deterministic(self, run):
         args = ["verify", "[x,y^2]", "--rank", "2", "-T", "1"]
-        a = payload(runner.invoke(cli, args))
-        b = payload(runner.invoke(cli, args))
+        a = payload(run(args))
+        b = payload(run(args))
         assert a["rows"] == b["rows"]
 
-    def test_proper_power_skips_expansion_row(self, runner):
+    def test_proper_power_skips_expansion_row(self, run):
         data = payload(
-            runner.invoke(cli, ["verify", "x^2", "--rank", "1", "-T", "1,-1"])
+            run(["verify", "x^2", "--rank", "1", "-T", "1,-1"])
         )
         row = data["rows"][0]
         assert row["pi"] == 1
@@ -263,8 +294,8 @@ class TestVerify:
         assert row["first_order_bound_passed"]
         assert row["trace_pair_bound"]["passed"]
 
-    def test_undecided_verify(self, runner):
-        result = runner.invoke(cli, ["verify", "[x,y]", "--fringe-cap", "3"])
+    def test_undecided_verify(self, run):
+        result = run(["verify", "[x,y]", "--fringe-cap", "3"])
         assert result.exit_code == 3
         assert result.stdout == ""
         assert result.stderr.startswith("undecided: pi: ")
@@ -276,32 +307,32 @@ class TestHugeCounts:
         ["surfaces", "[x^2000,y]"],
         ["verify", "[x^2000,y]"],
     ])
-    def test_cap_exits_3(self, runner, args):
-        result = runner.invoke(cli, args)
+    def test_cap_exits_3(self, run, args):
+        result = run(args)
         assert result.exit_code == 3
         assert result.stdout == ""
         assert result.stderr.startswith("undecided: ")
 
     @pytest.mark.parametrize("k", ["200000", "1000000"])
-    def test_large_subdivision_exits_3_promptly(self, runner, k):
+    def test_large_subdivision_exits_3_promptly(self, run, k):
         start = time.perf_counter()
-        result = runner.invoke(cli, ["surfaces", "[x^10,y]", "-K", k])
+        result = run(["surfaces", "[x^10,y]", "-K", k])
         assert time.perf_counter() - start < 5
         assert result.exit_code == 3
         assert result.stdout == ""
         assert result.stderr == "undecided: matching enumeration needs at " \
             "least 10^4300 collections, over the cap\n"
 
-    def test_invariants_report_survives(self, runner):
+    def test_invariants_report_survives(self, run):
         # the undecided invariant is reported in the JSON, as for any cap
-        result = runner.invoke(cli, ["invariants", "[x^2000,y]", "--no-cache"])
+        result = run(["invariants", "[x^2000,y]", "--no-cache"])
         assert result.exit_code == 3
         data = json.loads(result.stdout)
         assert data["cl"] == "undecided"
         assert data["undecided"]["cl"].startswith("matching enumeration needs")
 
-    def test_long_trace_power_exits_2(self, runner):
-        result = runner.invoke(cli, ["moment", "[x,y]", "-T", "300000"])
+    def test_long_trace_power_exits_2(self, run):
+        result = run(["moment", "[x,y]", "-T", "300000"])
         assert result.exit_code == 2
         assert result.stderr == \
             "invalid input: word power longer than 1000000 letters\n"
@@ -315,27 +346,149 @@ class TestInvalidInput:
         ["verify", "[x,y]", "-T", "1", "--depth", "-3"],
         ["surfaces", "[x,y]", "-K", "0"],
     ])
-    def test_out_of_range_exits_2(self, runner, args):
-        result = runner.invoke(cli, args)
+    def test_out_of_range_exits_2(self, run, args):
+        result = run(args)
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr.startswith("invalid input: ")
 
 
 class TestConfig:
-    def test_config_sets_rank(self, runner, tmp_path):
+    def test_config_sets_rank(self, run, tmp_path):
         cfg = tmp_path / "wml.cfg"
         cfg.write_text("rank = 3\n# comment\n")
         data = payload(
-            runner.invoke(cli, ["parse", "z", "--config", str(cfg)])
+            run(["parse", "z", "--config", str(cfg)])
         )
         assert data["rank"] == 3
 
-    def test_flag_overrides_config(self, runner, tmp_path):
+    def test_flag_overrides_config(self, run, tmp_path):
         cfg = tmp_path / "wml.cfg"
         cfg.write_text("rank = 1\n")
         data = payload(
-            runner.invoke(cli, ["parse", "y", "--rank", "2",
-                                 "--config", str(cfg)])
+            run(["parse", "y", "--rank", "2",
+                  "--config", str(cfg)])
         )
         assert data["rank"] == 2
+
+
+def _in_process(argv):
+    """Run one command line the way the traced benchmark does: through
+    ``main()`` with ``sys.argv`` set and stdout redirected to a string.
+    Returns ``(exit code, stdout, stderr)``."""
+    out, err = io.StringIO(), io.StringIO()
+    saved_argv = sys.argv
+    sys.argv = ["wml", *argv]
+    code = 0
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            wml.cli.main()
+    except SystemExit as exc:
+        code = exc.code if isinstance(exc.code, int) \
+            else (0 if exc.code is None else 1)
+    finally:
+        sys.argv = saved_argv
+    return code, out.getvalue(), err.getvalue()
+
+
+XY = "x1 x2 x1^-1 x2^-1"
+
+
+def _pinned(data):
+    return lambda out: out == json.dumps(data, indent=2) + "\n"
+
+
+def _payload(check):
+    return lambda out: check(json.loads(out))
+
+
+def _moment_of_xy(exponents, num, den, n_min, display, **extra):
+    return _pinned({
+        "word": XY, "exponents": exponents,
+        "rational": {"num_coeffs": num, "den_coeffs": den, "n_min": n_min},
+        "display": display, **extra,
+    })
+
+
+def _verify_rows(*exponent_lists):
+    return _payload(lambda data: [row["exponents"] for row in data["rows"]]
+                    == list(exponent_lists))
+
+
+def _surface_images(present):
+    return _payload(lambda data: ("image_rank" in
+                                  data["surfaces"][0]["components"][0])
+                    == present)
+
+
+_MINUS_ONE_ONE = _moment_of_xy([-1, 1], [0, 0, 1], [-1, 0, 1], 2,
+                               "n^2 / (n^2 - 1)")
+_TR_OVER_N = dict(exponents=[1], num=[1], den=[0, 1], n_min=1,
+                  display="1 / n")
+
+
+# (argv, exit code, check of stdout); "{cfg}" stands for a config file
+# that sets ``rank = 3``
+OPTION_SURFACE = [
+    (["moment", "[x,y]", "-T", "-1,1"], 0, _MINUS_ONE_ONE),
+    (["moment", "[x,y]", "-T", "-2"], 0,
+     _moment_of_xy([-2], [-4], [0, -1, 0, 1], 2, "-4 / (n^3 - n)")),
+    (["moment", "[x,y]", "--exponents", "-1,1"], 0, _MINUS_ONE_ONE),
+    (["verify", "[x,y]", "-T", "1", "--depth", "-3"], 2,
+     lambda out: out == ""),
+    (["verify", "[x,y]", "-T", "1", "-T", "1,-1"], 0,
+     _verify_rows([1], [1, -1])),
+    (["verify", "[x,y]"], 0, _verify_rows([1], [-1], [1, -1], [2, -2])),
+    (["surfaces", "[x,y]", "--images"], 0, _surface_images(True)),
+    (["surfaces", "[x,y]", "--no-images"], 0, _surface_images(False)),
+    (["moment", "[x,y]", "--mc", "--n", "4", "--samples", "10",
+      "--symbolic"], 0, _moment_of_xy(**_TR_OVER_N)),
+    (["moment", "[x,y]", "--numeric", "10"], 0,
+     _moment_of_xy(**_TR_OVER_N, value_at_n={"n": 10, "value": [1, 10]})),
+    (["parse", "z", "--config", "{cfg}"], 0,
+     _payload(lambda data: data["rank"] == 3)),
+    (["moment", "[x,y]", "--bogus"], 2, lambda out: out == ""),
+    (["moment", "[x,y]", "--num", "10"], 2, lambda out: out == ""),
+    ([], 2, lambda out: out == ""),
+    (["--help"], 0, lambda out: "moment" in out),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout_ok", OPTION_SURFACE,
+                         ids=[" ".join(case[0]) or "no command"
+                              for case in OPTION_SURFACE])
+def test_option_surface(tmp_path, argv, code, stdout_ok):
+    # every option spelling keeps its exit code and stdout
+    cfg = tmp_path / "wml.cfg"
+    cfg.write_text("rank = 3\n")
+    argv = [str(cfg) if arg == "{cfg}" else arg for arg in argv]
+    got_code, out, err = _in_process(argv)
+    assert got_code == code, err
+    assert stdout_ok(out), out
+    if argv[:1] == ["verify"] and code == 2:
+        assert err.startswith("invalid input: ")
+
+
+class TestInProcessCall:
+    """The traced benchmark calls ``main()`` with no arguments inside
+    ``redirect_stdout``; a break here would only crash the traced run."""
+
+    def test_parse_payload_bytes(self):
+        code, out, _ = _in_process(["parse", "[x,y]", "--rank", "2"])
+        assert code == 0
+        assert out.encode() == (json.dumps({
+            "word": XY, "rank": 2, "length": 4, "letters": [1, 2, -1, -2],
+            "cyclic_core": XY, "conjugator": "1",
+            "abelianization": [0, 0],
+        }, indent=2) + "\n").encode()
+
+    def test_parse_error_exits_2(self):
+        code, out, err = _in_process(["parse", "[x,y", "--rank", "2"])
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: ")
+
+    def test_undecided_exits_3(self):
+        code, out, err = _in_process(["invariants", "[x,y]", "--fringe-cap",
+                                      "3", "--no-cache"])
+        assert code == 3
+        assert json.loads(out)["pi"] == "undecided"

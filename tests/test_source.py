@@ -53,12 +53,12 @@ def _imported_modules(node):
     return [name.split(".")[0] for name in names]
 
 
-def test_only_the_cli_imports_click():
-    # the library, verify_word included, runs without the command line
+def test_nothing_imports_click():
+    # the command line is built on argparse; click costs every call start-up
     found = [
         f"{path.name}:{node.lineno}"
         for path, node in _nodes()
-        if path.name != "cli.py" and "click" in _imported_modules(node)
+        if "click" in _imported_modules(node)
     ]
     assert found == []
 
@@ -86,6 +86,16 @@ def test_importing_the_cli_does_not_load_numpy():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_importing_the_cli_loads_neither_click_nor_hashlib():
+    # every call pays its start-up; hashlib is loaded only to key a cache
+    env = {**os.environ, "PYTHONPATH": str(Path(wml.__file__).parent.parent)}
+    code = ("import sys, wml.cli; "
+            "print(sorted({'click', 'hashlib'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_benchmark_bindings_resolve():
