@@ -39,9 +39,14 @@ EXIT_INTERNAL = 4
 
 def _load_config(path):
     values = {}
-    if not path or not os.path.exists(path):
+    if not path:
         return values
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path!r}: "
+                         f"{exc.strerror}") from None
+    with fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -80,8 +85,16 @@ class Settings:
 
 
 def _cache_dir(flag_value, settings):
-    return flag_value or settings.config.get("cache_dir") \
+    """The cache directory in use, created if missing, or None."""
+    directory = flag_value or settings.config.get("cache_dir") \
         or os.environ.get("WML_CACHE")
+    if directory:
+        try:
+            os.makedirs(directory, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"cannot use cache directory {directory!r}: "
+                             f"{exc.strerror}") from None
+    return directory
 
 
 def _cache_lookup(directory, key):
@@ -99,7 +112,6 @@ def _cache_store(directory, key, payload_text):
         return
     import tempfile
 
-    os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, key + ".json")
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:

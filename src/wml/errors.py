@@ -1,9 +1,23 @@
-"""Shared exception types, and the counts that cap messages quote."""
+"""Shared exception types, the base of the immutable value classes, and the
+counts that cap messages quote."""
 
 # The most digits a cap message writes for a count: Python's default limit
 # on the digits ``str`` writes for an int.
 _PRINTED_DIGITS = 4300
 _MAX_PRINTED_COUNT = 10 ** _PRINTED_DIGITS - 1
+
+
+class Immutable:
+    """Base of the value classes, which serve as hash, cache and memo keys:
+    only a constructor sets a field, through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class ParseError(ValueError):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import UndecidedError
+from .errors import Immutable, UndecidedError
 from .stallings import DEFAULT_FRINGE_VERTEX_CAP, core_graph, fringe
 from .surfaces import minimal_single_boundary_genus
 from .whitehead import DEFAULT_ORBIT_CAP, in_proper_free_factor, is_primitive, \
@@ -171,7 +171,7 @@ def critical_subgroups(w, rank, fringe_cap=DEFAULT_FRINGE_VERTEX_CAP):
     return [graph for graph, _ in witnesses]
 
 
-class InvariantReport:
+class InvariantReport(Immutable):
     """All invariants of a word in one record, JSON-serializable.
 
     Resource caps leave the affected fields as the string "undecided"
@@ -191,9 +191,6 @@ class InvariantReport:
             ("proper_power", proper_power), ("undecided", undecided),
         ]:
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("InvariantReport is immutable")
 
     def to_json(self):
         def encode_value(v):

@@ -14,12 +14,14 @@ it.
 
 from __future__ import annotations
 
+from .errors import Immutable
+
 RNG_ALGORITHM = "philox4x64"
 CHUNK = 10_000
 UNITARITY_TOL = 1e-10
 
 
-class UnitarySample:
+class UnitarySample(Immutable):
     """One Haar sample; checked against the unitarity tolerance."""
 
     __slots__ = ("n", "matrix")
@@ -35,11 +37,8 @@ class UnitarySample:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "matrix", matrix)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("UnitarySample is immutable")
 
-
-class Estimate:
+class Estimate(Immutable):
     """Monte Carlo estimate with a conservative standard error."""
 
     __slots__ = ("mean", "stderr", "samples", "seed", "n", "rng", "unitarity_max")
@@ -52,9 +51,6 @@ class Estimate:
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "rng", RNG_ALGORITHM)
         object.__setattr__(self, "unitarity_max", float(unitarity_max))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Estimate is immutable")
 
     def to_json(self):
         return {
@@ -75,9 +71,14 @@ class Estimate:
 
 
 def _chunk_rng(seed, chunk_index):
+    """The generator of one chunk.  The key is an unsigned 64-bit array: a
+    list holding a seed of 2^63 or more would become float64 in numpy."""
     import numpy as np
 
-    return np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    return np.random.Generator(np.random.Philox(
+        key=np.array([seed, chunk_index], dtype=np.uint64)))
 
 
 def _haar_batch(rng, count, n):
@@ -101,10 +102,11 @@ def sample_haar(n, rng_state):
     return UnitarySample(_haar_batch(rng_state, 1, n)[0])
 
 
-def _evaluate_word_batch(word, unitaries):
-    """w(U_1..U_r) for a batch: the per-letter matrices multiplied left to
-    right, starting from the first letter's (the identity for the empty
-    word)."""
+def _evaluate_word_batch(word, unitaries, count, n):
+    """w(U_1..U_r) for a batch of ``count`` tuples of n x n unitaries: the
+    per-letter matrices multiplied left to right, starting from the first
+    letter's.  The empty word gives the identity batch, also at rank 0,
+    where ``unitaries`` is empty."""
     import numpy as np
 
     def letter(a):
@@ -112,7 +114,6 @@ def _evaluate_word_batch(word, unitaries):
         return m if a > 0 else m.conj().transpose(0, 2, 1)
 
     if not word.letters:
-        count, n, _ = unitaries[1].shape
         return np.broadcast_to(np.eye(n, dtype=np.complex128),
                                (count, n, n)).copy()
     out = letter(word.letters[0])
@@ -176,7 +177,7 @@ def estimate_moment(w, exponents, n, samples, seed):
             if defect > UNITARITY_TOL:
                 raise RuntimeError(f"unitarity defect {defect:.3g} in chunk "
                                  f"{chunk_index}")
-        base = _evaluate_word_batch(w, unitaries)
+        base = _evaluate_word_batch(w, unitaries, count, n)
         powers = {1: base}
         for k in range(2, max_power + 1):
             powers[k] = powers[k - 1] @ base

@@ -17,8 +17,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .errors import Immutable
 
-class Polynomial:
+
+class Polynomial(Immutable):
     """Integer-coefficient polynomial in ``n``, coefficients ascending."""
 
     __slots__ = ("coeffs",)
@@ -28,9 +30,6 @@ class Polynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     @staticmethod
     def const(c):
@@ -170,7 +169,7 @@ def poly_gcd(a, b):
     return -a if a.leading() < 0 else a
 
 
-class RationalFunction:
+class RationalFunction(Immutable):
     """Quotient of integer polynomials in ``n``, in canonical form.
 
     Carries ``n_min``: the smallest integer matrix size for which the value
@@ -201,9 +200,6 @@ class RationalFunction:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "n_min", n_min)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
 
     @staticmethod
     def n_power(k):
@@ -312,7 +308,7 @@ def _coerce(v):
     raise TypeError(f"cannot coerce {v!r} to RationalFunction")
 
 
-class LaurentSeries:
+class LaurentSeries(Immutable):
     """Truncated expansion sum_k c_k n^(e0 - k), k = 0..depth.
 
     ``e0`` is the true leading exponent (nonzero leading coefficient);
@@ -324,9 +320,6 @@ class LaurentSeries:
     def __init__(self, e0, coeffs):
         object.__setattr__(self, "e0", e0)
         object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentSeries is immutable")
 
     def serialize(self):
         return {

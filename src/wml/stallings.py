@@ -23,13 +23,13 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Sequence
 
-from .errors import UndecidedError
+from .errors import Immutable, UndecidedError
 from .words import Word, cyclic_core
 
 DEFAULT_FRINGE_VERTEX_CAP = 12
 
 
-class LabeledGraph:
+class LabeledGraph(Immutable):
     """Immutable folded, trimmed, canonically numbered labeled graph.
 
     Built by :func:`fold` (which :func:`core_graph` calls) and
@@ -55,9 +55,6 @@ class LabeledGraph:
             inc[dst][lab] = src
         object.__setattr__(self, "_out", out)
         object.__setattr__(self, "_in", inc)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LabeledGraph is immutable")
 
     @property
     def num_edges(self):

@@ -20,14 +20,15 @@ from collections import Counter
 from itertools import (accumulate, chain, combinations_with_replacement,
                        permutations, product)
 
-from .errors import UndecidedError, capped_multisets, capped_product, count_text
+from .errors import (Immutable, UndecidedError, capped_multisets,
+                     capped_product, count_text)
 from .stallings import fold
 from .words import is_balanced
 
 DEFAULT_SPEC_CAP = 200_000
 
 
-class MatchingSpec:
+class MatchingSpec(Immutable):
     """Boundary words plus, per generator, one matching per subdivision index.
 
     A matching is a tuple of pairs ``(positive, negative)`` of letter
@@ -61,9 +62,6 @@ class MatchingSpec:
         object.__setattr__(self, "words", words)
         object.__setattr__(self, "matchings", sorted_matchings)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MatchingSpec is immutable")
-
     def subdivision(self, gen):
         return len(self.matchings.get(gen, ()))
 
@@ -79,7 +77,7 @@ def _occurrences(words):
     return occ
 
 
-class SurfaceComponent:
+class SurfaceComponent(Immutable):
     """Connected component data: annuli members, chi, boundary count, genus."""
 
     __slots__ = ("annuli", "chi", "boundary", "genus")
@@ -95,9 +93,6 @@ class SurfaceComponent:
             )
         object.__setattr__(self, "genus", genus2 // 2)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SurfaceComponent is immutable")
-
     def __repr__(self):
         return (
             f"SurfaceComponent(annuli={self.annuli}, chi={self.chi}, "
@@ -105,7 +100,7 @@ class SurfaceComponent:
         )
 
 
-class SurfaceComplex:
+class SurfaceComplex(Immutable):
     """The glued surface: cellulation counts, gluing list, components."""
 
     __slots__ = ("spec", "sub_letters", "glue_pairs", "components", "chi",
@@ -118,9 +113,6 @@ class SurfaceComplex:
         object.__setattr__(self, "components", tuple(components))
         object.__setattr__(self, "chi", sum(c.chi for c in components))
         object.__setattr__(self, "cells", cells)  # total (V, E, F)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SurfaceComplex is immutable")
 
     def image_subgroup(self, component_index):
         """Folded graph of the subgroup generated by the images of all

@@ -40,7 +40,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import factorial, inf
 
-from .errors import UndecidedError, capped_product, count_text
+from .errors import Immutable, UndecidedError, capped_product, count_text
 from .partitions import (
     cycle_type,
     dimension,
@@ -92,7 +92,7 @@ def _wg_over_common_denominator(p):
     return den, {t: f.num * den.divmod_exact(f.den)[0] for t, f in weights.items()}
 
 
-class TraceMonomial:
+class TraceMonomial(Immutable):
     """A product xi_{m_1} ... xi_{m_l} of power-of-trace observables.
 
     Exponents are nonzero integers; the empty monomial is the constant 1.
@@ -105,9 +105,6 @@ class TraceMonomial:
         if any(m == 0 for m in exps):
             raise ValueError("trace exponents must be nonzero")
         object.__setattr__(self, "exponents", exps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TraceMonomial is immutable")
 
     def __repr__(self):
         return f"TraceMonomial{self.exponents}"

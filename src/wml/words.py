@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .errors import ParseError
+from .errors import Immutable, ParseError
 
 # Single-letter alphabet, in generator order: x is generator 1, y is 2, ...
 _ALPHABET = "xyzabcdefghijklmnopqrstuvw"
@@ -96,7 +96,7 @@ def cyclic_key(letters):
     return c[k:] + c[:k]
 
 
-class Word:
+class Word(Immutable):
     """A freely reduced word in the free group of rank ``rank``.
 
     Immutable; all operations return new words.
@@ -117,9 +117,6 @@ class Word:
                 raise ValueError(f"letter {a} outside rank {rank}")
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "rank", rank)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
 
     @staticmethod
     def identity(rank):

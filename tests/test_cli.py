@@ -154,6 +154,30 @@ class TestInvariants:
         result = run(["invariants", "[x,y]", "--rank", "2"])
         assert (result.exit_code, result.stdout) == (0, expected.stdout)
 
+    @pytest.mark.parametrize("where", ["flag names a file",
+                                       "flag under a file",
+                                       "config names a file"])
+    def test_unusable_cache_dir_exits_2_before_analysis(
+            self, run, tmp_path, monkeypatch, where):
+        # a cache directory that cannot be made is bad input, reported
+        # before the analysis runs rather than as a crash after it
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        cfg = tmp_path / "wml.cfg"
+        cfg.write_text(f"cache_dir = {blocker}\n")
+        args = {"flag names a file": ["--cache-dir", str(blocker)],
+                "flag under a file": ["--cache-dir", str(blocker / "cache")],
+                "config names a file": ["--config", str(cfg)]}[where]
+
+        def no_analysis(*args, **kwargs):
+            raise AssertionError("analysis ran")
+
+        monkeypatch.setattr(wml.cli, "analyze", no_analysis)
+        result = run(["invariants", "[x,y]", "--rank", "2", *args])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr.startswith(
+            "invalid input: cannot use cache directory ")
+
     def test_cache_key_depends_on_caps(self, run, tmp_path):
         cache = str(tmp_path / "cache")
         run(["invariants", "[x,y]", "--rank", "2",
@@ -207,6 +231,14 @@ class TestMoment:
         est = data["estimate"]
         assert est["samples"] == 2000 and est["seed"] == 7
         assert abs(est["mean"][0] - 0.1) < 4 * est["stderr"] + 1e-9
+
+    @pytest.mark.parametrize("rank", ["0", "-1"])
+    def test_mc_identity_at_rank_below_one(self, run, rank):
+        # a rank-0 word draws no unitaries; tr(1) is exactly n
+        data = payload(run(["moment", "1", "-T", "1", "--mc", "--rank", rank,
+                            "--n", "3", "--samples", "10"]))
+        est = data["estimate"]
+        assert (est["mean"], est["stderr"]) == ([3.0, 0.0], 0.0)
 
     def test_zero_exponent_rejected(self, run):
         result = run(["moment", "x", "-T", "0", "--rank", "1"])
@@ -345,6 +377,10 @@ class TestInvalidInput:
         ["moment", "[x,y]", "-T", "1", "--mc", "--n", "0"],
         ["verify", "[x,y]", "-T", "1", "--depth", "-3"],
         ["surfaces", "[x,y]", "-K", "0"],
+        ["moment", "[x,y]", "-T", "1", "--mc", "--samples", "10",
+         "--seed=-1"],
+        ["moment", "[x,y]", "-T", "1", "--mc", "--samples", "10",
+         f"--seed={2 ** 64}"],
     ])
     def test_out_of_range_exits_2(self, run, args):
         result = run(args)
@@ -370,6 +406,15 @@ class TestConfig:
                   "--config", str(cfg)])
         )
         assert data["rank"] == 2
+
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unreadable_config_exits_2(self, run, tmp_path, where):
+        # a config file that was named but cannot be read is not ignored
+        path = tmp_path / "absent.cfg" if where == "missing" else tmp_path
+        result = run(["parse", "x", "--config", str(path)])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr.startswith(
+            "invalid input: cannot read config file ")
 
 
 def _in_process(argv):

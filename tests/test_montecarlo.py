@@ -15,7 +15,7 @@ from wml.montecarlo import (
     sample_haar,
 )
 from wml.weingarten import moment
-from wml.words import parse
+from wml.words import Word, parse
 
 
 class TestSampling:
@@ -79,6 +79,31 @@ class TestEstimates:
         b = estimate_moment(w, (1,), n=4, samples=2000, seed=2)
         assert a.mean != b.mean
 
+    def test_seeds_from_2_63_keep_apart(self):
+        # a list key holding 2^63 or more became float64, which merged
+        # neighbouring seeds into one stream
+        w = parse("[x,y]", 2)
+        a = estimate_moment(w, (1,), n=2, samples=10, seed=2 ** 63)
+        b = estimate_moment(w, (1,), n=2, samples=10, seed=2 ** 63 + 1)
+        assert a.mean != b.mean
+
+    @pytest.mark.parametrize("seed", [2 ** 64, -1], ids=["2^64", "-1"])
+    def test_rejects_seed_outside_64_bits(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            estimate_moment(parse("x", 1), (1,), n=2, samples=10, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 31 - 1, 2 ** 63 - 1])
+    def test_seed_below_2_63_keeps_its_stream(self, seed):
+        got = _chunk_rng(seed, 3).standard_normal(8)
+        expected = np.random.Generator(
+            np.random.Philox(key=[seed, 3])).standard_normal(8)
+        assert np.array_equal(got, expected)
+
+    def test_identity_at_rank_zero(self):
+        # no generator, so no unitaries are drawn: tr(1) = n exactly
+        est = estimate_moment(Word((), 0), (1,), n=3, samples=5, seed=1)
+        assert (est.mean, est.stderr) == (3, 0)
+
     def test_chunking_consistency(self):
         # estimates depend on (seed, samples) but the chunk layout is fixed,
         # so crossing a chunk boundary must still be deterministic
@@ -131,7 +156,7 @@ class TestWordProduct:
         rng = _chunk_rng(11, 0)
         unitaries = {g: _haar_batch(rng, 5, 4) for g in (1, 2)}
         w = parse(text, 2)
-        got = _evaluate_word_batch(w, unitaries)
+        got = _evaluate_word_batch(w, unitaries, 5, 4)
         assert got.shape == (5, 4, 4)
         for b in range(5):
             expected = np.eye(4, dtype=np.complex128)

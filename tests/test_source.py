@@ -6,7 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import wml
+from wml.invariants import analyze
+from wml.montecarlo import Estimate, sample_haar
+from wml.ratfunc import LaurentSeries, Polynomial, RationalFunction
+from wml.stallings import core_graph
+from wml.surfaces import build_surface, enumerate_matchings
+from wml.weingarten import TraceMonomial
 
 SOURCES = sorted(Path(wml.__file__).parent.glob("*.py"))
 
@@ -39,6 +47,63 @@ def test_no_raise_assertion_error():
             if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_the_base_defines_setattr_or_delattr():
+    # immutability is declared once, in errors.Immutable, for every value
+    # class; a class of its own would have to repeat it, and could forget
+    # half of it
+    found = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, node in _nodes()
+        if isinstance(node, ast.ClassDef)
+        and (path.name, node.name) != ("errors.py", "Immutable")
+        and any(isinstance(item, ast.FunctionDef)
+                and item.name in ("__setattr__", "__delattr__")
+                for item in node.body)
+    ]
+    assert found == []
+
+
+def _surface():
+    return build_surface(next(enumerate_matchings([wml.parse("[x,y]", 2)])))
+
+
+# (class name, a builder of one instance, one of its fields)
+VALUE_CLASSES = [
+    ("Word", lambda: wml.parse("[x,y]", 2), "letters"),
+    ("TraceMonomial", lambda: TraceMonomial((1, -1)), "exponents"),
+    ("LabeledGraph", lambda: core_graph([wml.parse("[x,y]", 2)], 2),
+     "edges"),
+    ("MatchingSpec", lambda: _surface().spec, "matchings"),
+    ("SurfaceComponent", lambda: _surface().components[0], "chi"),
+    ("SurfaceComplex", _surface, "components"),
+    ("InvariantReport", lambda: analyze(wml.parse("x", 2), 2), "pi"),
+    ("Polynomial", lambda: Polynomial((1, 2)), "coeffs"),
+    ("RationalFunction", lambda: RationalFunction(Polynomial((0, 1)), 2),
+     "den"),
+    ("LaurentSeries", lambda: LaurentSeries(1, (1, 0)), "coeffs"),
+    ("UnitarySample", lambda: sample_haar(2, 1), "matrix"),
+    ("Estimate", lambda: Estimate(1j, 0.5, 10, 1, 2, 0.0), "mean"),
+]
+
+
+@pytest.mark.parametrize("name, build, field", VALUE_CLASSES,
+                         ids=[case[0] for case in VALUE_CLASSES])
+def test_value_class_refuses_assignment_and_deletion(name, build, field):
+    # these objects are hash, cache and memo keys: a field that changed or
+    # vanished after construction would break every table holding one
+    value = build()
+    assert type(value).__name__ == name
+    before = getattr(value, field)
+    with pytest.raises(AttributeError) as assigned:
+        setattr(value, field, before)
+    assert str(assigned.value) == f"{name} is immutable"
+    with pytest.raises(AttributeError) as deleted:
+        delattr(value, field)
+    assert str(deleted.value) == f"{name} is immutable"
+    assert getattr(value, field) is before
+    assert not hasattr(value, "__dict__")
 
 
 def _imported_modules(node):
