@@ -98,13 +98,18 @@ def _cache_dir(flag_value, settings):
 
 
 def _cache_lookup(directory, key):
+    """The cached entry as ``(text, report)``, or None for a miss: no
+    entry, or one that is not UTF-8 text holding a JSON object."""
     if not directory:
         return None
-    path = os.path.join(directory, key + ".json")
-    if os.path.exists(path):
-        with open(path) as fh:
-            return fh.read()
-    return None
+    try:
+        with open(os.path.join(directory, key + ".json"),
+                  encoding="utf-8") as fh:
+            text = fh.read()
+        data = json.loads(text)
+    except (FileNotFoundError, UnicodeDecodeError, json.JSONDecodeError):
+        return None
+    return (text, data) if isinstance(data, dict) else None
 
 
 def _cache_store(directory, key, payload_text):
@@ -210,8 +215,8 @@ def cmd_invariants(args, settings):
     key = _cache_key("invariants", w, caps) if directory else None
     cached = _cache_lookup(directory, key)
     if cached is not None:
-        _echo(cached.rstrip("\n"))
-        data = json.loads(cached)
+        text, data = cached
+        _echo(text.rstrip("\n"))
         sys.exit(EXIT_UNDECIDED if data.get("undecided") else 0)
 
     report = analyze(w, rank, **caps)

@@ -432,7 +432,11 @@ def expansion_prediction(w, trace_monomial, pi, comm_crit_count):
     For a non-power w: constant term <T,1>; coefficient
     (<T,xi_1> + <T,xi_-1>) * |commutator-critical subgroups| at exponent
     1 - pi; remainder O(n^-pi).  Exponents are None when pi is infinite.
+    The expansion is stated for w != 1, so the trivial word is refused.
     """
+    if w.is_identity():
+        raise ValueError("expansion predictions are defined for nontrivial "
+                         "words")
     if isinstance(trace_monomial, (tuple, list)):
         trace_monomial = TraceMonomial(trace_monomial)
     is_power, _, _ = w.is_proper_power()
@@ -465,8 +469,11 @@ def verify_word(w, exponent_sets, pi, comm_crit_count, depth=None,
     ``pi`` is an integer or ``math.inf`` and ``comm_crit_count`` an integer,
     as decided by :func:`wml.invariants.analyze`.  Laurent expansions run
     ``depth`` terms past the leading one, by default pi + 2 (4 for
-    infinite pi).
+    infinite pi).  The statements are for w != 1, so the trivial word is
+    refused.
     """
+    if w.is_identity():
+        raise ValueError("verification is defined for nontrivial words")
     finite_pi = pi != inf
     is_power = w.is_proper_power()[0]
     rows = []

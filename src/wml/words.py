@@ -65,34 +65,38 @@ def cyclic_core(letters):
 
 
 def _least_rotation(c):
-    """Index of the lexicographically least rotation of the tuple ``c``, the
-    first one when ``c`` is periodic; 0 for ``()``.  Booth's algorithm
-    (Inf. Process. Lett. 10, 1980): a failure function over ``c + c``, in
-    linear time and memory."""
+    """``(k, p)`` for the tuple ``c``: ``k`` indexes its first least
+    rotation and ``p`` is its least period, the least ``p > 0`` with
+    ``c[p:] + c[:p] == c``; ``(0, 0)`` for ``()``.
+
+    One linear scan over ``c + c`` compares the rotations at two candidate
+    starts ``i < j`` from offset ``k``; every other start below ``j`` is
+    already ruled out.  At the first difference the larger rotation loses,
+    and so does each start up to ``k`` after it.  When ``k`` reaches
+    ``len(c)`` the two rotations are equal, so ``j - i`` is the period."""
+    n = len(c)
     s = c + c
-    f = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        sj = s[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if i == -1 and sj != s[k]:
-            if sj < s[k]:
-                k = j
-            f[j - k] = -1
+    i, j, k = 0, 1, 0
+    while j < n:
+        if k == n:
+            return i, j - i
+        a, b = s[i + k], s[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i, j = j, max(j, i + k) + 1
         else:
-            f[j - k] = i + 1
-    return k
+            j += k + 1
+        k = 0
+    return i, n
 
 
 def cyclic_key(letters):
     """Least rotation of the cyclic reduction of a letter sequence; ``()``
     when it reduces to the identity."""
     c = cyclic_core(free_reduce(letters))
-    k = _least_rotation(c)
+    k, _ = _least_rotation(c)
     return c[k:] + c[:k]
 
 
@@ -201,29 +205,16 @@ class Word(Immutable):
         """Decide whether the word is ``root**d`` with ``d >= 2``.
 
         Returns ``(True, root, d)`` with ``d`` maximal, or ``(False, self, 1)``.
-        The identity is not considered a proper power.
+        The identity is not considered a proper power.  ``d`` is the
+        length of the cyclic core over its least period.
         """
         core, conj = self.cyclic_reduce()
         c = core.letters
-        n = len(c)
-        if n == 0:
-            return False, self, 1
-        # the least period is n minus the longest proper border, read off
-        # the Knuth-Morris-Pratt failure function; c is a proper power
-        # exactly when that period divides n and is below it
-        border = [0] * n
-        k = 0
-        for i in range(1, n):
-            while k and c[i] != c[k]:
-                k = border[k - 1]
-            if c[i] == c[k]:
-                k += 1
-            border[i] = k
-        p = n - k
-        if p == n or n % p:
+        _, p = _least_rotation(c)
+        if p == len(c):
             return False, self, 1
         root = conj * Word(c[:p], self.rank) * ~conj
-        return True, root, n // p
+        return True, root, len(c) // p
 
     def canonical_key(self):
         """Conjugacy-aware text key: minimal rotation of the cyclic core plus
@@ -232,7 +223,7 @@ class Word(Immutable):
         c = core.letters
         if not c:
             return "|"
-        best_i = _least_rotation(c)
+        best_i, _ = _least_rotation(c)
         rot = Word(c[best_i:] + c[:best_i], self.rank)
         conj_adj = conj * Word(c[:best_i], self.rank)
         return f"{conj_adj}|{rot}"
@@ -318,16 +309,28 @@ class _Parser:
         return word
 
     def _sequence(self):
-        word = None
+        # a lone factor is the product itself; past it the product is a
+        # letter list kept freely reduced by cancelling at each junction,
+        # so a run of factors costs time linear in its letters
+        first, letters = None, None
         while self.peek() not in (None, ")", ",", "]"):
             at = self.pos
             factor = self._factor()
-            if word is not None:
-                self._bound(len(word) + len(factor), at)
-            word = factor if word is None else word * factor
-        if word is None:
+            if first is None:
+                first = factor
+                continue
+            if letters is None:
+                letters = list(first.letters)
+            self._bound(len(letters) + len(factor), at)
+            tail = factor.letters
+            i = 0
+            while i < len(tail) and letters and letters[-1] == -tail[i]:
+                letters.pop()
+                i += 1
+            letters.extend(tail[i:])
+        if first is None:
             self.error("empty word expression")
-        return word
+        return first if letters is None else Word(letters, self.rank)
 
     def _factor(self):
         word = self._atom()

@@ -135,6 +135,25 @@ class TestInvariants:
         second = run(args)
         assert second.stdout == first.stdout
 
+    @pytest.mark.parametrize("damage", ["truncated", "not an object",
+                                        "not UTF-8"])
+    def test_damaged_entry_is_a_miss(self, run, tmp_path, damage):
+        # a damaged entry is never printed: the word is analysed again and
+        # the entry overwritten with the fresh report
+        args = ["invariants", "[x,y]", "--rank", "2", "--cache-dir"]
+        fresh = run(args + [str(tmp_path / "fresh")])
+        (name,) = os.listdir(tmp_path / "fresh")
+        entry = (tmp_path / "fresh" / name).read_bytes()
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / name).write_bytes({"truncated": entry[:len(entry) // 2],
+                                    "not an object": b"[]",
+                                    "not UTF-8": b"\xff" + entry}[damage])
+        result = run(args + [str(cache)])
+        assert (result.exit_code, result.stdout) == (0, fresh.stdout)
+        assert os.listdir(cache) == [name]
+        assert (cache / name).read_bytes() == entry
+
     def test_no_cache_computes_no_key(self, run, monkeypatch):
         # the key reads the whole word; with no cache it is never needed
         import wml.cli
@@ -325,6 +344,13 @@ class TestVerify:
         assert row["two_term_expansion"] is None
         assert row["first_order_bound_passed"]
         assert row["trace_pair_bound"]["passed"]
+
+    @pytest.mark.parametrize("extra", [[], ["--csv"]])
+    def test_trivial_word_exits_2(self, run, extra):
+        result = run(["verify", "1", *extra])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == \
+            "invalid input: verification is defined for nontrivial words\n"
 
     def test_undecided_verify(self, run):
         result = run(["verify", "[x,y]", "--fringe-cap", "3"])

@@ -488,6 +488,11 @@ class TestExpansionPrediction:
         with pytest.raises(ValueError):
             expansion_prediction(parse("x^2", 1), (1,), 1, 0)
 
+    def test_rejects_trivial_word(self):
+        # the expansion is stated for w != 1; pi(1) = 0 would make nonsense
+        with pytest.raises(ValueError, match="nontrivial"):
+            expansion_prediction(parse("1", 2), (1,), 0, 0)
+
     def test_infinite_pi(self):
         pred = expansion_prediction(parse("x", 2), (1, -1), float("inf"), 0)
         assert pred["constant"] == 1
@@ -550,6 +555,10 @@ class TestVerifyWord:
         assert row["first_order_bound_passed"] is False
         assert row["two_term_expansion"]["passed"] is False
         assert len(row["laurent"]) == 5
+
+    def test_rejects_trivial_word(self):
+        with pytest.raises(ValueError, match="nontrivial"):
+            verify_word(parse("1", 2), [(1,), (1, -1)], 0, 0)
 
     def test_primitive_word(self):
         (row,) = verify_word(parse("x", 2), [(1, -1)], math.inf, 0)

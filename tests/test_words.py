@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 
@@ -129,6 +130,20 @@ class TestParsing:
                 parse(text, 2)
             assert str(exc.value) == \
                 f"word longer than 10 letters (at position {position})"
+
+    def test_products_reduce_in_linear_time(self, monkeypatch):
+        # each factor cancels only at its junction with the product so far,
+        # so the letters sent through free_reduce stay linear in the text
+        expected = Word((1, 2) * 10000, 2)
+        reduced = []
+
+        def counting_free_reduce(letters):
+            reduced.append(len(letters))
+            return free_reduce(letters)
+
+        monkeypatch.setattr(wml.words, "free_reduce", counting_free_reduce)
+        assert parse("xy" * 10000, 2) == expected
+        assert sum(reduced) <= 3 * 20000
 
     def test_huge_power_refused_before_it_is_built(self):
         # 10^8 letters would take about 2.3 GB; a syntax error after the
@@ -303,6 +318,17 @@ class TestCanonicalKey:
             assert key not in seen or seen[key] == w
             seen[key] = w
 
+    def test_keys_pinned(self):
+        # the keys name the CLI's cache files, so they may not move: every
+        # reduced rank-2 word up to length 6, and some long periodic words
+        words = all_reduced_words(2, 6) + [parse(text, 2) for text in [
+            "[x,y]^7", "y [x,y]^5 Y", "(xxy)^20", "x^100", "X (xyxY)^9 x",
+            "(xyXYx)^6 y"]]
+        keys = "\n".join(w.canonical_key() for w in words)
+        assert len(words) == 1463
+        assert hashlib.sha256(keys.encode()).hexdigest() == \
+            "7d439f4376529dfd31cebb33b43d9e7376bf9a0f43750d8a56d0bc62465132ed"
+
 
 class TestCyclicKey:
     def test_identity(self):
@@ -346,13 +372,31 @@ def reference_least_rotation(c):
     return min(range(len(c)), key=lambda i: c[i:] + c[:i]) if c else 0
 
 
+def reference_least_period(c):
+    """The least p > 0 whose rotation fixes c, by trying each; 0 for ()."""
+    return next((p for p in range(1, len(c) + 1) if c[p:] + c[:p] == c), 0)
+
+
+def cyclically_reduced_tuples(rank, max_len):
+    """Every cyclically reduced letter tuple of rank ``rank`` with 1 to
+    ``max_len`` letters."""
+    alphabet = [*range(1, rank + 1), *range(-rank, 0)]
+    layer = [()]
+    for _ in range(max_len):
+        layer = [w + (a,) for w in layer for a in alphabet
+                 if not w or w[-1] != -a]
+        yield from (w for w in layer if w[0] != -w[-1])
+
+
 class TestLeastRotation:
     def test_matches_reference_on_random_words(self):
         rng = random.Random(7)
         for _ in range(2000):
             c = tuple(rng.choice((1, -1, 2, -2, 3))
                       for _ in range(rng.randint(0, 16)))
-            assert wml.words._least_rotation(c) == reference_least_rotation(c)
+            k, p = wml.words._least_rotation(c)
+            assert k == reference_least_rotation(c)
+            assert p == reference_least_period(c)
 
     def test_periodic_words_give_the_first_least_index(self):
         rng = random.Random(11)
@@ -362,7 +406,24 @@ class TestLeastRotation:
             c = base * rng.randint(2, 5)
             k = rng.randrange(len(c))
             c = c[k:] + c[:k]
-            assert wml.words._least_rotation(c) == reference_least_rotation(c)
+            k, p = wml.words._least_rotation(c)
+            assert k == reference_least_rotation(c)
+            assert p == reference_least_period(c)
+
+    @pytest.mark.parametrize("rank, max_len", [(2, 9), (3, 6)])
+    def test_every_small_cyclic_word(self, rank, max_len):
+        # the scan against all rotations, and is_proper_power against the
+        # root and exponent that the least period spells
+        for c in cyclically_reduced_tuples(rank, max_len):
+            n = len(c)
+            rotations = [c[i:] + c[:i] for i in range(n)]
+            period = next((i for i in range(1, n) if rotations[i] == c), n)
+            assert wml.words._least_rotation(c) == \
+                (rotations.index(min(rotations)), period), c
+            w = Word(c, rank)
+            ok, root, d = w.is_proper_power()
+            assert (ok, d) == (period < n, n // period), c
+            assert root == (Word(c[:period], rank) if ok else w), c
 
 
 def test_module_doctests():
