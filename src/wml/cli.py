@@ -75,12 +75,20 @@ class Settings:
             return int(self.config[name])
         return default
 
+    def cap(self, name, default):
+        """The resource cap ``name``, read as :meth:`get` reads it.  A
+        negative cap bounds nothing, so it is refused."""
+        value = self.get(name, default)
+        if value < 0:
+            raise ValueError(f"{name} must be at least 0, got {value}")
+        return value
+
     def analysis_caps(self):
         """The caps of :func:`wml.invariants.analyze`, by parameter name."""
         return {
-            "fringe_cap": self.get("fringe_cap", DEFAULT_FRINGE_VERTEX_CAP),
-            "orbit_cap": self.get("orbit_cap", DEFAULT_ORBIT_CAP),
-            "genus_cap": self.get("genus_cap", DEFAULT_GENUS_CAP),
+            "fringe_cap": self.cap("fringe_cap", DEFAULT_FRINGE_VERTEX_CAP),
+            "orbit_cap": self.cap("orbit_cap", DEFAULT_ORBIT_CAP),
+            "genus_cap": self.cap("genus_cap", DEFAULT_GENUS_CAP),
         }
 
 
@@ -230,7 +238,7 @@ def cmd_invariants(args, settings):
 def cmd_moment(args, settings):
     """Exact or Monte Carlo moment of a word measure."""
     rank = settings.get("rank", 2)
-    term_cap = settings.get("term_cap", DEFAULT_TERM_CAP)
+    term_cap = settings.cap("term_cap", DEFAULT_TERM_CAP)
     exponents = _parse_exponents(args.exponents)
     w = parse_text(args.word_text, rank)
 
@@ -262,7 +270,7 @@ def cmd_moment(args, settings):
 def cmd_surfaces(args, settings):
     """Enumerate matching-built surfaces for a balanced word collection."""
     rank = settings.get("rank", 2)
-    spec_cap = settings.get("spec_cap", DEFAULT_SPEC_CAP)
+    spec_cap = settings.cap("spec_cap", DEFAULT_SPEC_CAP)
     words = [parse_text(t, rank) for t in args.word_texts]
     records = [
         build_surface(spec).to_json(images=args.images)
@@ -276,7 +284,7 @@ def cmd_verify(args, settings):
     """Check the expansion statements instance-by-instance for one word."""
     rank = settings.get("rank", 2)
     caps = settings.analysis_caps()
-    term_cap = settings.get("term_cap", DEFAULT_TERM_CAP)
+    term_cap = settings.cap("term_cap", DEFAULT_TERM_CAP)
     w = parse_text(args.word_text, rank)
     exponent_sets = [_parse_exponents(t) for t in
                      args.exponents or ("1", "-1", "1,-1", "2,-2")]

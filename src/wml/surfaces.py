@@ -17,7 +17,7 @@ first subdivision level.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import (accumulate, chain, combinations_with_replacement,
+from itertools import (accumulate, combinations_with_replacement,
                        permutations, product)
 
 from .errors import (Immutable, UndecidedError, capped_multisets,
@@ -272,26 +272,16 @@ def _dual_graph(surface, component_index):
                 max(w.rank for w in surface.spec.words), identify=joins)
 
 
-def enumerate_matchings(words, max_subdivision=1, spec_cap=DEFAULT_SPEC_CAP):
-    """All matching collections with at most ``max_subdivision`` matchings
-    per generator, one per multiset of matchings (permuting the subdivision
-    indices gives the same surface).
+def _check_collection_count(counts, max_subdivision, spec_cap):
+    """Raise :class:`UndecidedError` unless the matching collections of at
+    most ``max_subdivision`` matchings per generator, for generators with
+    ``counts`` positive letters each, number at most ``spec_cap``.
 
     A generator with p positive letters has p! single matchings, and so
     C(p! + K, K) - 1 multisets of 1..K of them (K = ``max_subdivision``);
-    ``spec_cap`` bounds the product of these counts before any letter
-    occurrence is listed.  Yields :class:`MatchingSpec` objects.
-    """
-    if max_subdivision < 1:
-        raise ValueError(f"max_subdivision must be at least 1, got "
-                         f"{max_subdivision}")
-    words = list(words)
-    balanced, counts = is_balanced(words)
-    if not balanced:
-        raise ValueError("only balanced collections bound surfaces")
-    gens = sorted(counts)
+    the count needs no letter occurrence."""
     total = 1
-    for g in gens:
+    for g in sorted(counts):
         singles = capped_product(range(1, counts[g] + 1), spec_cap)
         choices = None if singles is None else \
             capped_multisets(singles, max_subdivision, spec_cap)
@@ -303,6 +293,25 @@ def enumerate_matchings(words, max_subdivision=1, spec_cap=DEFAULT_SPEC_CAP):
                 "collections, over the cap"
             )
 
+
+def enumerate_matchings(words, max_subdivision=1, spec_cap=DEFAULT_SPEC_CAP):
+    """All matching collections with at most ``max_subdivision`` matchings
+    per generator, one per multiset of matchings (permuting the subdivision
+    indices gives the same surface).
+
+    ``spec_cap`` bounds the number of collections, counted before any
+    letter occurrence is listed.  Yields :class:`MatchingSpec` objects.
+    """
+    if max_subdivision < 1:
+        raise ValueError(f"max_subdivision must be at least 1, got "
+                         f"{max_subdivision}")
+    words = list(words)
+    balanced, counts = is_balanced(words)
+    if not balanced:
+        raise ValueError("only balanced collections bound surfaces")
+    _check_collection_count(counts, max_subdivision, spec_cap)
+
+    gens = sorted(counts)
     occ = _occurrences(tuple(words))
     per_gen_choices = []
     for g in gens:
@@ -319,18 +328,85 @@ def enumerate_matchings(words, max_subdivision=1, spec_cap=DEFAULT_SPEC_CAP):
 
 def minimal_single_boundary_genus(word):
     """Least genus over the subdivision-1 matching-built surfaces with the
-    single boundary word, at most ``DEFAULT_SPEC_CAP`` of them; 0 for the
-    identity, which bounds a disc, and None when the word is not
-    balanced."""
+    single boundary word; 0 for the identity, which bounds a disc, and None
+    when the word is not balanced.  Raises :class:`UndecidedError` when
+    there are more than ``DEFAULT_SPEC_CAP`` letter pairings.
+
+    A depth-first search pairs each positive letter, generators in order
+    and letters in word order, with a free inverse letter, gluing the outer
+    corners as :func:`build_surface` does on one annulus, in a union-find
+    whose joins are undone from a trail on the way back.  A surface of L
+    letters glued from c corner classes has genus (1 + L/2 - c) / 2, and
+    gluing never raises c, so a branch is cut once its c cannot beat the
+    best genus found.  A nontrivial word bounds no disc, so the search stops
+    at the first genus-1 pairing.  No surface is built.
+    """
     if word.is_identity():
         return 0
-    specs = enumerate_matchings([word], 1, DEFAULT_SPEC_CAP)
-    try:
-        first = next(specs)
-    except ValueError:  # raised only for an unbalanced word
+    balanced, counts = is_balanced([word])
+    if not balanced:
         return None
-    # one boundary word glues into one connected component
-    return min(
-        build_surface(spec).components[0].genus
-        for spec in chain((first,), specs)
-    )
+    _check_collection_count(counts, 1, DEFAULT_SPEC_CAP)
+    letters = word.letters
+    size = len(letters)
+    inverses = {}
+    for q, a in enumerate(letters):
+        if a < 0:
+            inverses.setdefault(-a, []).append(q)
+    slots = [(q, inverses[a]) for a, q in
+             sorted((a, q) for q, a in enumerate(letters) if a > 0)]
+
+    parent, weight, trail = list(range(size)), [1] * size, []
+
+    def join(a, b):
+        # the smaller class joins the larger, so that finds stay short
+        # without the path compression that an undo could not reverse
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a != b:
+            if weight[a] > weight[b]:
+                a, b = b, a
+            parent[a] = b
+            weight[b] += weight[a]
+            trail.append(a)
+
+    # per slot: 1 + the index of its glued candidate (0 while none is),
+    # and the trail length before that gluing
+    n = len(slots)
+    tried, marks = [0] * n, [0] * n
+    free = [True] * size
+    best, depth = size, 0  # size is above every genus
+    while depth >= 0:
+        q, candidates = slots[depth]
+        i = tried[depth]
+        if i:
+            while len(trail) > marks[depth]:
+                a = trail.pop()
+                weight[parent[a]] -= weight[a]
+                parent[a] = a
+            free[candidates[i - 1]] = True
+        while i < len(candidates) and not free[candidates[i]]:
+            i += 1
+        if i == len(candidates):
+            tried[depth] = 0
+            depth -= 1
+            continue
+        q2 = candidates[i]
+        tried[depth], marks[depth], free[q2] = i + 1, len(trail), False
+        # orientation-reversing: start of one to end of the other
+        join(q, (q2 + 1) % size)
+        join((q + 1) % size, q2)
+        # with c = size - len(trail) classes, every completion has genus
+        # at least (1 + n - c) / 2
+        bound = 1 + len(trail) - n
+        if bound >= 2 * best:
+            continue
+        if depth + 1 < n:
+            depth += 1
+            continue
+        best = bound // 2
+        if best == 1:
+            return 1
+    return best

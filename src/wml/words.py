@@ -126,6 +126,15 @@ class Word(Immutable):
     def identity(rank):
         return Word((), rank)
 
+    @classmethod
+    def _reduced(cls, letters, rank):
+        """The word of a freely reduced tuple of letters known to lie
+        within ``rank``, taken as it is."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "letters", letters)
+        object.__setattr__(word, "rank", rank)
+        return word
+
     def is_identity(self):
         return not self.letters
 
@@ -257,18 +266,22 @@ class _Parser:
 
     def __init__(self, text, rank):
         self.text = text
+        self.end = len(text)
         self.rank = rank
         self.pos = 0
+        # the word of each letter read so far: a letter's index is checked
+        # once, where it first appears
+        self.generators = {}
 
     def error(self, message):
         raise ParseError(message, self.pos)
 
     def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
+        text, pos, end = self.text, self.pos, self.end
+        while pos < end and text[pos].isspace():
+            pos += 1
+        self.pos = pos
+        return text[pos] if pos < end else None
 
     def _integer(self):
         start = self.pos
@@ -287,7 +300,7 @@ class _Parser:
             raise ParseError(f"word longer than {MAX_WORD_LENGTH} letters", at)
 
     def _digit_at(self, pos):
-        return pos < len(self.text) and "0" <= self.text[pos] <= "9"
+        return pos < self.end and "0" <= self.text[pos] <= "9"
 
     def _index_suffix(self):
         """The ASCII digit run at the cursor as an int; None if there is
@@ -313,16 +326,16 @@ class _Parser:
         # letter list kept freely reduced by cancelling at each junction,
         # so a run of factors costs time linear in its letters
         first, letters = None, None
-        while self.peek() not in (None, ")", ",", "]"):
+        while (ch := self.peek()) not in (None, ")", ",", "]"):
             at = self.pos
-            factor = self._factor()
+            factor = self._factor(ch)
             if first is None:
                 first = factor
                 continue
             if letters is None:
                 letters = list(first.letters)
-            self._bound(len(letters) + len(factor), at)
             tail = factor.letters
+            self._bound(len(letters) + len(tail), at)
             i = 0
             while i < len(tail) and letters and letters[-1] == -tail[i]:
                 letters.pop()
@@ -330,10 +343,12 @@ class _Parser:
             letters.extend(tail[i:])
         if first is None:
             self.error("empty word expression")
-        return first if letters is None else Word(letters, self.rank)
+        # every junction cancelled and every index was checked
+        return first if letters is None else \
+            Word._reduced(tuple(letters), self.rank)
 
-    def _factor(self):
-        word = self._atom()
+    def _factor(self, ch):
+        word = self._atom(ch)
         while self.peek() == "^":
             self.pos += 1
             at = self.pos
@@ -342,10 +357,8 @@ class _Parser:
             word = word ** k
         return word
 
-    def _atom(self):
-        ch = self.peek()
-        if ch is None:
-            self.error("unexpected end of input")
+    def _atom(self, ch):
+        """The atom starting with the character ``ch`` at the cursor."""
         if ch == "1":
             self.pos += 1
             return Word.identity(self.rank)
@@ -374,24 +387,27 @@ class _Parser:
             self.pos += 1
             lower = ch.lower()
             inverse = ch.isupper()
-            if lower == "x":
-                idx = self._index_suffix()
-                if idx is not None:
-                    if idx < 1:
-                        self.error("generator index must be >= 1")
-                    return self._generator(idx, inverse, start)
             if self._digit_at(self.pos):
-                self.error("only 'x' takes an index suffix")
+                if lower != "x":
+                    self.error("only 'x' takes an index suffix")
+                idx = self._index_suffix()
+                if idx < 1:
+                    self.error("generator index must be >= 1")
+                return self._generator(idx, inverse, start)
             if lower not in _LETTER_INDEX:
                 self.error(f"unknown generator letter {ch!r}")
             return self._generator(_LETTER_INDEX[lower], inverse, start)
         self.error(f"unexpected character {ch!r}")
 
     def _generator(self, index, inverse, start):
-        if index > self.rank:
-            self.pos = start
-            self.error(f"generator x{index} exceeds rank {self.rank}")
-        return Word((-index if inverse else index,), self.rank)
+        letter = -index if inverse else index
+        word = self.generators.get(letter)
+        if word is None:
+            if index > self.rank:
+                self.pos = start
+                self.error(f"generator x{index} exceeds rank {self.rank}")
+            word = self.generators[letter] = Word((letter,), self.rank)
+        return word
 
 
 def parse(text, rank):

@@ -407,12 +407,30 @@ class TestInvalidInput:
          "--seed=-1"],
         ["moment", "[x,y]", "-T", "1", "--mc", "--samples", "10",
          f"--seed={2 ** 64}"],
+        # a negative cap bounds nothing
+        ["invariants", "[x,y]", "--genus-cap", "-1", "--no-cache"],
+        ["invariants", "[x,y]", "--fringe-cap", "-1", "--no-cache"],
+        ["verify", "[x,y]", "--orbit-cap", "-1"],
+        ["moment", "[x,y]", "--term-cap", "-1"],
+        ["surfaces", "[x,y]", "--spec-cap", "-1"],
     ])
     def test_out_of_range_exits_2(self, run, args):
         result = run(args)
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr.startswith("invalid input: ")
+
+    def test_negative_config_cap_exits_2_before_the_cache(self, run,
+                                                          tmp_path):
+        cfg = tmp_path / "wml.cfg"
+        cfg.write_text("genus_cap = -1\n")
+        cache = tmp_path / "cache"
+        result = run(["invariants", "[x,y]", "--config", str(cfg),
+                      "--cache-dir", str(cache)])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == \
+            "invalid input: genus_cap must be at least 0, got -1\n"
+        assert not cache.exists()
 
 
 class TestConfig:

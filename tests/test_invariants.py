@@ -170,6 +170,17 @@ class TestCommutatorLength:
     def test_cap_notation(self):
         assert commutator_length(parse("[x,y]^3", F2), genus_cap=1) == ">1"
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_culler_family(self, n):
+        # cl([x,y]^n) = n // 2 + 1 (Culler, Topology 20, 1981)
+        assert commutator_length(parse(f"[x,y]^{n}", F2)) == n // 2 + 1
+
+    def test_sixth_power_over_the_matching_cap(self):
+        with pytest.raises(UndecidedError) as exc:
+            commutator_length(parse("[x,y]^6", F2))
+        assert str(exc.value) == \
+            "matching enumeration needs 518400+ collections, over the cap"
+
     def test_subdivision_one_decides_fifth_power(self):
         # letter pairings realize cl (Culler); only a higher-subdivision
         # enumeration of [x,y]^5 would overflow the matching cap

@@ -424,6 +424,16 @@ class TestGenusSearch:
     def test_unbalanced_none(self):
         assert minimal_single_boundary_genus(parse("x", 1)) is None
 
+    def test_builds_no_surface(self, monkeypatch):
+        import wml.surfaces
+
+        def no_surface(spec):
+            raise AssertionError("surface built")
+
+        monkeypatch.setattr(wml.surfaces, "build_surface", no_surface)
+        assert minimal_single_boundary_genus(parse("[x,y]^5", 2)) == 3
+        assert minimal_single_boundary_genus(parse("[x,y][x,z]", 3)) == 2
+
     def test_figure_style_pair_includes_split_x(self):
         # for ([x,y], [y,x]) at subdivision 2 some collection splits the
         # x-letters in two; the enumeration must include such specs, and

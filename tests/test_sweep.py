@@ -4,22 +4,32 @@ no selection bias.
 The classes are the cyclically reduced words that use every generator, up to
 rank 2 and length 8 and up to rank 3 and length 7, taken up to rotation,
 permutation and inversion of the letters, and inversion of the word.  Each
-class is generated once, as its least member.
+class is generated once, as its least member.  The commutator-length search
+is checked on the balanced classes of the longer sweeps in ``GENUS_SWEEPS``.
 """
 
+import ast
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import math
 
 import pytest
 
+import wml
 from wml.invariants import InvariantReport, analyze
+from wml.surfaces import build_surface, enumerate_matchings, \
+    minimal_single_boundary_genus
 from wml.weingarten import verify_word, word_moment
-from wml.words import Word
+from wml.words import Word, is_balanced, parse
 
 SWEEPS = [(2, 8, 143), (3, 7, 186)]  # (rank, longest length, classes)
+
+# (rank, longest length) of the classes whose least genus is checked
+# against every subdivision-1 surface
+GENUS_SWEEPS = [(2, 10), (3, 8)]
 
 # a generator with at most this many letters of each sign in {w, w^-1}
 # keeps the forced pair sum cheap
@@ -143,3 +153,32 @@ def test_forced_pair_sum_agrees():
             checked += 1
     # 160 classes and the proper powers xyxy, xyxyxy and xyzxyz
     assert checked == 163
+
+
+def _invariants_corpus():
+    """The (word text, rank) items of the benchmark's invariants workload."""
+    corpus = Path(wml.__file__).parents[2] / "perfbench" / "corpus.py"
+    return next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(corpus.read_text()).body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["INVARIANT_WORDS"]
+    )
+
+
+def test_genus_search_agrees_with_every_surface():
+    # the pruned letter-pairing search against the least genus of the
+    # surfaces that build_surface glues from every subdivision-1 matching
+    words = [w for rank, max_length in GENUS_SWEEPS
+             for w in _classes(rank, max_length)]
+    words += [parse(text, rank) for text, rank in _invariants_corpus()]
+    checked = 0
+    for w in words:
+        if not is_balanced([w])[0]:
+            continue
+        expected = min(build_surface(spec).components[0].genus
+                       for spec in enumerate_matchings([w], 1))
+        assert minimal_single_boundary_genus(w) == expected, str(w)
+        checked += 1
+    # 24 classes of rank 2, 13 of rank 3 and ten corpus words
+    assert checked == 47
