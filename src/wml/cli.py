@@ -72,7 +72,13 @@ class Settings:
         if flag_value is not None:
             return flag_value
         if name in self.config:
-            return int(self.config[name])
+            value = self.config[name]
+            try:
+                return int(value)
+            except ValueError:
+                raise ValueError(
+                    f"config file {self.args.config!r}: {name} must be an "
+                    f"integer, got {value!r}") from None
         return default
 
     def cap(self, name, default):

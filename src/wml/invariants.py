@@ -47,9 +47,15 @@ def primitivity_rank(w, rank, fringe_cap=DEFAULT_FRINGE_VERTEX_CAP):
     Returns ``(pi, witnesses)`` where each witness is a pair
     ``(graph, w rewritten in the graph's basis)``.
     """
+    return _primitivity_rank(w, rank, fringe_cap, w.is_proper_power())
+
+
+def _primitivity_rank(w, rank, fringe_cap, proper_power):
+    """:func:`primitivity_rank`, given ``proper_power``, the value of
+    ``w.is_proper_power()``."""
     if w.is_identity():
         return 0, []
-    power, root, exponent = w.is_proper_power()
+    power, root, exponent = proper_power
     if power:
         return 1, [(core_graph([root], rank), Word((1,) * exponent, 1))]
     # primitivity is invariant under conjugation, so each word is tested
@@ -228,7 +234,7 @@ def analyze(w, rank, fringe_cap=DEFAULT_FRINGE_VERTEX_CAP,
     proper_power = w.is_proper_power()
 
     try:
-        pi, witnesses = primitivity_rank(w, rank, fringe_cap)
+        pi, witnesses = _primitivity_rank(w, rank, fringe_cap, proper_power)
     except UndecidedError as exc:
         pi, witnesses = "undecided", "undecided"
         undecided["pi"] = exc.reason

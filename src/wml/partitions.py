@@ -2,7 +2,9 @@
 
 Characters are computed by the Murnaghan-Nakayama border-strip recursion and
 memoized.  ``schur_dim`` returns s_lambda(1^n) as an exact polynomial over n
-divided by the hook product.
+divided by the hook product; the library builds the Weingarten function from
+the cell contents directly, and the tests keep ``schur_dim`` as its
+independent oracle.
 """
 
 from __future__ import annotations

@@ -10,13 +10,17 @@ trace cycles, with every index loop that closes contributing a factor n.
 The pair sum does no rational-function arithmetic per pair.  Each pair adds
 1 to an integer tally keyed by (rewired monomial, cycle type of
 sigma tau^-1, closed loops).  After the loop, every Wg(t, n) on S_p is
-written as A_t / D_p over one common denominator D_p (cached per p), so the
-coefficient of a rewired monomial is the integer polynomial
-sum count * A_t * n^loops over D_p, put in canonical form once.  The work
-cap ``term_cap`` still counts the p!^2 pairs of every such sum.  The pairs
-run as (rho, tau) with rho = sigma tau^-1, so each cycle type is computed
-once per rho, and for each tau the strands are joined, once, into chains
-that end where sigma picks the next strand.
+written as A_t / D_p over one common denominator D_p, so the coefficient of
+a rewired monomial is the integer polynomial sum count * A_t * n^loops over
+D_p, put in canonical form once.  Wg comes from the contents c = j - i of
+the cells of the Young diagrams: D_p = p! * prod_c (n + c)^{m_c}, with m_c
+the most cells of content c in any partition of p, is closed-form, and each
+partition's share over it is an integer polynomial built from linear
+factors.  So the only polynomial gcd a Wg takes is the one that puts it in
+canonical form.  The work cap ``term_cap`` still counts the p!^2 pairs of
+every such sum.  The pairs run as (rho, tau) with rho = sigma tau^-1, so
+each cycle type is computed once per rho, and for each tau the strands are
+joined, once, into chains that end where sigma picks the next strand.
 
 The last remaining generator is integrated in closed form via the classical
 power-sum orthogonality on U(n): E[p_alpha(U) conj(p_beta(U))] equals
@@ -46,35 +50,64 @@ from .partitions import (
     dimension,
     murnaghan_nakayama,
     partitions_of,
-    schur_dim,
     z_order,
 )
-from .ratfunc import Polynomial, RationalFunction, laurent, poly_gcd
+from .ratfunc import Polynomial, RationalFunction, laurent
 from .words import MAX_WORD_LENGTH, cyclic_key, is_balanced
 
 DEFAULT_TERM_CAP = 10 ** 8
 
 
 @lru_cache(maxsize=None)
+def _content_terms(p):
+    """The Weingarten function on S_p over its closed-form denominator:
+    ``(D_p, [(lam, d_lam, cofactor_lam) for lam |- p])``.
+
+    D_p = p! * Q_p with Q_p = prod_c (n + c)^{m_c}, where m_c is the most
+    cells of content c = j - i that any lam |- p has, and cofactor_lam is
+    the integer polynomial Q_p / prod_{cells of lam} (n + c), a product of
+    linear factors.
+    """
+    counts = {lam: Counter(j - i for i, row in enumerate(lam)
+                           for j in range(row))
+              for lam in partitions_of(p)}
+    most = Counter()
+    for count in counts.values():
+        most |= count
+    terms = [(lam, dimension(lam), _linear_product((most - count).elements()))
+             for lam, count in counts.items()]
+    return _linear_product(most.elements()) * factorial(p), terms
+
+
+def _linear_product(contents):
+    """prod (n + c) over the contents c, an integer polynomial."""
+    out = Polynomial.const(1)
+    for c in contents:
+        out = out * Polynomial((c, 1))
+    return out
+
+
+@lru_cache(maxsize=None)
 def wg(sigma_type):
     """Weingarten function Wg(sigma, n) for a cycle type sigma of S_p.
 
-    Wg(sigma, n) = (1/p!^2) sum_{lam |- p} dim(lam)^2 chi^lam(sigma) / s_lam(1^n),
-    valid as a rational function for n >= p.
+    Wg(sigma, n) = sum_{lam |- p} dim(lam) chi^lam(sigma)
+    / (p! prod_{cells of lam} (n + c)), with c = j - i the content of a
+    cell: the character sum (1/p!^2) sum dim(lam)^2 chi^lam(sigma) /
+    s_lam(1^n) with s_lam(1^n) = prod (n + c) / (hook product).  Valid as
+    a rational function for n >= p.
     """
     mu = tuple(sigma_type)
     p = sum(mu)
     if p < 1:
         raise ValueError("cycle type of S_p needs p >= 1")
-    total = RationalFunction(0)
-    for lam in partitions_of(p):
-        d = dimension(lam)
+    den, terms = _content_terms(p)
+    num = Polynomial()
+    for lam, d, cofactor in terms:
         chi = murnaghan_nakayama(lam, mu)
-        if chi == 0:
-            continue
-        total = total + RationalFunction(d * d * chi) / schur_dim(lam)
-    scale = RationalFunction(Polynomial.const(1), Polynomial.const(factorial(p) ** 2))
-    return (total * scale).with_n_min(p)
+        if chi:
+            num = num + cofactor * (d * chi)
+    return RationalFunction(num, den, n_min=p)
 
 
 @lru_cache(maxsize=None)
@@ -82,14 +115,13 @@ def _wg_over_common_denominator(p):
     """Wg on S_p over one denominator: ``(D_p, {t: A_t})`` with
     wg(t) = A_t / D_p for every cycle type t, all integer polynomials.
 
-    D_p is built as a running lcm; dividing by the primitive gcd keeps
-    every quotient integral (Gauss's lemma).
+    D_p is the closed form of :func:`_content_terms`, a multiple of every
+    reduced denominator over Z, so each A_t takes one exact division.
     """
+    den, _ = _content_terms(p)
     weights = {t: wg(t) for t in partitions_of(p)}
-    den = Polynomial.const(1)
-    for f in weights.values():
-        den, _ = (den * f.den).divmod_exact(poly_gcd(den, f.den))
-    return den, {t: f.num * den.divmod_exact(f.den)[0] for t, f in weights.items()}
+    return den, {t: f.num * den.divmod_exact(f.den)[0]
+                 for t, f in weights.items()}
 
 
 class TraceMonomial(Immutable):

@@ -432,6 +432,17 @@ class TestInvalidInput:
             "invalid input: genus_cap must be at least 0, got -1\n"
         assert not cache.exists()
 
+    def test_non_integer_config_value_names_key_and_file(self, run,
+                                                         tmp_path):
+        cfg = tmp_path / "wml.cfg"
+        cfg.write_text("genus_cap = abc\n")
+        result = run(["invariants", "[x,y]", "--config", str(cfg),
+                      "--no-cache"])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == (
+            f"invalid input: config file {str(cfg)!r}: genus_cap must be "
+            "an integer, got 'abc'\n")
+
 
 class TestConfig:
     def test_config_sets_rank(self, run, tmp_path):

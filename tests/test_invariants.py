@@ -360,6 +360,20 @@ class TestAnalyze:
         assert rep.pi == 2 and rep.comm_crit_count == 1
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("text", ["", "x", "x^3", "[x,y]", "[x,y]^2",
+                                      "x^2 y^2"])
+    def test_one_proper_power_test(self, monkeypatch, text):
+        calls = []
+        is_proper_power = Word.is_proper_power
+
+        def counting(self):
+            calls.append(self)
+            return is_proper_power(self)
+
+        monkeypatch.setattr(Word, "is_proper_power", counting)
+        analyze(parse(text, F2) if text else Word((), F2), F2)
+        assert len(calls) == 1
+
     def test_builds_only_the_swept_uncertified_graphs(self, monkeypatch):
         # [x,[x,y]] has 174 fringe graphs; w's loop crosses an edge once in
         # all but 4 (two of rank 2, two of rank 3), and pi = 2, so the

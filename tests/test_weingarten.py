@@ -4,12 +4,19 @@ from itertools import permutations
 import pytest
 
 from wml.errors import UndecidedError, capped_product
-from wml.partitions import cycle_type, murnaghan_nakayama, partitions_of, schur_dim
+from wml.partitions import (
+    cycle_type,
+    dimension,
+    murnaghan_nakayama,
+    partitions_of,
+    schur_dim,
+)
 from wml.ratfunc import Polynomial, RationalFunction, laurent
 from wml.weingarten import (
     TraceMonomial,
     _close_last_generator,
     _integrate_letter,
+    _wg_over_common_denominator,
     expansion_prediction,
     moment,
     stable_inner_product,
@@ -71,6 +78,73 @@ class TestWeingartenFunction:
                     total = total + gram * wg(cycle_type(compose(invert(tau), pi)))
                 expected = ONE if sigma == pi else RationalFunction(0)
                 assert total == expected
+
+    def test_gram_inverse_p4_identity_row(self):
+        # G and Wg are class functions, so (G Wg)(sigma, pi) depends only on
+        # sigma^-1 pi: the row sigma = e checks every entry
+        perms = list(permutations(range(4)))
+
+        def compose(a, b):
+            return tuple(a[b[i]] for i in range(4))
+
+        def invert(a):
+            out = [0] * 4
+            for i, v in enumerate(a):
+                out[v] = i
+            return tuple(out)
+
+        for pi in perms:
+            total = RationalFunction(0)
+            for tau in perms:
+                gram = RationalFunction.n_power(len(cycle_type(tau)))
+                total = total + gram * wg(cycle_type(compose(invert(tau), pi)))
+            assert total == (ONE if pi == (0, 1, 2, 3) else RationalFunction(0))
+
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_schur_character_sum(self, p):
+        # the oracle: (1/p!^2) sum_lam dim(lam)^2 chi^lam(t) / s_lam(1^n)
+        for t in partitions_of(p):
+            total = RationalFunction(0)
+            for lam in partitions_of(p):
+                d = dimension(lam)
+                total = total + RationalFunction(
+                    d * d * murnaghan_nakayama(lam, t)) / schur_dim(lam)
+            expected = total / (math.factorial(p) ** 2)
+            assert wg(t) == expected and wg(t).n_min == p
+
+    @pytest.mark.parametrize("p", range(1, 8))
+    def test_common_denominator(self, p):
+        # D_p = p! prod_c (n + c)^{m_c}: the cells of content c of a
+        # partition lie on one diagonal, so the most there are is the
+        # largest k whose k x (k + |c|) rectangle has at most p cells
+        q = Polynomial.const(math.factorial(p))
+        for c in range(1 - p, p):
+            k = 0
+            while (k + 1) * (k + 1 + abs(c)) <= p:
+                k += 1
+            for _ in range(k):
+                q = q * Polynomial((c, 1))
+        den, numerators = _wg_over_common_denominator(p)
+        assert den == q
+        assert sorted(numerators) == sorted(partitions_of(p))
+        for t, num in numerators.items():
+            assert RationalFunction(num, den) == wg(t)
+
+    @pytest.mark.parametrize("p", [1, 3, 5])
+    def test_table_reads_wg_once_per_cycle_type(self, monkeypatch, p):
+        # perfbench's ``weingarten.pair_terms`` counts calls to the module
+        # global ``wg``, so the table must read each weight through it
+        import wml.weingarten
+
+        calls = []
+
+        def counting_wg(t):
+            calls.append(t)
+            return wg(t)
+
+        monkeypatch.setattr(wml.weingarten, "wg", counting_wg)
+        _wg_over_common_denominator.__wrapped__(p)
+        assert sorted(calls) == sorted(partitions_of(p))
 
 
 class TestStableInnerProduct:
