@@ -1,10 +1,13 @@
+import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
 
 from wml.montecarlo import (
+    CHUNK,
     UNITARITY_TOL,
+    Estimate,
     UnitarySample,
     _chunk_moments,
     _chunk_rng,
@@ -40,6 +43,13 @@ class TestSampling:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             UnitarySample(np.ones((3, 3)))
+
+    @pytest.mark.parametrize("shape", [(3, 2), (3,), (2, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        # a 3 x 2 isometry has u^H u = I but is no unitary
+        matrix = np.eye(*shape) if len(shape) == 2 else np.ones(shape)
+        with pytest.raises(ValueError, match="square"):
+            UnitarySample(matrix)
 
 
 def seed_or_rng(n):
@@ -131,6 +141,20 @@ class TestEstimates:
         with pytest.raises(RuntimeError):
             estimate_moment(parse("x", 1), (1,), n=2, samples=10, seed=1)
 
+    def test_memory_holds_one_chunk_of_draws(self):
+        # the chunk's normals, 2 r CHUNK n^2 float64s, are the one large
+        # buffer: the work arrays of a batch add a few megabytes at n = 16
+        w = parse("[x,y]", 2)
+        estimate_moment(w, (1,), n=16, samples=10, seed=1)
+        draws = 2 * w.rank * CHUNK * 16 ** 2 * 8
+        tracemalloc.start()
+        try:
+            estimate_moment(w, (1,), n=16, samples=10_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * draws, (peak, draws)
+
     def test_json(self):
         est = estimate_moment(parse("x", 1), (1, -1), n=2, samples=500, seed=1)
         data = est.to_json()
@@ -147,6 +171,108 @@ class TestEstimates:
             est = estimate_moment(w, (1, -1), n=n, samples=30_000,
                                   seed=600 + n)
             assert abs(est.mean - exact) <= 4 * est.stderr, n
+
+
+def _whole_chunk_estimate(w, exponents, n, samples, seed):
+    """The estimator as it was before it ran per batch, kept whole as the
+    reference: each chunk draws its Philox normals, then takes QR, the
+    phase fix, the unitarity check, the word product, the powers and the
+    traces over the whole chunk at once."""
+    sum_value = 0.0 + 0.0j
+    moments = {"re": (0, 0.0, 0.0), "im": (0, 0.0, 0.0)}
+    unitarity_max = 0.0
+    max_power = max(abs(m) for m in exponents)
+    for chunk_index, total in enumerate(range(0, samples, CHUNK)):
+        count = min(CHUNK, samples - total)
+        rng = np.random.Generator(np.random.Philox(
+            key=np.array([seed, chunk_index], dtype=np.uint64)))
+        unitaries = {}
+        for g in range(1, w.rank + 1):
+            z = (rng.standard_normal((count, n, n))
+                 + 1j * rng.standard_normal((count, n, n)))
+            z /= np.sqrt(2.0)
+            q, r = np.linalg.qr(z)
+            diag = np.einsum("bii->bi", r)
+            unitaries[g] = q * (diag / np.abs(diag))[:, None, :]
+        for u in unitaries.values():
+            defect = np.max(np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(n)))
+            unitarity_max = max(unitarity_max, float(defect))
+        letters = [unitaries[abs(a)] if a > 0
+                   else unitaries[abs(a)].conj().transpose(0, 2, 1)
+                   for a in w.letters]
+        base = (reduce(np.matmul, letters) if letters else
+                np.broadcast_to(np.eye(n, dtype=np.complex128),
+                                (count, n, n)).copy())
+        powers = [None, base]
+        for _ in range(2, max_power + 1):
+            powers.append(powers[-1] @ base)
+        values = np.ones(count, dtype=np.complex128)
+        for m in exponents:
+            mat = powers[abs(m)]
+            if m < 0:
+                mat = mat.conj().transpose(0, 2, 1)
+            values *= np.einsum("bii->b", mat)
+        sum_value += values.sum()
+        for part, real in (("re", values.real), ("im", values.imag)):
+            mean = float(real.mean())
+            chunk = (count, mean, float(((real - mean) ** 2).sum()))
+            moments[part] = _merge_moments(moments[part], chunk)
+    variance = (moments["re"][2] + moments["im"][2]) / samples
+    return Estimate(sum_value / samples, float(np.sqrt(variance / samples)),
+                    samples, seed, n, unitarity_max).to_json()
+
+
+# Cases on either side of a batch (256) and of a chunk (10,000), so that a
+# change to the Philox stream, the draw order or the order of any sum or
+# product shows: word text, rank, exponents, n, samples, seed.
+S = 2 ** 63 + 1
+CASES = [
+    ("x", 1, (1,), 1, 255, 0),
+    ("x", 1, (2, -2), 1, 20_000, S),
+    ("x", 1, (-1, 1, 1), 3, 10_001, 0),
+    ("[x,y]", 2, (1,), 16, 256, 0),
+    ("[x,y]", 2, (1,), 16, 1, S),
+    ("x", 1, (2, -2), 3, 257, 0),
+    ("[x,y]", 2, (2, -2), 16, 257, 0),
+    ("[x,y]", 2, (-1, 1, 1), 3, 10_001, 0),
+    ("[x,y]", 2, (2, -2), 3, 10_000, S),
+    ("[x,y]", 2, (-1, 1, 1), 16, 257, S),
+    ("[x,y]", 2, (1,), 16, 10_001, 0),
+    ("x^2 y^-3 x y", 2, (1,), 3, 20_000, 0),
+    ("[[x,y],z]", 3, (1,), 16, 255, 0),
+    ("[[x,y],z]", 3, (2, -2), 3, 10_001, S),
+    ("[[x,y],z]", 3, (-1, 1, 1), 1, 1, 0),
+]
+
+
+def _case_id(case):
+    text, rank, exponents, n, samples, seed = case
+    return (f"{text or 'e'}-r{rank}-{'_'.join(map(str, exponents))}-n{n}"
+            f"-{samples}-{'S' if seed else 0}")
+
+
+class TestPinnedEstimates:
+    @pytest.mark.parametrize("case", CASES, ids=_case_id)
+    def test_same_bits_as_whole_chunks(self, case):
+        # compared on the running machine: the last bits of QR and of the
+        # matrix products depend on the BLAS kernels, the layout does not
+        text, rank, exponents, n, samples, seed = case
+        w = parse(text, rank)
+        got = estimate_moment(w, exponents, n, samples, seed).to_json()
+        assert got == _whole_chunk_estimate(w, exponents, n, samples, seed)
+
+    @pytest.mark.parametrize("exponents, n, samples, seed, mean", [
+        ((1,), 3, 1, 0, 3.0),
+        ((2, -2), 16, 257, S, 256.0),
+        ((-1, 1, 1), 1, 10_001, 0, 1.0),
+    ])
+    def test_rank_zero_literals(self, exponents, n, samples, seed, mean):
+        # no generator is drawn, so no floating-point kernel touches these
+        got = estimate_moment(Word((), 0), exponents, n, samples, seed)
+        assert got.to_json() == {
+            "mean": [mean, 0.0], "stderr": 0.0, "samples": samples,
+            "seed": seed, "n": n, "rng": "philox4x64", "unitarity_max": 0.0,
+        }
 
 
 class TestWordProduct:
