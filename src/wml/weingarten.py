@@ -22,14 +22,18 @@ every such sum.  The pairs run as (rho, tau) with rho = sigma tau^-1, so
 each cycle type is computed once per rho, and for each tau the strands are
 joined, once, into chains that end where sigma picks the next strand.
 
-The last remaining generator is integrated in closed form via the classical
+Every monomial is finished by one closing step on the last two
+generators.  The last one is integrated in closed form via the classical
 power-sum orthogonality on U(n): E[p_alpha(U) conj(p_beta(U))] equals
 delta_{alpha beta} * z_alpha exactly once n >= |alpha|.  The pair sum just
 before it builds no rewired word: every strand between two occurrences of
 its generator is then a power of the last one, so it reduces to an integer
 exponent sum.  Each pair adds 1 to an integer tally keyed by (cycle type,
 sorted cycle sums); after the loop each key gets its closed-form value, an
-integer, and one rational function per monomial is built.
+integer, and one rational function per monomial is built.  With one
+generator there is no pair sum to close, and the orthogonality alone
+finishes; with none, the monomial is the constant 1.  Identity words are
+tr(I) = n each, a factor n^k the integration starts from.
 ``force_pair_sum`` integrates every generator by the general rewiring
 instead, as an oracle.
 
@@ -336,17 +340,11 @@ def _power_sum_expectation(exponents):
     return z_order(alpha)
 
 
-def _final_letter_value(monomial, gen):
-    """Closed-form Haar expectation of a monomial in a single generator.
-
-    A reduced cyclic word over one letter is a nonzero power of it.
-    """
-    return _power_sum_expectation([_exponent_sum(cw, gen) for cw in monomial])
-
-
 def _close_last_generator(monomial, gen, final, term_budget):
     """Integrate out ``gen`` and then ``final`` from a monomial in those two
-    alone, without building any rewired word.
+    alone, without building any rewired word.  Either may be None: with no
+    ``gen`` the monomial goes straight to the power-sum orthogonality, and
+    with neither it must be empty, the constant 1.
 
     Each strand between occurrences of ``gen`` is a power of ``final``, so
     it reduces to its exponent sum, as does each passthrough word.  A pair
@@ -360,9 +358,9 @@ def _close_last_generator(monomial, gen, final, term_budget):
     if split is None:
         return RationalFunction(0)
     passthrough, segments, arrive = split
-    if not segments:
-        return RationalFunction(_final_letter_value(passthrough, final))
     fixed = [_exponent_sum(cw, final) for cw in passthrough]
+    if not segments:
+        return RationalFunction(_power_sum_expectation(fixed))
     strands = [_exponent_sum(seg, final) for seg in segments]
 
     tally = Counter()
@@ -384,39 +382,31 @@ def word_moment(words, term_cap=DEFAULT_TERM_CAP, force_pair_sum=False):
     """E[tr(w_1) ... tr(w_l)] over independent Haar unitaries, exactly.
 
     Returns the zero function for unbalanced collections.  The result is
-    tagged with n_min = max over generators of the per-sign occurrence count.
+    tagged with n_min = max over generators of the per-sign occurrence
+    count, or 1 when no generator occurs.
+
+    Each identity word is tr(I) = n, so the state starts at n^k for k of
+    them.  Generators are integrated in order of their counts: all but
+    the last two by the pair sum, then every monomial is finished by one
+    call of :func:`_close_last_generator` on the last two, either of which
+    may be missing.  ``force_pair_sum`` integrates every generator by the
+    pair sum, so the closing step only meets the empty monomial.
     """
     words = list(words)
-    if not words:
-        return RationalFunction(1)
     balanced, counts = is_balanced(words)
     if not balanced:
         return RationalFunction(0)
-
-    # trivial boundary words contribute tr(I) = n each
-    prefactor_exp = sum(1 for w in words if w.is_identity())
-    remaining = [w.letters for w in words if not w.is_identity()]
-    if not remaining:
-        return RationalFunction.n_power(prefactor_exp)
-
-    n_min = max(counts.values())
+    n_min = max(counts.values(), default=1)
     gens = sorted(counts, key=lambda g: counts[g])
-    final = gens[-1]
-    pair_sum_gens = gens[:-1]
-    closed = None  # the last pair sum, integrated together with final
-    if force_pair_sum:
-        pair_sum_gens = gens
-        final = None
-    elif pair_sum_gens:
-        closed = pair_sum_gens.pop()
+    cut = len(gens) if force_pair_sum else max(len(gens) - 2, 0)
+    *_, closed, final = [None, None, *gens[cut:]]  # None where missing
 
     budget = [term_cap]
-    keys = [cyclic_key(cw) for cw in remaining]
-    if () in keys:
-        raise RuntimeError("a reduced nontrivial word has a trivial cyclic key")
-    state = {tuple(sorted(keys)): RationalFunction(1)}
+    keys = [cyclic_key(w.letters) for w in words]
+    state = {tuple(sorted(key for key in keys if key)):
+             RationalFunction.n_power(keys.count(()))}
 
-    for g in pair_sum_gens:
+    for g in gens[:cut]:
         new_state = {}
         for monomial, coeff in state.items():
             for key, c in _integrate_letter(monomial, g, budget).items():
@@ -426,19 +416,9 @@ def word_moment(words, term_cap=DEFAULT_TERM_CAP, force_pair_sum=False):
 
     total = RationalFunction(0)
     for monomial, coeff in state.items():
-        if final is None:
-            # all letters integrated by pair sums; only loops remain
-            if monomial:
-                raise RuntimeError("letters left after integrating all generators")
-            value = RationalFunction(1)
-        elif closed is None:
-            value = RationalFunction(_final_letter_value(monomial, final))
-        else:
-            value = _close_last_generator(monomial, closed, final, budget)
+        value = _close_last_generator(monomial, closed, final, budget)
         if not value.is_zero():
             total = total + coeff * value
-    if prefactor_exp:
-        total = total * RationalFunction.n_power(prefactor_exp)
     return total.with_n_min(max(total.n_min, n_min))
 
 
@@ -477,18 +457,12 @@ def expansion_prediction(w, trace_monomial, pi, comm_crit_count):
     constant = stable_inner_product(trace_monomial, TraceMonomial())
     bracket = stable_inner_product(trace_monomial, TraceMonomial((1,))) + \
         stable_inner_product(trace_monomial, TraceMonomial((-1,)))
-    if pi == float("inf"):
-        return {
-            "constant": constant,
-            "second_coefficient": 0,
-            "second_exponent": None,
-            "remainder_exponent": None,
-        }
+    finite = pi != inf
     return {
         "constant": constant,
-        "second_coefficient": bracket * comm_crit_count,
-        "second_exponent": 1 - pi,
-        "remainder_exponent": -pi,
+        "second_coefficient": bracket * comm_crit_count if finite else 0,
+        "second_exponent": 1 - pi if finite else None,
+        "remainder_exponent": -pi if finite else None,
     }
 
 

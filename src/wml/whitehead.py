@@ -129,8 +129,18 @@ def minimize(w, rank):
 
 
 def is_primitive(w, rank):
-    """A nontrivial word is primitive iff its minimal cyclic length is 1."""
+    """A nontrivial word is primitive iff its minimal cyclic length is 1.
+
+    A word in the free factor of the generators it uses is primitive in
+    F_rank iff it is primitive there, so the search runs in that factor:
+    the core is relabeled onto 1..u, in order, for its u generators.
+    """
     core = _core_in_rank(w, rank)
+    used = sorted({abs(a) for a in set(core)})  # set() first: few letters
+    if len(used) < rank:
+        to = {g: i + 1 for i, g in enumerate(used)}
+        core = tuple(to[a] if a > 0 else -to[-a] for a in core)
+        rank = len(used)
     return bool(core) and len(_minimal_core(core, rank)) == 1
 
 

@@ -21,7 +21,7 @@ Indexed form is the canonical output; ``str(word)`` round-trips through the
 parser.  No power, product or commutator may spell more than
 :data:`MAX_WORD_LENGTH` letters before free reduction, and an exponent or
 index is a run of ASCII digits with at most :data:`MAX_DIGITS` digits after
-its leading zeros.
+its leading zeros.  At most :data:`MAX_NESTING` brackets may be open at once.
 """
 
 from __future__ import annotations
@@ -41,6 +41,10 @@ MAX_WORD_LENGTH = 10 ** 6
 # Python's int() conversion of a digit string can be set to, so converting a
 # run this long never fails.
 MAX_DIGITS = 640
+
+# Most brackets, '(' and '[' together, open at once: the parser recurses once
+# per level, so deeper text is refused before it can overflow the stack.
+MAX_NESTING = 100
 
 
 def free_reduce(letters):
@@ -269,6 +273,7 @@ class _Parser:
         self.end = len(text)
         self.rank = rank
         self.pos = 0
+        self.depth = 0  # brackets open at the cursor
         # the word of each letter read so far: a letter's index is checked
         # once, where it first appears
         self.generators = {}
@@ -362,12 +367,17 @@ class _Parser:
         if ch == "1":
             self.pos += 1
             return Word.identity(self.rank)
+        if ch in "([":
+            if self.depth == MAX_NESTING:
+                self.error(f"nesting deeper than {MAX_NESTING} brackets")
+            self.depth += 1
         if ch == "(":
             self.pos += 1
             inner = self._sequence()
             if self.peek() != ")":
                 self.error("expected ')'")
             self.pos += 1
+            self.depth -= 1
             return inner
         if ch == "[":
             at = self.pos
@@ -380,6 +390,7 @@ class _Parser:
             if self.peek() != "]":
                 self.error("expected ']'")
             self.pos += 1
+            self.depth -= 1
             self._bound(2 * (len(left) + len(right)), at)
             return commutator(left, right)
         if ch.isalpha():

@@ -2,8 +2,10 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import sys
 import time
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -56,6 +58,16 @@ class TestParse:
         assert result.exit_code == 2
         assert result.stderr == \
             "parse error: number longer than 640 digits (at position 2)\n"
+
+    @pytest.mark.parametrize("text", [
+        "(" * 1200 + "x" + ")" * 1200,
+        "[" * 400 + "x" + ",y]" * 400,
+    ], ids=["parentheses", "commutators"])
+    def test_deep_nesting_exit_code(self, run, text):
+        result = run(["parse", text])
+        assert result.exit_code == 2
+        assert result.stderr == "parse error: nesting deeper than 100 " \
+            "brackets (at position 100)\n"
 
     def test_rank_violation_exit_code(self, run):
         result = run(["parse", "y", "--rank", "1"])
@@ -470,6 +482,43 @@ class TestConfig:
         assert (result.exit_code, result.stdout) == (2, "")
         assert result.stderr.startswith(
             "invalid input: cannot read config file ")
+
+
+def _readme_cli_lines():
+    """The ``wml ...`` command lines of README's ``## CLI`` block, each
+    split into arguments with its trailing comment."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    out = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "wml", line
+        out.append((argv[1:], comment.strip()))
+    return out
+
+
+README_CLI = _readme_cli_lines()
+
+
+class TestReadmeCli:
+    # every command of the README's CLI block runs as written; with no
+    # cache directory configured, invariants reads and writes no cache
+    @pytest.mark.parametrize("argv, comment", README_CLI,
+                             ids=[" ".join(argv) for argv, _ in README_CLI])
+    def test_line_runs(self, run, monkeypatch, argv, comment):
+        monkeypatch.delenv("WML_CACHE", raising=False)
+        result = run(argv)
+        assert result.exit_code == 0, result.stderr
+        if "--symbolic" in argv:
+            assert comment.endswith(": 1/n")
+            assert json.loads(result.stdout)["display"] == "1 / n"
+
+    def test_block_is_read(self):
+        commands = [argv[0] for argv, _ in README_CLI]
+        assert sorted(set(commands)) == \
+            ["invariants", "moment", "parse", "surfaces", "verify"]
 
 
 def _in_process(argv):

@@ -321,6 +321,27 @@ class TestAnalyze:
         assert len(data["comm_crit"]) == 1
         assert not data["undecided"]
 
+    def test_unused_generators_cost_nothing(self, monkeypatch):
+        # the primitivity search runs in the factor of the letters used:
+        # the 2 * 12 * (4^11 - 1) Whitehead tables of F_12, about 10^8,
+        # are never built
+        import time
+
+        import wml.whitehead
+
+        tables = wml.whitehead.type_ii_autos
+
+        def small_rank_only(rank):
+            assert rank <= 2, f"Whitehead tables of rank {rank} asked for"
+            return tables(rank)
+
+        monkeypatch.setattr(wml.whitehead, "type_ii_autos", small_rank_only)
+        start = time.perf_counter()
+        wide = analyze(parse("[x,y]", 12), 12).to_json()
+        assert time.perf_counter() - start < 1
+        assert wide == {**analyze(parse("[x,y]", F2), F2).to_json(),
+                        "rank": 12}
+
     def test_infinite_values_serialize(self):
         rep = analyze(parse("x", F2), F2)
         data = rep.to_json()

@@ -320,6 +320,33 @@ class TestIntegratorConsistency:
                 assert f.evaluate(1) == 1, (text, exps)
 
 
+def rf_json(num, n_min=1):
+    return {"num_coeffs": num, "den_coeffs": [1], "n_min": n_min}
+
+
+class TestEdgeCollections:
+    # no pair sum at all, identity words, or a single generator: the values
+    # and validity bounds below were read before the closing step became
+    # one path, and the forced pair sum must give the same bytes
+    X = parse("x", 1)
+
+    @pytest.mark.parametrize("words, expected", [
+        ([], rf_json([1])),
+        ([Word.identity(2)] * 3, rf_json([0, 0, 0, 1])),
+        ([Word.identity(0)], rf_json([0, 1])),
+        ([X ** 3, X ** -3], rf_json([3], 3)),
+        ([X, X, ~X, ~X], rf_json([2], 2)),
+        ([X ** 2, ~X, ~X], rf_json([], 2)),
+        ([X ** 2, X ** -2, Word.identity(1)], rf_json([0, 2], 2)),
+    ])
+    def test_pinned(self, words, expected):
+        fast = word_moment(words)
+        forced = word_moment(words, force_pair_sum=True)
+        assert fast.serialize() == expected
+        assert forced.serialize() == expected
+        assert fast == forced
+
+
 def reference_integrate_letter(monomial, gen):
     """Integrate out ``gen`` with one wg(type) * n^loops term per (sigma, tau)
     pair, summed as rational functions: the reference for the tallied sum."""
@@ -569,8 +596,12 @@ class TestExpansionPrediction:
 
     def test_infinite_pi(self):
         pred = expansion_prediction(parse("x", 2), (1, -1), float("inf"), 0)
-        assert pred["constant"] == 1
-        assert pred["second_exponent"] is None
+        assert pred == {
+            "constant": 1,
+            "second_coefficient": 0,
+            "second_exponent": None,
+            "remainder_exponent": None,
+        }
 
 
 def laurent_rows(e0, coeffs):

@@ -7,6 +7,7 @@ import pytest
 import wml.whitehead
 from wml.errors import UndecidedError
 from wml.whitehead import (
+    _minimal_core,
     in_proper_free_factor,
     is_primitive,
     minimize,
@@ -14,7 +15,7 @@ from wml.whitehead import (
     type_i_canonical,
     type_ii_autos,
 )
-from wml.words import Word, parse
+from wml.words import Word, cyclic_core, parse
 
 
 def random_word(rng, rank=2, max_len=8):
@@ -231,6 +232,20 @@ class TestPrimitivity:
         # (xy, y) is a basis, so xy is primitive
         assert is_primitive(parse("x y", 2), 2)
         assert is_primitive(parse("x y^3", 2), 2)
+
+    def test_search_runs_in_the_factor_of_the_letters_used(self):
+        # every reduced word of length <= 5 over one or two generators of
+        # F_3 or F_4: the answer is the one of the full-rank search
+        from test_words import all_reduced_words
+        for rank, used in [(3, (1, 3)), (3, (2,)), (4, (2, 4))]:
+            for w in all_reduced_words(len(used), 5):
+                to = dict(zip(range(1, len(used) + 1), used))
+                v = Word([to[a] if a > 0 else -to[-a] for a in w.letters],
+                         rank)
+                core = cyclic_core(v.letters)
+                assert is_primitive(v, rank) == \
+                    (bool(core) and len(_minimal_core(core, rank)) == 1), \
+                    str(v)
 
     def test_abelianization_obstruction(self):
         # gcd of the exponent vector must be 1 for a primitive element;

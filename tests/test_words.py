@@ -117,6 +117,32 @@ class TestParsing:
         assert str(exc.value) == \
             "number longer than 640 digits (at position 3)"
 
+    def test_nesting_bound(self):
+        # every '(' and '[' counts one level; a level past MAX_NESTING is a
+        # parse error at its bracket, never a recursion overflow
+        assert wml.words.MAX_NESTING == 100
+
+        def parens(depth):
+            return "(" * depth + "x" + ")" * depth
+
+        def commutators(depth):
+            text = "x"
+            for _ in range(depth):
+                text = f"[{text},y]"
+            return text
+
+        assert parse(parens(100), 2) == parse("x", 2)
+        assert parse("(" * 90 + commutators(10) + ")" * 90, 2) == \
+            parse(commutators(10), 2)
+        for text in [parens(101), parens(1200), commutators(101),
+                     commutators(400), "(" * 90 + commutators(11) + ")" * 90]:
+            with pytest.raises(ParseError) as exc:
+                parse(text, 2)
+            assert str(exc.value) == \
+                "nesting deeper than 100 brackets (at position 100)"
+        # closing a bracket frees its level
+        assert parse(parens(100) + parens(100), 2) == parse("x^2", 2)
+
     def test_length_bound(self, monkeypatch):
         # powers, products and commutators are checked before they are
         # spelled, at the position of the exponent, factor or bracket
