@@ -411,7 +411,21 @@ def fringe(w, vertex_cap=DEFAULT_FRINGE_VERTEX_CAP):
     trail = []
     classes = {}  # subgroup rank -> [(root of each vertex, certified)]
 
-    def read():
+    # one frame per undecided root: [vertex, next root to join, trail
+    # mark], in place of a recursion as deep as the graph; the state is a
+    # congruence in which the vertices below the deepest frame's are
+    # decided.  A frame's first branch opens a class of its own, and each
+    # later one joins an earlier root, in place, undone before the next
+    frames = []
+    i = 0
+    while True:
+        while i < num_vertices and parent[i] != i:
+            i += 1
+        if i < num_vertices:
+            frames.append([i, 0, len(trail)])
+            i += 1
+            continue
+        # every vertex is decided: read the congruence
         root = _roots(parent)
         roots = [v for v, r in enumerate(root) if r == v]
         rank = sum(len(out[v]) for v in roots) - len(roots) + 1
@@ -420,26 +434,25 @@ def fringe(w, vertex_cap=DEFAULT_FRINGE_VERTEX_CAP):
             g = _quotient(root, base.edges, base.basepoint, base.rank)
             raise RuntimeError(f"fringe quotient {g!r} does not contain {w}")
         classes.setdefault(rank, []).append((root, _crosses_once(crossed)))
-
-    def visit(i):
-        # the state is a congruence in which vertices below i are decided;
-        # a join changes it in place, and is undone before the next one
-        while i < num_vertices and parent[i] != i:
-            i += 1
-        if i == num_vertices:
-            read()
-            return
-        visit(i + 1)
-        for j in range(i):
-            if parent[j] != j:
-                continue
-            mark = len(trail)
-            if _close(parent, out, inc, [(i, j)], decided=i, trail=trail):
-                visit(i + 1)
-            _undo(parent, trail, mark)
-
-    visit(0)
-    return Fringe(base, classes)
+        while frames:
+            frame = frames[-1]
+            i, j, mark = frame
+            if j:  # the branch taken joined root j - 1
+                _undo(parent, trail, mark)
+            while j < i:
+                if parent[j] == j:
+                    if _close(parent, out, inc, [(i, j)], decided=i,
+                              trail=trail):
+                        break
+                    _undo(parent, trail, mark)
+                j += 1
+            if j < i:
+                frame[1] = j + 1
+                i += 1
+                break
+            frames.pop()
+        else:
+            return Fringe(base, classes)
 
 
 class Fringe(Sequence):

@@ -7,11 +7,10 @@ and every subdivision index j, a perfect matching between the (x, j) and
 reversed orientation yields a compact oriented surface whose boundary
 circles are the inner circles of the annuli.
 
-Everything topological is computed combinatorially: Euler characteristics
-by union-find over the outer corners, genus from chi = 2 - 2g - b, and
-the image subgroup of a component from the dual graph whose vertices are
-the regions between cut arcs and whose edges are the matched pairs of the
-first subdivision level.
+Everything topological is computed combinatorially from the outer
+corners: Euler characteristics by union-find over them, genus from
+chi = 2 - 2g - b, and the image subgroup of a component by folding them,
+with the matched pairs of the first subdivision level as labeled edges.
 """
 
 from __future__ import annotations
@@ -116,8 +115,38 @@ class SurfaceComplex(Immutable):
 
     def image_subgroup(self, component_index):
         """Folded graph of the subgroup generated by the images of all
-        marked-point-to-marked-point paths of the component."""
-        return _dual_graph(self, component_index)
+        marked-point-to-marked-point paths of the component.
+
+        Its vertices are the component's outer corners, numbered and glued
+        as in :func:`build_surface`, and the corners at the annulus
+        basepoints are wedged together.  A pair above level 1 has no arc,
+        so its corners join; a first-level pair is an edge from corner q to
+        corner q + 1, since crossing its arc in word direction at the
+        positive occurrence reads the generator."""
+        sub_letters = self.sub_letters
+        offset, total = {}, 0
+        for m in self.components[component_index].annuli:
+            offset[m] = total
+            total += len(sub_letters[m])
+        joins = [(start, 0) for start in offset.values()]
+        edges = []
+        for (gen, j, (m, q), (m2, q2)) in self.glue_pairs:
+            if m not in offset:
+                continue
+            start = offset[m] + q
+            end = offset[m] + (q + 1) % len(sub_letters[m])
+            # orientation-reversing: start of one to end of the other
+            joins += [(start, offset[m2] + (q2 + 1) % len(sub_letters[m2])),
+                      (end, offset[m2] + q2)]
+            if j != 1:
+                joins.append((start, end))
+            elif sub_letters[m][q][1] < 0:
+                raise RuntimeError(
+                    "glue pairs store the positive occurrence first")
+            else:
+                edges.append((start, end, gen))
+        return fold(total, edges, 0, max(w.rank for w in self.spec.words),
+                    identify=joins)
 
     def to_json(self, images=False):
         """The surface record of ``wml surfaces``; with ``images``, every
@@ -228,48 +257,6 @@ def build_surface(spec):
              2 * faces + len(glue_pairs), faces)
     return SurfaceComplex(spec, tuple(sub_letters), glue_pairs, components,
                           cells)
-
-
-def _dual_graph(surface, component_index):
-    """Fold the dual graph of a component: one vertex per region between
-    the first-level arcs, one labeled edge per first-level matched pair,
-    and the regions holding the annulus basepoints wedged together.
-
-    Each sub-quadrilateral ``(m, q)`` has a corner on either side of its
-    arc, and the joins of neighbouring corners are folded together with the
-    labeled edges."""
-    members = sorted(surface.components[component_index].annuli)
-    offset, total = {}, 0
-    for m in members:
-        offset[m] = total
-        total += len(surface.sub_letters[m])
-
-    def corner(m, q, side):
-        return 2 * (offset[m] + q) + side
-
-    basepoint = corner(members[0], 0, 0)
-    joins = [(corner(m, 0, 0), basepoint) for m in members]
-    for m in members:
-        size = len(surface.sub_letters[m])
-        joins += [(corner(m, q, 1), corner(m, (q + 1) % size, 0))
-                  for q in range(size)]
-    edges = []
-    for (gen, j, (m, q), (m2, q2)) in surface.glue_pairs:
-        if m not in offset:
-            continue
-        joins += [(corner(m, q, 0), corner(m2, q2, 1)),
-                  (corner(m, q, 1), corner(m2, q2, 0))]
-        if j != 1:
-            # no arc at this level: the whole double-quad is one region
-            joins.append((corner(m, q, 0), corner(m, q, 1)))
-            continue
-        if surface.sub_letters[m][q][1] < 0:
-            raise RuntimeError("glue pairs store the positive occurrence first")
-        # crossing the arc in word direction at the positive occurrence
-        # reads the generator
-        edges.append((corner(m, q, 0), corner(m, q, 1), gen))
-    return fold(2 * total, edges, basepoint,
-                max(w.rank for w in surface.spec.words), identify=joins)
 
 
 def _check_collection_count(counts, max_subdivision, spec_cap):

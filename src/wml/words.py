@@ -205,7 +205,7 @@ class Word(Immutable):
         """
         core = cyclic_core(self.letters)
         prefix = self.letters[:(len(self.letters) - len(core)) // 2]
-        return Word(core, self.rank), Word(prefix, self.rank)
+        return Word._reduced(core, self.rank), Word._reduced(prefix, self.rank)
 
     def abelianization(self):
         """Total exponent of each generator, as a tuple of length ``rank``."""

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -641,3 +642,26 @@ class TestInProcessCall:
                                       "3", "--no-cache"])
         assert code == 3
         assert json.loads(out)["pi"] == "undecided"
+
+
+# sha256 of the stdout of ``wml surfaces ... --images`` on collections of
+# three and four annuli, one of them with two subdivision levels; the
+# ``cli`` goldens hold only collections of one and two annuli
+IMAGE_PINS = [
+    (["[x,y]", "[y,x]", "[x,y]", "-K", "1"],
+     "d8cb6fbdfc59ef23f849e528116443890419e06a11b75c888d3d5384a804d757"),
+    (["[x,y][x,z]", "[z,x][y,x]", "--rank", "3", "-K", "1"],
+     "681405df82e794d0757c2b774c62b0771ba44b14b807139ef9b667afc9b0ad2e"),
+    (["xyXY", "yxYX", "xyXY", "yxYX", "-K", "1"],
+     "9fed3aa99e7b35d32a662f638b37876095591719042144a860c6a6b9a738ec55"),
+    (["[x,y]", "[y,x]", "[x,y]", "-K", "2"],
+     "5c82da549e37dd4198aecd6c684cf815ee4dbfadbb224dfdedb31fbcb67a488e"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", IMAGE_PINS,
+                         ids=[" ".join(case[0]) for case in IMAGE_PINS])
+def test_surface_images_pinned(argv, digest):
+    code, out, err = _in_process(["surfaces", *argv, "--images"])
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

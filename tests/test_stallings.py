@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -429,6 +430,19 @@ class TestFringe:
                 fringe(parse(text, 2))
             assert str(exc.value) == f"fringe needs set partitions of " \
                 f"{vertices} vertices, over the cap 12"
+
+    def test_deep_search_needs_no_recursion(self):
+        # the search keeps one frame per undecided vertex on a list of its
+        # own, so a core graph longer than the interpreter's recursion
+        # limit is searched like a short one
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(100)
+        try:
+            sizes = [len(fringe(parse("x^150", 1), vertex_cap=200)),
+                     len(fringe(parse("[x^30,y]", 2), vertex_cap=100))]
+        finally:
+            sys.setrecursionlimit(limit)
+        assert sizes == [12, 1584]
 
     def test_deterministic_order(self):
         a = [g.serialize() for g in fringe(parse("[x,y]", 2))]

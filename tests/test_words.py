@@ -246,6 +246,24 @@ class TestCyclicReduce:
             for c in conjugators:
                 assert len(~c * w * c) >= len(core)
 
+    def test_slices_are_not_reduced_again(self, monkeypatch):
+        # the core and the conjugator are slices of a reduced word within
+        # the rank, so neither is sent through free_reduce again
+        w = parse("[x^1000,y]", 2)
+        conjugate = parse("y", 2) * w * parse("Y", 2)
+        reduced = []
+
+        def counting_free_reduce(letters):
+            reduced.append(len(letters))
+            return free_reduce(letters)
+
+        monkeypatch.setattr(wml.words, "free_reduce", counting_free_reduce)
+        core, conj = w.cyclic_reduce()
+        assert (core.letters, conj.letters) == (w.letters, ())
+        core, conj = conjugate.cyclic_reduce()
+        assert (core.letters, conj.letters) == (w.letters, (2,))
+        assert sum(reduced) == 0
+
 
 class TestProperPower:
     def test_square(self):
