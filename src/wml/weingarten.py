@@ -19,8 +19,13 @@ partition's share over it is an integer polynomial built from linear
 factors.  So the only polynomial gcd a Wg takes is the one that puts it in
 canonical form.  The work cap ``term_cap`` still counts the p!^2 pairs of
 every such sum.  The pairs run as (rho, tau) with rho = sigma tau^-1, so
-each cycle type is computed once per rho, and for each tau the strands are
-joined, once, into chains that end where sigma picks the next strand.
+each cycle type is computed once per rho.  For each tau the strands are
+joined, once, into chains that end where sigma picks the next strand, and
+tau is keyed by the class of its labelled chains up to relabelling: the
+sorted least rotations of the cycles the chain ends form, each chain
+labelled by its strands, with the sorted cycles that reach no chain.  The
+p! values of rho run once per class, and each result adds the class size
+to the tally.
 
 Every monomial is finished by one closing step on the last two
 generators.  The last one is integrated in closed form via the classical
@@ -57,7 +62,7 @@ from .partitions import (
     z_order,
 )
 from .ratfunc import Polynomial, RationalFunction, laurent
-from .words import MAX_WORD_LENGTH, cyclic_key, is_balanced
+from .words import MAX_WORD_LENGTH, _least_rotation, cyclic_key, is_balanced
 
 DEFAULT_TERM_CAP = 10 ** 8
 
@@ -209,20 +214,28 @@ def _split_at(monomial, gen, term_budget):
 
 def _rewirings(arrive, strands):
     """Every pair (sigma, tau) of bijections from the positive to the
-    negative occurrences: yields the cycle type of sigma tau^-1 and the
-    list of rewired cycles, each the ``+``-join of the ``strands`` (letter
-    tuples or exponent sums) departing from its occurrences.
+    negative occurrences, grouped: yields ``(ctype, cycles, count)``, where
+    ``count`` pairs share the cycle type ``ctype`` of sigma tau^-1 and the
+    rewired ``cycles``, each the ``+``-join of the ``strands`` (letter
+    tuples or exponent sums) departing from its occurrences, up to
+    rotation and order.  The counts sum to p!^2.
 
     The strand arriving at negative j continues from positive tau^-1(j),
     and the one arriving at positive i from negative sigma(i).  So for a
-    fixed tau, the strands from each negative occurrence are joined up to
-    the next positive arrival once, along with the cycles that never reach
-    one; each sigma = rho tau then only closes up these chains.  The cycle
-    type of rho = sigma tau^-1 is computed once per rho.
+    fixed tau, the strands from each negative occurrence k are joined up to
+    the next positive arrival once, into ``joined[k]`` ending at slot
+    ``ends[k]``, along with the ``fixed`` cycles that never reach one; each
+    sigma = rho tau then only closes up these chains.  Relabelling the
+    chains by a permutation pi takes ``ends`` to pi ends pi^-1, and the
+    rewirings of rho to those of pi rho pi^-1, which has the same cycle
+    type.  So tau is keyed by its class: the sorted least rotations of the
+    cycles of ``ends``, each point k labelled ``joined[k]``, with the
+    sorted ``fixed``.  The p! values of rho run once per class, each
+    result counted once per tau in it.
     """
     p = len(arrive) // 2
     perms = list(permutations(range(p)))
-    ctypes = [cycle_type(rho) for rho in perms]
+    classes = {}  # key -> [joined, ends, fixed, number of tau]
     for tau in perms:
         tau_inv = [0] * p
         for i, t in enumerate(tau):
@@ -255,6 +268,26 @@ def _rewirings(arrive, strands):
                 acc = strands[o] if acc is None else acc + strands[o]
                 o = tau_inv[arrive[o] - p]
             fixed.append(acc)
+        fixed.sort()
+        labelled = []
+        seen = [False] * p
+        for start in range(p):
+            if seen[start]:
+                continue
+            cycle = []
+            k = start
+            while not seen[k]:
+                seen[k] = True
+                cycle.append(joined[k])
+                k = ends[k]
+            i, _ = _least_rotation(cycle)
+            labelled.append(tuple(cycle[i:] + cycle[:i]))
+        labelled.sort()
+        key = tuple(labelled), tuple(fixed)
+        classes.setdefault(key, [joined, ends, fixed, 0])[3] += 1
+
+    ctypes = [cycle_type(rho) for rho in perms]
+    for joined, ends, fixed, count in classes.values():
         for rho, ctype in zip(perms, ctypes):
             cycles = list(fixed)
             seen = [False] * p
@@ -271,7 +304,7 @@ def _rewirings(arrive, strands):
                     acc = acc + joined[k]
                     m = ends[k]
                 cycles.append(acc)
-            yield ctype, cycles
+            yield ctype, cycles, count
 
 
 def _integrate_letter(monomial, gen, term_budget):
@@ -280,8 +313,9 @@ def _integrate_letter(monomial, gen, term_budget):
     Returns a dict mapping new monomials (sorted tuples of cyclic keys) to
     RationalFunction coefficients.  ``monomial`` is a tuple of letter tuples.
 
-    The p!^2 pairs (sigma, tau) only count: each adds 1 to a tally keyed by
-    (new monomial, cycle type of sigma tau^-1, closed loops).  Each new
+    The p!^2 pairs (sigma, tau) only count: each group of pairs that
+    :func:`_rewirings` yields adds its count to a tally keyed by (new
+    monomial, cycle type of sigma tau^-1, closed loops).  Each new
     monomial's coefficient is then sum count * A_t * n^loops over the
     common denominator D_p of :func:`_wg_over_common_denominator`, reduced
     once.  ``term_budget`` is charged all p!^2 pairs.
@@ -294,7 +328,7 @@ def _integrate_letter(monomial, gen, term_budget):
         return {tuple(sorted(passthrough)): RationalFunction(1)}
 
     tally = Counter()
-    for ctype, cycles in _rewirings(arrive, segments):
+    for ctype, cycles, count in _rewirings(arrive, segments):
         new_words = list(passthrough)
         loops = 0
         for letters in cycles:
@@ -303,7 +337,7 @@ def _integrate_letter(monomial, gen, term_budget):
                 new_words.append(key)
             else:
                 loops += 1
-        tally[tuple(sorted(new_words)), ctype, loops] += 1
+        tally[tuple(sorted(new_words)), ctype, loops] += count
 
     p = len(arrive) // 2
     den, numerators = _wg_over_common_denominator(p)
@@ -350,9 +384,10 @@ def _close_last_generator(monomial, gen, final, term_budget):
     it reduces to its exponent sum, as does each passthrough word.  A pair
     (sigma, tau) joins the strands into cycles: a cycle with sum 0 closes a
     loop, and the others are traces of powers of ``final``, whose
-    expectation :func:`_power_sum_expectation` gives.  Each pair adds 1 to
-    an integer tally keyed by (cycle type of sigma tau^-1, cycle sums); the
-    result is sum count * value * A_t * n^loops over D_p.
+    expectation :func:`_power_sum_expectation` gives.  Each group of pairs
+    that :func:`_rewirings` yields adds its count to an integer tally keyed
+    by (cycle type of sigma tau^-1, cycle sums); the result is
+    sum count * value * A_t * n^loops over D_p.
     """
     split = _split_at(monomial, gen, term_budget)
     if split is None:
@@ -364,8 +399,8 @@ def _close_last_generator(monomial, gen, final, term_budget):
     strands = [_exponent_sum(seg, final) for seg in segments]
 
     tally = Counter()
-    for ctype, cycle_sums in _rewirings(arrive, strands):
-        tally[ctype, tuple(sorted(cycle_sums))] += 1
+    for ctype, cycle_sums, count in _rewirings(arrive, strands):
+        tally[ctype, tuple(sorted(cycle_sums))] += count
 
     p = len(arrive) // 2
     den, numerators = _wg_over_common_denominator(p)

@@ -1,4 +1,6 @@
 import math
+import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -16,6 +18,8 @@ from wml.weingarten import (
     TraceMonomial,
     _close_last_generator,
     _integrate_letter,
+    _rewirings,
+    _split_at,
     _wg_over_common_denominator,
     expansion_prediction,
     moment,
@@ -410,6 +414,9 @@ class TestTalliedPairSum:
         ((1, 2, -1, -2) * 3,),  # [x,y]^3, p = 3
         ((1, 1, 1, 2, -1, -1, -1, -2),),  # p = 3 in one block
         ((1, 2, -1, -2), (3, -1, -1, 2, 1, -3, 1), (2, 4)),  # mixed, p = 3
+        ((1, 2, -1, -2) * 4,),  # [x,y]^4, p = 4: many tau per class
+        ((1, 2, -1, -2) * 2, (2, 1, -2, -1) * 2),  # p = 4 over two words
+        ((1, 3, -1, 2), (1, -2, -1, -3), (1, 1, -1, -1)),  # mixed, p = 4
     ])
     def test_matches_per_pair_reference(self, monomial):
         got = _integrate_letter(monomial, 1, [10 ** 6])
@@ -417,6 +424,63 @@ class TestTalliedPairSum:
         assert got == expected
         assert {k: v.n_min for k, v in got.items()} == \
             {k: v.n_min for k, v in expected.items()}
+
+
+def power_sum_moment(exponents):
+    """E[prod_k tr(U^{e_k})] over Haar U(n), n large: the centralizer order
+    prod_k m_k! k^{m_k} when the positive exponents and the negated
+    negative ones form the same multiset, each k occurring m_k times, and
+    0 otherwise."""
+    positive = Counter(e for e in exponents if e > 0)
+    if positive != Counter(-e for e in exponents if e < 0):
+        return 0
+    return math.prod(math.factorial(m) * k ** m for k, m in positive.items())
+
+
+def reference_close_last_generator(monomial, gen, final):
+    """Integrate out ``gen`` with one term per (sigma, tau) pair, as
+    :func:`reference_integrate_letter` does, then ``final`` from each
+    rewired monomial by power-sum orthogonality: the reference for the
+    closing step, built without chains or classes of tau."""
+    total = RationalFunction(0)
+    for words, coeff in reference_integrate_letter(monomial, gen).items():
+        sums = []
+        for cw in words:
+            assert all(abs(a) == final for a in cw)
+            sums.append(sum(1 if a > 0 else -1 for a in cw))
+        total = total + coeff * power_sum_moment(sums)
+    return total
+
+
+class TestRewiringClasses:
+    # the pairs run as one rho loop per class of tau, each result counted
+    # once per tau in the class: over any input the counts cover all p!^2
+    @pytest.mark.parametrize("p", range(1, 6))
+    def test_counts_sum_to_all_pairs(self, p):
+        rng = random.Random(p)
+        for _ in range(4):
+            arrive = list(range(2 * p))
+            rng.shuffle(arrive)
+            letters = [tuple(rng.choice((2, -2, 3))
+                             for _ in range(rng.randint(0, 2)))
+                       for _ in range(2 * p)]
+            sums = [rng.randint(-1, 1) for _ in range(2 * p)]
+            for strands in (letters, sums, [()] * (2 * p), [0] * (2 * p)):
+                total = sum(c for _, _, c in _rewirings(arrive, strands))
+                assert total == math.factorial(p) ** 2, (arrive, strands)
+
+    @pytest.mark.parametrize("monomial", [
+        ((1, 2, -1, -2) * 5,),
+        ((1, 2, -1, -2) * 3, (2, 1, -2, -1) * 2),
+        ((1, 1, 2, -1, -1, -2), (1, 3, -1, -3), (1, 1, 1, -1, -1, -1)),
+    ])
+    def test_counts_sum_to_all_pairs_on_monomials(self, monomial):
+        passthrough, segments, arrive = _split_at(monomial, 1, [10 ** 6])
+        p = len(arrive) // 2
+        sums = [sum(1 if a > 0 else -1 for a in seg) for seg in segments]
+        for strands in (segments, sums):
+            total = sum(c for _, _, c in _rewirings(arrive, strands))
+            assert total == math.factorial(p) ** 2
 
 
 class TestClosedLastGenerator:
@@ -435,6 +499,38 @@ class TestClosedLastGenerator:
         words = [w ** m for m in exps]
         assert word_moment(words).serialize() == \
             word_moment(words, force_pair_sum=True).serialize()
+
+    @pytest.mark.parametrize("monomial", [
+        ((1, 2, -1, -2),),
+        ((1, 2, -1, -2) * 2,),
+        ((1, 2, -1, -2) * 4,),  # [x,y]^2 at T = (2,): many tau per class
+        ((1, 2, -1, -2) * 2, (2, 1, -2, -1) * 2),  # [x,y]^2 at T = (2, -2)
+        ((1, 2), (-1, -2)),  # closes loops
+        ((1, 1, 2, -1, -1, -2),),
+        ((1, 2, 2, -1, -2, -2), (2,), (-2,)),  # passthrough words
+        ((1, 2), (1, 2), (-1, -2), (-1, -2)),
+        ((1, 2, 1, 2, -1, -1, -2, -2), (1, -2, -1, 2)),  # p = 3
+        ((1, 1, 1, 1, 2, -1, -1, -1, -1, -2),),  # p = 4 in one block
+    ])
+    def test_matches_per_pair_reference(self, monomial):
+        got = _close_last_generator(monomial, 1, 2, [10 ** 6])
+        expected = reference_close_last_generator(monomial, 1, 2)
+        assert got == expected
+        if not got.is_zero():
+            assert got.n_min == expected.n_min
+
+    def test_pinned_six_occurrence_moments(self):
+        # p = 6 on x, closed with y; read before the rho loop ran once per
+        # class of tau
+        expected = {
+            "num_coeffs": [-272160, 0, 137160, 0, -91200, 0, 83814, 0,
+                           -25923, 0, 3234, 0, -168, 0, 3],
+            "den_coeffs": [0, 0, 14400, 0, -35476, 0, 28721, 0, -8668, 0,
+                           1078, 0, -56, 0, 1],
+            "n_min": 6,
+        }
+        assert moment(parse("[x,y]", 2), (3, -3)).serialize() == expected
+        assert moment(parse("[x,y]^3", 2), (1, -1)).serialize() == expected
 
     def test_pinned_value_past_the_forced_cap(self):
         # forcing the pair sum on y (p = 8) would take 8!^2 pairs, so the
@@ -494,7 +590,7 @@ def character_expansion(m, genus):
 
 class TestCharacterExpansionOracle:
     @pytest.mark.parametrize("text, rank, genus, m", [
-        *[("[x,y]", 2, 1, m) for m in range(1, 7)],
+        *[("[x,y]", 2, 1, m) for m in range(1, 8)],
         *[("[x1,x2][x3,x4]", 4, 2, m) for m in (1, 2)],
     ])
     def test_surface_word_power_trace(self, text, rank, genus, m):
