@@ -14,19 +14,30 @@ The classical facts used:
   length-preserving Whitehead automorphisms (so breadth-first search of the
   minimal level decides orbit equivalence);
 * a word of minimal length lies in a proper free factor iff some word of
-  its minimal level omits a generator.
+  its minimal level omits a generator;
+* Whitehead's cut-vertex lemma (Whitehead, Ann. Math. 37, 1936;
+  Heusener-Weidmann, 2019): over F_k with k >= 2, the Whitehead graph of a
+  cyclically reduced word that is primitive, or lies in a proper free
+  factor, is disconnected or has a cut vertex.  So a connected graph with
+  no cut vertex certifies non-primitivity without a search.  At k = 1 the
+  graph of x^m is the same for every m, so the lemma says nothing there.
 
 Letter-permuting automorphisms (first kind) never change lengths or the
-set of generators used, so search states are normalized modulo them.
+set of generators used, so search states are normalized modulo them.  The
+least relabeling of a fixed sequence is found greedily: relabeling the
+generators in order of first appearance onto u, u-1, ..., each with the
+sign that makes its first letter negative, puts the least possible letter
+at each position where a choice is still open, and the positions before
+it do not depend on that choice.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 
 from .errors import UndecidedError
-from .words import Word, cyclic_core, cyclic_key
+from .words import Word, cyclic_core, free_reduce
 
 DEFAULT_ORBIT_CAP = 10 ** 6
 
@@ -85,18 +96,25 @@ def type_i_canonical(letters):
     and inversions.
 
     Used as the search-state key: states differing by an automorphism of the
-    first kind are interchangeable for every question asked here.
+    first kind are interchangeable for every question asked here.  Each
+    rotation of the cyclic core is relabeled greedily onto -u..u, for the
+    u generators of ``letters``, and the least of these is the key: O(L^2)
+    letters, not u! * 2^u cyclic keys.
     """
-    # relabel the occurring letters onto 1..u in every order and sign;
-    # unused generators are symmetric and never enter the key
-    used = sorted({abs(a) for a in letters})
-    relabelings = (
-        {g: (i + 1) * sign for i, (g, sign) in enumerate(zip(perm, signs))}
-        for perm in permutations(used)
-        for signs in product((1, -1), repeat=len(used))
-    )
-    return min(cyclic_key(tuple(to[a] if a > 0 else -to[-a] for a in letters))
-               for to in relabelings)
+    u = len({abs(a) for a in letters})  # cancelled generators count too
+    core = cyclic_core(free_reduce(letters))
+    keys = []
+    for start in range(len(core)):
+        to = {}  # generator -> its signed label
+        relabeled = []
+        for a in core[start:] + core[:start]:
+            g = abs(a)
+            if g not in to:
+                label = u - len(to)
+                to[g] = -label if a > 0 else label
+            relabeled.append(to[g] if a > 0 else -to[g])
+        keys.append(tuple(relabeled))
+    return min(keys, default=())
 
 
 def _core_in_rank(w, rank):
@@ -105,6 +123,35 @@ def _core_in_rank(w, rank):
     if any(abs(a) > rank for a in core):
         raise ValueError(f"{w} has letters outside rank {rank}")
     return core
+
+
+def _whitehead_certificate(core, rank):
+    """Whether the Whitehead graph of a nonempty cyclic core over
+    generators 1..rank is connected and has no cut vertex.
+
+    The vertices are the letters +-1..+-rank, with one edge {a, -b} for
+    each cyclically consecutive pair (a, b) of the core.  For rank >= 2
+    such a graph certifies, by the cut-vertex lemma, that the core is
+    neither primitive nor in a proper free factor.
+    """
+    neighbours = {a: set() for g in range(1, rank + 1) for a in (g, -g)}
+    pairs = set(zip(core, core[1:]))
+    pairs.add((core[-1], core[0]))
+    for a, b in pairs:
+        neighbours[a].add(-b)
+        neighbours[-b].add(a)
+
+    def connected_without(cut):
+        start = next(a for a in neighbours if a != cut)
+        seen = {start, cut}
+        stack = [start]
+        while stack:
+            for b in neighbours[stack.pop()] - seen:
+                seen.add(b)
+                stack.append(b)
+        return seen.issuperset(neighbours)
+
+    return all(connected_without(cut) for cut in (None, *neighbours))
 
 
 def _minimal_core(letters, rank):
@@ -133,7 +180,9 @@ def is_primitive(w, rank):
 
     A word in the free factor of the generators it uses is primitive in
     F_rank iff it is primitive there, so the search runs in that factor:
-    the core is relabeled onto 1..u, in order, for its u generators.
+    the core is relabeled onto 1..u, in order, for its u generators.  For
+    u >= 2 a Whitehead graph with no cut vertex answers False before any
+    search.
     """
     core = _core_in_rank(w, rank)
     used = sorted({abs(a) for a in set(core)})  # set() first: few letters
@@ -141,6 +190,8 @@ def is_primitive(w, rank):
         to = {g: i + 1 for i, g in enumerate(used)}
         core = tuple(to[a] if a > 0 else -to[-a] for a in core)
         rank = len(used)
+    if rank >= 2 and _whitehead_certificate(core, rank):
+        return False
     return bool(core) and len(_minimal_core(core, rank)) == 1
 
 
@@ -201,7 +252,15 @@ def in_proper_free_factor(w, rank, orbit_cap=DEFAULT_ORBIT_CAP):
 
 
 def orbit_equivalent(u, v, rank, orbit_cap=DEFAULT_ORBIT_CAP):
-    """Aut(F_rank)-orbit equivalence of two words (up to conjugacy)."""
+    """Aut(F_rank)-orbit equivalence of two words (up to conjugacy).
+
+    Words whose cyclic cores differ by a letter permutation and inversion
+    are equivalent without a search.
+    """
+    cu = _core_in_rank(u, rank)
+    cv = _core_in_rank(v, rank)
+    if type_i_canonical(cu) == type_i_canonical(cv):
+        return True
     mu = minimize(u, rank)
     mv = minimize(v, rank)
     if len(mu) != len(mv):

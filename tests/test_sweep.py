@@ -9,6 +9,7 @@ is checked on the balanced classes of the longer sweeps in ``GENUS_SWEEPS``.
 """
 
 import ast
+import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -23,6 +24,7 @@ from wml.invariants import InvariantReport, analyze
 from wml.surfaces import build_surface, enumerate_matchings, \
     minimal_single_boundary_genus
 from wml.weingarten import verify_word, word_moment
+from wml.whitehead import _image, type_i_canonical, type_ii_autos
 from wml.words import Word, is_balanced, parse
 
 SWEEPS = [(2, 8, 143), (3, 7, 186)]  # (rank, longest length, classes)
@@ -30,6 +32,10 @@ SWEEPS = [(2, 8, 143), (3, 7, 186)]  # (rank, longest length, classes)
 # (rank, longest length) of the classes whose least genus is checked
 # against every subdivision-1 surface
 GENUS_SWEEPS = [(2, 10), (3, 8)]
+
+# Whitehead images per class in the invariance check, and the most letters
+# each may add to the class's word
+IMAGES, MAX_GROWTH = 2, 4
 
 # a generator with at most this many letters of each sign in {w, w^-1}
 # keeps the forced pair sum cheap
@@ -182,3 +188,43 @@ def test_genus_search_agrees_with_every_surface():
         checked += 1
     # 24 classes of rank 2, 13 of rank 3 and ten corpus words
     assert checked == 47
+
+
+def _whitehead_images(w, rng):
+    """Up to ``IMAGES`` images of ``w`` under second-kind Whitehead
+    automorphisms, in a seeded order: cyclic cores at most ``MAX_GROWTH``
+    letters longer than w and not relabelings of it."""
+    key = type_i_canonical(w.letters)
+    tables = list(type_ii_autos(w.rank))
+    rng.shuffle(tables)
+    images = []
+    for images_of in tables:
+        core = _image(images_of, w.letters)
+        if len(core) <= len(w) + MAX_GROWTH and \
+                type_i_canonical(core) != key and \
+                all(core != image.letters for image in images):
+            images.append(Word(core, w.rank))
+            if len(images) == IMAGES:
+                break
+    return images
+
+
+def test_invariants_agree_across_each_orbit():
+    # pi, cl and the commutator-critical count depend only on the
+    # Aut(F_r)-orbit of w, so they must agree on its Whitehead images
+    # however each side is computed
+    rng = random.Random(9)
+    checked = 0
+    for rank, max_length, _ in SWEEPS:
+        for w in _classes(rank, max_length):
+            report = analyze(w, rank)
+            expected = (report.pi, report.cl, report.comm_crit_count)
+            for image in _whitehead_images(w, rng):
+                other = analyze(image, rank)
+                assert other.undecided == {}, str(image)
+                assert (other.pi, other.cl, other.comm_crit_count) == \
+                    expected, (str(w), str(image))
+                checked += 1
+    # two images for each of the 329 classes but [x1,x2] and [x1,x2]^2,
+    # which every automorphism maps to relabelings of themselves
+    assert checked == 654

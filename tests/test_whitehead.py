@@ -8,6 +8,7 @@ import wml.whitehead
 from wml.errors import UndecidedError
 from wml.whitehead import (
     _minimal_core,
+    _whitehead_certificate,
     in_proper_free_factor,
     is_primitive,
     minimize,
@@ -15,7 +16,7 @@ from wml.whitehead import (
     type_i_canonical,
     type_ii_autos,
 )
-from wml.words import Word, cyclic_core, parse
+from wml.words import Word, cyclic_core, cyclic_key, parse
 
 
 def random_word(rng, rank=2, max_len=8):
@@ -91,6 +92,20 @@ def reference_minimize(w, rank):
                 improved = True
                 break
     return current
+
+
+def reference_type_i_canonical(letters):
+    """The least cyclic key over all u! * 2^u relabelings of the u
+    generators of ``letters`` onto 1..u with signs: the enumeration the
+    greedy key is checked against."""
+    used = sorted({abs(a) for a in letters})
+    relabelings = (
+        {g: (i + 1) * sign for i, (g, sign) in enumerate(zip(perm, signs))}
+        for perm in permutations(used)
+        for signs in product((1, -1), repeat=len(used))
+    )
+    return min(cyclic_key(tuple(to[a] if a > 0 else -to[-a] for a in letters))
+               for to in relabelings)
 
 
 def apply_table(images, w):
@@ -352,6 +367,21 @@ class TestOrbitEquivalence:
         assert orbit_equivalent(w, ~w, 2)
 
 
+    def test_letter_outside_rank_raises_when_keys_agree(self):
+        # x z and x y have the same key, but z has no image over F_2
+        for u, v in [("x z", "x y"), ("x y", "x z")]:
+            with pytest.raises(ValueError):
+                orbit_equivalent(parse(u, 3), parse(v, 3), 2)
+
+    def test_relabelings_need_no_search(self):
+        # the greedy minimizations of these two end in words of different
+        # keys, whose level search the cap 0 would stop
+        u = parse("x y x y x Y", 2)
+        v = parse("y x y x y X", 2)
+        assert orbit_equivalent(u, v, 2, orbit_cap=0)
+        assert orbit_equivalent(parse("[x1,x2][x3,x4]", 4),
+                                parse("[x4,x3][x2,x1]", 4), 4, orbit_cap=0)
+
     def test_cap_message_names_the_minimal_word(self):
         # the minimal form of u, whose level is searched
         for u, v, rank, cap, printed in [
@@ -363,6 +393,53 @@ class TestOrbitEquivalence:
                                  orbit_cap=cap)
             assert str(exc.value) == \
                 f"orbit level of {printed} exceeds the cap {cap}"
+
+
+class TestWhiteheadCertificate:
+    def test_certified_classes_are_neither_primitive_nor_in_a_factor(self):
+        # every cyclically reduced word of rank 2 up to length 8 and of
+        # rank 3 up to length 6, one per rotation class, checked against
+        # the searches the certificate skips
+        from test_words import all_reduced_words
+        classes = certified = 0
+        for rank, max_len in [(2, 8), (3, 6)]:
+            keys = {cyclic_key(w.letters)
+                    for w in all_reduced_words(rank, max_len)
+                    if w.letters and cyclic_core(w.letters) == w.letters}
+            classes += len(keys)
+            for core in keys:
+                if _whitehead_certificate(core, rank):
+                    certified += 1
+                    assert len(_minimal_core(core, rank)) != 1, core
+                    assert not in_proper_free_factor(Word(core, rank), rank), \
+                        core
+        assert (classes, certified) == (4892, 1530)
+
+    def test_certified_word_skips_the_search(self, monkeypatch):
+        def no_search(letters, rank):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(wml.whitehead, "_minimal_core", no_search)
+        for text, rank in [("[x,y]", 2), ("x^2 y^2", 2), ("[x,y] z^2", 3),
+                           ("[x1,x2][x3,x4]", 4), ("[x,z]", 5)]:
+            assert not is_primitive(parse(text, rank), rank), text
+
+    def test_rank_one_guard(self):
+        # x and x^3 have the same graph over F_1, one edge {x, x^-1}, but
+        # only x is primitive: the lemma needs rank >= 2
+        assert _whitehead_certificate((1,), 1)
+        assert _whitehead_certificate((1, 1, 1), 1)
+        assert is_primitive(parse("x", 1), 1)
+        assert not is_primitive(parse("x^3", 1), 1)
+        assert is_primitive(parse("y", 3), 3)
+        assert not is_primitive(parse("y^3", 3), 3)
+
+    def test_graph_with_a_cut_vertex_is_not_certified(self):
+        # x y^2: the pairs (x, y), (y, y), (y, x) give edges {x, y^-1},
+        # {y, y^-1}, {y, x^-1}, a path through the cut vertices y^-1 and y
+        assert not _whitehead_certificate((1, 2, 2), 2)
+        assert not _whitehead_certificate((1, 2), 2)  # primitive
+        assert _whitehead_certificate((1, 1, 2, 2), 2)
 
 
 class TestPrimitivityVsNielsenEnumeration:
@@ -412,6 +489,34 @@ class TestPrimitivityVsNielsenEnumeration:
 
 
 class TestTypeICanonical:
+    def test_matches_reference_on_every_short_word(self):
+        # the reference depends on the letters only through their cyclic
+        # key and their number of generators, so it runs once per pair
+        from test_words import all_reduced_words
+        reference = {}
+        for w in all_reduced_words(3, 7):
+            key = (cyclic_key(w.letters), len({abs(a) for a in w.letters}))
+            if key not in reference:
+                reference[key] = reference_type_i_canonical(w.letters)
+            assert type_i_canonical(w.letters) == reference[key], str(w)
+
+    def test_matches_reference_on_random_letters(self):
+        # letter tuples that need not be reduced at all, so generators may
+        # cancel out of the core
+        rng = random.Random(13)
+        for rank in (4, 5):
+            alphabet = [g for g in range(1, rank + 1)] + \
+                [-g for g in range(1, rank + 1)]
+            for _ in range(100):
+                letters = tuple(rng.choice(alphabet)
+                                for _ in range(rng.randint(0, 14)))
+                assert type_i_canonical(letters) == \
+                    reference_type_i_canonical(letters), letters
+        for letters in [parse("x y^2 X", 2).letters, (1, 2, 2, -1),
+                        (1, 3, -3, 2), (1, -1), (), (2, 1, -1, -2)]:
+            assert type_i_canonical(letters) == \
+                reference_type_i_canonical(letters), letters
+
     def test_relabeling_invariance(self):
         w = parse("x y^2 X", 2)
         v = parse("y x^2 Y", 2)  # x <-> y relabel
