@@ -208,8 +208,11 @@ class InvariantReport(Immutable):
                 return "inf"
             return v
 
+        # a word that is no proper power is its own root: render it once
+        word = str(self.word)
+        root = self.proper_power[1]
         return {
-            "word": str(self.word),
+            "word": word,
             "rank": self.rank,
             "pi": encode_value(self.pi),
             "cl": encode_value(self.cl),
@@ -222,7 +225,7 @@ class InvariantReport(Immutable):
             ] if isinstance(self.pi_witnesses, list) else self.pi_witnesses,
             "proper_power": {
                 "is_power": self.proper_power[0],
-                "root": str(self.proper_power[1]),
+                "root": word if root is self.word else str(root),
                 "exponent": self.proper_power[2],
             },
             "undecided": self.undecided,

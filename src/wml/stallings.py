@@ -10,9 +10,9 @@ vertex pairs, then identifies offending edge pairs from a worklist until
 none remain; the result is independent of the order in which pairs are
 processed.  :func:`fold` runs it once, for core graphs and the image
 subgroups of glued surfaces; :func:`fringe` runs it once per join
-while it lists the congruences (fold-closed vertex partitions) of a core
-graph, each of which gives one fringe quotient, and rolls each join back
-from a trail of the changes it made.  Graphs are canonicalized by
+while it lists the open congruences (fold-closed vertex partitions) of a
+core graph, each of which gives one fringe quotient, and rolls each join
+back from a trail of the changes it made.  Graphs are canonicalized by
 breadth-first relabeling from the basepoint with a fixed edge order, so
 two folded graphs represent the same subgroup exactly when their
 serializations coincide.
@@ -21,7 +21,6 @@ serializations coincide.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
 
 from .errors import Immutable, UndecidedError
 from .words import Word, cyclic_core
@@ -66,9 +65,19 @@ class LabeledGraph(Immutable):
         return self.num_edges - self.num_vertices + 1
 
     def _loop(self, word):
-        """:func:`_loop_edges` of the word's loop at the basepoint."""
-        return _loop_edges(self._out, self._in, range(self.num_vertices),
-                           self.basepoint, word)
+        """The edges ``(src, dst, label)`` that the word's loop at the
+        basepoint crosses, one per letter; None when the walk leaves the
+        graph or ends away from the basepoint (the word is not a member)."""
+        out, inc = self._out, self._in
+        v = self.basepoint
+        crossed = []
+        for a in word.letters:
+            u = out[v].get(a) if a > 0 else inc[v].get(-a)
+            if u is None:
+                return None
+            crossed.append((v, u, a) if a > 0 else (u, v, -a))
+            v = u
+        return crossed if v == self.basepoint else None
 
     def crosses_an_edge_once(self, word):
         """Whether the loop of a member word crosses some edge exactly once.
@@ -81,7 +90,7 @@ class LabeledGraph(Immutable):
         crossed = self._loop(word)
         if crossed is None:
             raise ValueError("the word is not a member of the subgroup")
-        return _crosses_once(crossed)
+        return 1 in Counter(crossed).values()
 
     def serialize(self):
         """Canonical text form: the header ``marked: `` (no graph has marked
@@ -161,41 +170,6 @@ class LabeledGraph(Immutable):
         letters = [index[edge] if a > 0 else -index[edge]
                    for edge, a in zip(crossed, word.letters) if edge in index]
         return Word(letters, max(1, len(non_tree)))
-
-
-def _loop_edges(out, inc, root, basepoint, word):
-    """The edges ``(src, dst, label)`` that the word's loop at the
-    basepoint crosses, one per letter; None when the walk leaves the graph
-    or ends away from the basepoint (the word is not a member).
-
-    ``out[v]`` and ``inc[v]`` map each label at vertex v to the target of
-    its out-edge and the source of its in-edge, and ``root`` maps those to
-    vertices of the walk: the class roots of a :func:`_close` state, or
-    each vertex to itself in a built graph.
-    """
-    v = basepoint
-    crossed = []
-    for a in word.letters:
-        if a > 0:
-            u = out[v].get(a)
-            if u is None:
-                return None
-            u = root[u]
-            crossed.append((v, u, a))
-        else:
-            u = inc[v].get(-a)
-            if u is None:
-                return None
-            u = root[u]
-            crossed.append((u, v, -a))
-        v = u
-    return crossed if v == basepoint else None
-
-
-def _crosses_once(crossed):
-    """Whether a loop, given by its :func:`_loop_edges`, crosses some edge
-    exactly once."""
-    return 1 in Counter(crossed).values()
 
 
 def fold(num_vertices, edges, basepoint, rank, identify=()):
@@ -368,30 +342,29 @@ def core_graph(generators, rank):
 
 
 def fringe(w, vertex_cap=DEFAULT_FRINGE_VERTEX_CAP):
-    """All distinct subgroups arising as folded vertex quotients of the
-    core graph of <w>, as a :class:`Fringe`: a sequence sorted by subgroup
-    rank, then canonical form.  Every graph contains w.
+    """The open fringe of <w>: the distinct subgroups arising as folded
+    vertex quotients of the core graph of <w> in which w's loop crosses no
+    edge once, as a :class:`Fringe` that builds them one rank at a time.
+    Every graph contains w.
 
-    Every algebraic extension of <w> occurs among these, so the fringe is a
-    complete search space for minimal-rank witnesses.  A vertex partition
-    that is closed under folding is a congruence, and the congruences are
-    listed directly, each once, in the manner of Ganter's NextClosure
-    ("Two basic algorithms in concept analysis", 1984): vertices are
-    decided in order, each either opening a class of its own or joining
-    the class of an earlier root, and a join is closed by :func:`_close` in
-    place and undone from its trail afterwards.  A branch dies when the
-    closure merges two classes already decided apart.  Distinct
-    congruences give distinct graphs, since a morphism out of a connected
-    graph is fixed by where the basepoint goes.
+    Every algebraic extension of <w> occurs among the quotients, so the
+    fringe is a complete search space for minimal-rank witnesses, and in a
+    quotient where w's loop crosses some edge once w is primitive (see
+    :meth:`LabeledGraph.crosses_an_edge_once`), so no witness is lost by
+    leaving those out.  A vertex partition that is closed under folding is
+    a congruence, and the congruences are listed directly, each once, in
+    the manner of Ganter's NextClosure ("Two basic algorithms in concept
+    analysis", 1984): vertices are decided in order, each either opening a
+    class of its own or joining the class of an earlier root, and a join
+    is closed by :func:`_close` in place and undone from its trail
+    afterwards.  A branch dies when the closure merges two classes already
+    decided apart, and it is skipped whole once :func:`_certified` finds
+    an edge that w's loop crosses once in every congruence below it.
+    Distinct congruences give distinct graphs, since a morphism out of a
+    connected graph is fixed by where the basepoint goes.
 
-    Each congruence is read on the union-find state before any graph is
-    built.  Its rank E' - V' + 1 comes from the class maps (trimming drops
-    a vertex with each edge), and the loop of w is traced through them: a
-    loop that does not close raises RuntimeError, and a loop that crosses
-    some edge once certifies w primitive there.  The trimmed edges are
-    bridges, which a closed walk crosses an even number of times, so the
-    built graph gives the same verdict (see
-    :meth:`LabeledGraph.crosses_an_edge_once`).
+    A congruence's rank E' - V' + 1 is read from the class maps (trimming
+    drops a vertex with each edge) before any graph is built.
     """
     if w.is_identity():
         raise ValueError("fringe of the trivial word is not defined")
@@ -409,7 +382,15 @@ def fringe(w, vertex_cap=DEFAULT_FRINGE_VERTEX_CAP):
                            f"vertices, not {num_vertices}")
     parent, out, inc, _ = _unfolded(num_vertices, base.edges)
     trail = []
-    classes = {}  # subgroup rank -> [(root of each vertex, certified)]
+    classes = {}  # subgroup rank -> [root of each vertex]
+    # w's loop crosses each cycle edge of the core graph once and each hair
+    # edge twice; per label, the sources of its edges and, apart, their
+    # targets, each with those crossings, the highest vertex first
+    ends = {}
+    for (src, dst, lab), n in Counter(base._loop(w)).items():
+        ends.setdefault((lab, 0), []).append((src, n))
+        ends.setdefault((lab, 1), []).append((dst, n))
+    ends = [sorted(group, reverse=True) for group in ends.values()]
 
     # one frame per undecided root: [vertex, next root to join, trail
     # mark], in place of a recursion as deep as the graph; the state is a
@@ -421,19 +402,16 @@ def fringe(w, vertex_cap=DEFAULT_FRINGE_VERTEX_CAP):
     while True:
         while i < num_vertices and parent[i] != i:
             i += 1
-        if i < num_vertices:
-            frames.append([i, 0, len(trail)])
-            i += 1
-            continue
-        # every vertex is decided: read the congruence
-        root = _roots(parent)
-        roots = [v for v, r in enumerate(root) if r == v]
-        rank = sum(len(out[v]) for v in roots) - len(roots) + 1
-        crossed = _loop_edges(out, inc, root, root[base.basepoint], w)
-        if crossed is None:
-            g = _quotient(root, base.edges, base.basepoint, base.rank)
-            raise RuntimeError(f"fringe quotient {g!r} does not contain {w}")
-        classes.setdefault(rank, []).append((root, _crosses_once(crossed)))
+        if not _certified(parent, i, ends):
+            if i < num_vertices:
+                frames.append([i, 0, len(trail)])
+                i += 1
+                continue
+            # every vertex is decided: keep the open congruence
+            root = _roots(parent)
+            roots = [v for v, r in enumerate(root) if r == v]
+            rank = sum(len(out[v]) for v in roots) - len(roots) + 1
+            classes.setdefault(rank, []).append(root)
         while frames:
             frame = frames[-1]
             i, j, mark = frame
@@ -455,39 +433,59 @@ def fringe(w, vertex_cap=DEFAULT_FRINGE_VERTEX_CAP):
             return Fringe(base, classes)
 
 
-class Fringe(Sequence):
-    """The fringe of <w> as :func:`fringe` lists it.
+def _certified(parent, i, ends):
+    """Whether w's loop crosses some edge once in every congruence below a
+    :func:`fringe` state whose next undecided root is ``i``.
 
-    It keeps the congruences of the core graph of <w>, not their graphs:
-    the graphs are built when first read, all of them for the sequence,
-    one rank at a time for :meth:`uncertified`.
+    The classes with roots below ``i`` are final: later joins are closed
+    with ``decided`` at least ``i``, so no two of them merge, and a class
+    that joins one of them brings no end of a label all of whose ends are
+    already in them.  So when every source of the ``a``-edges lies in such
+    a class and some class holds exactly one, crossed once, the quotient's
+    ``a``-edge out of that class is crossed once in every congruence
+    below; likewise for targets.  With every vertex decided this is
+    exactly the certificate of :meth:`LabeledGraph.crosses_an_edge_once`
+    on the built graph: the edges trimmed away are bridges, which a closed
+    walk crosses an even number of times.
+
+    ``ends`` lists, per label and end, each edge's end vertex with the
+    number of times w's loop crosses the edge.
+    """
+    for group in ends:
+        crossings = {}
+        for v, n in group:
+            while parent[v] != v:
+                v = parent[v]
+            if v >= i:
+                break
+            crossings[v] = crossings.get(v, 0) + n
+        else:
+            if 1 in crossings.values():
+                return True
+    return False
+
+
+class Fringe:
+    """The open fringe of <w> as :func:`fringe` lists it.
+
+    It keeps the open congruences of the core graph of <w>, grouped by
+    subgroup rank, not their graphs; :meth:`uncertified` builds the graphs
+    one rank at a time.  ``len`` counts the open congruences.
     """
 
     def __init__(self, base, classes):
         self._base = base
         self._classes = classes
-        self._graphs = None
 
     def __len__(self):
         return sum(map(len, self._classes.values()))
-
-    def __getitem__(self, index):
-        if self._graphs is None:
-            self._graphs = [g for rank in sorted(self._classes)
-                            for g in self._build(self._classes[rank])]
-        return self._graphs[index]
 
     def uncertified(self):
         """``(rank, graphs)`` pairs in rising subgroup rank, of the graphs
         in which w's loop crosses no edge once, each list sorted by
         canonical form; a rank's graphs are built when it is reached."""
-        for rank in sorted(self._classes):
-            kept = [c for c in self._classes[rank] if not c[1]]
-            if kept:
-                yield rank, self._build(kept)
-
-    def _build(self, congruences):
         base = self._base
-        built = [_quotient(root, base.edges, base.basepoint, base.rank)
-                 for root, _ in congruences]
-        return sorted(built, key=LabeledGraph.serialize)
+        for rank in sorted(self._classes):
+            built = [_quotient(root, base.edges, base.basepoint, base.rank)
+                     for root in self._classes[rank]]
+            yield rank, sorted(built, key=LabeledGraph.serialize)

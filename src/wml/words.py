@@ -242,8 +242,26 @@ class Word(Immutable):
         return f"{conj_adj}|{rot}"
 
 
+def _cancel_onto(letters, tail):
+    """Append the freely reduced ``tail`` to the freely reduced list
+    ``letters``, cancelling where the two meet; the list stays reduced."""
+    i = 0
+    while i < len(tail) and letters and letters[-1] == -tail[i]:
+        letters.pop()
+        i += 1
+    letters.extend(tail[i:])
+
+
 def commutator(u, v):
-    return u * v * ~u * ~v
+    """``[u, v] = u v u^-1 v^-1``, cancelled only where its four pieces
+    meet."""
+    if u.rank != v.rank:
+        raise ValueError("rank mismatch")
+    letters = list(u.letters)
+    for piece in (v.letters, tuple(-a for a in reversed(u.letters)),
+                  tuple(-a for a in reversed(v.letters))):
+        _cancel_onto(letters, piece)
+    return Word._reduced(tuple(letters), u.rank)
 
 
 def is_balanced(words):
@@ -341,11 +359,7 @@ class _Parser:
                 letters = list(first.letters)
             tail = factor.letters
             self._bound(len(letters) + len(tail), at)
-            i = 0
-            while i < len(tail) and letters and letters[-1] == -tail[i]:
-                letters.pop()
-                i += 1
-            letters.extend(tail[i:])
+            _cancel_onto(letters, tail)
         if first is None:
             self.error("empty word expression")
         # every junction cancelled and every index was checked

@@ -14,6 +14,8 @@ from wml.invariants import (
 from wml.stallings import core_graph, fringe
 from wml.words import Word, cyclic_key, parse
 
+from fringe_reference import bell_fringe, open_bell_fringe
+
 F2 = 2
 
 # the eleven (word, rank) items of the benchmark's invariants workload
@@ -27,9 +29,10 @@ INVARIANTS_CORPUS = (
 
 class TestPrimitivityCertificates:
     def test_once_crossed_edge_means_primitive(self):
-        # every fringe graph of a non-power corpus word whose loop crosses
-        # an edge once: the Whitehead search minimizes the rewrite to one
-        # letter
+        # every quotient of the core graph of a non-power corpus word in
+        # which its loop crosses an edge once (the Bell reference lists
+        # them; the fringe leaves them out): the Whitehead search
+        # minimizes the rewrite to one letter
         from wml.whitehead import _minimal_core
 
         certified, searched = 0, set()  # primitivity is conjugacy-invariant
@@ -37,7 +40,7 @@ class TestPrimitivityCertificates:
             w = parse(text, rank)
             if w.is_proper_power()[0]:
                 continue
-            for graph in fringe(w):
+            for graph in bell_fringe(w):
                 if graph.crosses_an_edge_once(w):
                     certified += 1
                     r = graph.subgroup_rank
@@ -128,15 +131,15 @@ class TestAlgebraicExtension:
             is_algebraic_extension(g, parse("x", F2))
 
     def test_rank_lemma_on_fringe_of_powers(self):
-        # for every fringe member H of <w^d> that is algebraic over <w^d>
-        # and not generated by a power of w: rank<H, w> <= rank H and
-        # rank H >= pi(w), for d in {1, 2}
+        # for every quotient H of the core graph of <w^d> that is
+        # algebraic over <w^d> and not generated by a power of w:
+        # rank<H, w> <= rank H and rank H >= pi(w), for d in {1, 2}
         for text in ["[x,y]", "x^2 y^2"]:
             w = parse(text, F2)
             pi = primitivity_rank(w, F2)[0]
             for d in (1, 2):
                 wd = w ** d
-                for graph in fringe(wd):
+                for graph in bell_fringe(wd):
                     basis = graph.basis()
                     rank_h = graph.subgroup_rank
                     if rank_h == 1:
@@ -396,13 +399,14 @@ class TestAnalyze:
         assert len(calls) == 1
 
     def test_builds_only_the_swept_uncertified_graphs(self, monkeypatch):
-        # [x,[x,y]] has 174 fringe graphs; w's loop crosses an edge once in
-        # all but 4 (two of rank 2, two of rank 3), and pi = 2, so the
-        # sweep builds the two of rank 2, besides the core graph of <w>
+        # [x,[x,y]] has 174 quotients; w's loop crosses an edge once in
+        # all but 4 (two of rank 2, two of rank 3), which make its open
+        # fringe, and pi = 2, so the sweep builds the two of rank 2,
+        # besides the core graph of <w>
         import wml.stallings
 
         w = parse("[x,[x,y]]", F2)
-        uncertified = [g for g in fringe(w) if not g.crosses_an_edge_once(w)]
+        uncertified = open_bell_fringe(w)
         assert [g.subgroup_rank for g in uncertified] == [2, 2, 3, 3]
         core = core_graph([w], F2).serialize()
         built = []
@@ -482,7 +486,7 @@ class TestAnalyze:
             w = parse(text, rank)
             rep = analyze(w, rank)
             assert rep.pi == pi
-            swept = [g for g in fringe(w) if g.subgroup_rank <= rep.pi]
+            swept = [g for g in bell_fringe(w) if g.subgroup_rank <= rep.pi]
             rewrites = [(g, g.rewrite(w)) for g in swept]
             tested_rewrites = [(g, r) for g, r in rewrites
                                if not g.crosses_an_edge_once(w)]

@@ -15,6 +15,13 @@ from wml.stallings import (
 )
 from wml.words import Word, parse
 
+from fringe_reference import (
+    bell_fringe,
+    bell_reference_words,
+    open_bell_fringe,
+    random_reduced_word,
+)
+
 
 def restart_scan_fold(num_vertices, edges, basepoint, rank, identify=()):
     """Reference fold: after every union, re-sort all edges and rescan
@@ -51,54 +58,6 @@ def restart_scan_fold(num_vertices, edges, basepoint, rank, identify=()):
     vertices = {base} | {v for e in edges for v in e[:2]}
     vertices, edges = _trim(vertices, edges, keep={base})
     return _canonicalize(vertices, edges, base, rank)
-
-
-def _set_partitions(n):
-    """All set partitions of range(n) as restricted-growth strings."""
-    if n == 0:
-        yield []
-        return
-    rgs = [0] * n
-
-    def rec(i, max_used):
-        if i == n:
-            yield list(rgs)
-            return
-        for b in range(max_used + 2):
-            rgs[i] = b
-            yield from rec(i + 1, max(max_used, b))
-
-    yield from rec(1, 0)
-
-
-def bell_fringe(w):
-    """Reference fringe: fold the core graph of <w> under every set
-    partition of its vertices and deduplicate by canonical form."""
-    base = core_graph([w], w.rank)
-    seen = {}
-    for rgs in _set_partitions(base.num_vertices):
-        identify = [(rgs.index(b), v) for v, b in enumerate(rgs)]
-        g = fold(base.num_vertices, base.edges, base.basepoint, base.rank,
-                 identify)
-        seen.setdefault(g.serialize(), g)
-    return sorted(seen.values(),
-                  key=lambda g: (g.subgroup_rank, g.serialize()))
-
-
-def bell_reference_words():
-    """The 21 words of ``test_matches_bell_reference``: [x,[x,y]] (V=9)
-    and 20 seeded random freely reduced words with V = 4-8."""
-    rng = random.Random(2024)
-    words = [parse("[x,[x,y]]", 2)]
-    while len(words) < 21:
-        rank, length = rng.randint(1, 3), rng.randint(4, 8)
-        letters = []
-        while len(letters) < length:
-            a = rng.choice((1, -1)) * rng.randint(1, rank)
-            if not letters or a != -letters[-1]:
-                letters.append(a)
-        words.append(Word(letters, rank))
-    return words
 
 
 # the non-power words of the benchmark's invariants corpus; the sweep of
@@ -337,62 +296,77 @@ class TestBasis:
             assert g.rewrite(b) is not None
 
 
+def open_graphs(w):
+    """The graphs of the open fringe of <w>, in the order it lists them."""
+    return [g for _, graphs in fringe(w).uncertified() for g in graphs]
+
+
 class TestFringe:
     def test_single_generator(self):
-        fr = fringe(parse("x", 2))
-        assert len(fr) == 1
-        g = fr[0]
-        assert g.subgroup_rank == 1 and g.basis() == [Word((1,), 2)]
+        # <x> is the one quotient, and x crosses its one edge once
+        w = parse("x", 2)
+        assert [g.basis() for g in bell_fringe(w)] == [[Word((1,), 2)]]
+        assert len(fringe(w)) == 0 and open_graphs(w) == []
 
     def test_commutator_contains_self_and_whole_group(self):
-        fr = fringe(parse("[x,y]", 2))
-        ranks = [g.subgroup_rank for g in fr]
-        assert 1 in ranks  # <[x,y]> itself
+        # both are quotients; [x,y] crosses each edge of its own 4-cycle
+        # once, so only the whole group, where it crosses each edge
+        # twice, is open
+        w = parse("[x,y]", 2)
+        itself = core_graph([w], 2)
         whole = core_graph([parse("x", 2), parse("y", 2)], 2)
-        assert whole in fr
+        assert itself in bell_fringe(w) and whole in bell_fringe(w)
+        assert whole in open_graphs(w) and itself not in open_graphs(w)
 
     def test_commutator_fringe_size_pinned(self):
-        # 15 vertex partitions of the 4-cycle fold to 7 distinct subgroups;
-        # the sizes of the V=8, 9 and 12 core graphs below agree with the
-        # Bell enumeration of bell_fringe (Bell(12) = 4,213,597 folds for
-        # the last, too slow to repeat here)
-        cases = [
-            ("[x,y]", 2, 7),
-            ("x^2y^2x^-2y^-2", 2, 65),
-            ("[x,y][x,z]", 3, 234),
-            ("[x,[x,y]]", 2, 174),
-            ("x^3y^3x^-3y^-3", 2, 1467),
+        # the open congruences, of 7, 65, 234, 174, 1,467, 7,255 and
+        # 76,123 in all; the first four agree with the filtered Bell
+        # enumeration of bell_fringe (Bell(12) = 4,213,597 folds for the
+        # fifth, too slow to repeat here)
+        small = [
+            ("[x,y]", 2, 1),
+            ("x^2y^2x^-2y^-2", 2, 9),
+            ("[x,y][x,z]", 3, 2),
+            ("[x,[x,y]]", 2, 4),
         ]
-        for text, rank, size in cases:
-            assert len(fringe(parse(text, rank))) == size, text
+        for text, rank, size in small:
+            w = parse(text, rank)
+            assert len(fringe(w)) == len(open_bell_fringe(w)) == size, text
+        for text, cap, size in [("x^3y^3x^-3y^-3", 12, 31),
+                                ("[x^3,y^4]", 14, 78),
+                                ("x^4y^4x^-4y^-4", 16, 211)]:
+            assert len(fringe(parse(text, 2), cap)) == size, text
 
     def test_matches_bell_reference(self):
-        # one graph per congruence, in the same order as folding every set
-        # partition and deduplicating
-        rng = random.Random(2024)
-        words = [parse("[x,[x,y]]", 2)]  # V=9
-        while len(words) < 21:  # freely reduced, so V is 4-8
-            rank, length = rng.randint(1, 3), rng.randint(4, 8)
-            letters = []
-            while len(letters) < length:
-                a = rng.choice((1, -1)) * rng.randint(1, rank)
-                if not letters or a != -letters[-1]:
-                    letters.append(a)
-            words.append(Word(letters, rank))
+        # one graph per open congruence, in the same order as folding
+        # every set partition, deduplicating and leaving out the graphs
+        # in which w's loop crosses an edge once
+        for w in bell_reference_words():
+            assert ([g.serialize() for g in open_graphs(w)]
+                    == [g.serialize() for g in open_bell_fringe(w)]), w
+
+    def test_matches_bell_reference_on_seeded_words(self):
+        # 40 more seeded random freely reduced words of ranks 1-3 with
+        # V <= 8, conjugators included
+        rng = random.Random(2601)
+        words = []
+        while len(words) < 40:
+            w = random_reduced_word(rng, rng.randint(1, 3), rng.randint(3, 12))
+            if 0 < (len(w) + len(w.cyclic_reduce()[0])) // 2 <= 8:
+                words.append(w)
         for w in words:
-            assert ([g.serialize() for g in fringe(w)]
-                    == [g.serialize() for g in bell_fringe(w)]), w
+            assert ([g.serialize() for g in open_graphs(w)]
+                    == [g.serialize() for g in open_bell_fringe(w)]), w
 
     def test_uncertified_buckets_match_the_certificate(self):
-        # Fringe.uncertified reads each congruence on the
-        # union-find state; the built graphs, filtered by the certificate
-        # and grouped by rank, are the oracle
+        # Fringe.uncertified groups the open congruences by rank; the
+        # filtered Bell reference, grouped by rank, is the oracle
         words = bell_reference_words() + [
             parse(text, rank) for text, rank in SWEPT_CORPUS]
         for w in words:
-            kept = [g for g in fringe(w) if not g.crosses_an_edge_once(w)]
             want = [(r, [g.serialize() for g in graphs]) for r, graphs
-                    in itertools.groupby(kept, key=lambda g: g.subgroup_rank)]
+                    in itertools.groupby(open_bell_fringe(w),
+                                         key=lambda g: g.subgroup_rank)]
             got = [(r, [g.serialize() for g in graphs])
                    for r, graphs in fringe(w).uncertified()]
             assert got == want, w
@@ -400,15 +374,15 @@ class TestFringe:
     def test_every_member_contains_word(self):
         for text in ["[x,y]", "x^2 y^2", "x^3"]:
             w = parse(text, 2)
-            for g in fringe(w):
+            for g in open_graphs(w):
                 assert g.rewrite(w) is not None
 
     def test_conjugation_covariance(self):
-        w = parse("[x,y]", 2)
-        base = fringe(w)
-        base_ranks = sorted(g.subgroup_rank for g in base)
-        for text in ("x y X Y", "y X Y x", "X Y x y", "Y x y X"):
-            fr = fringe(parse(text, 2))
+        w = parse("[x,y]^2", 2)
+        base = open_graphs(w)
+        base_ranks = [g.subgroup_rank for g in base]
+        for text in ("(y X Y x)^2", "(X Y x y)^2", "(Y x y X)^2"):
+            fr = open_graphs(parse(text, 2))
             assert len(fr) == len(base)
             assert sorted(g.subgroup_rank for g in fr) == base_ranks
 
@@ -442,11 +416,14 @@ class TestFringe:
                      len(fringe(parse("[x^30,y]", 2), vertex_cap=100))]
         finally:
             sys.setrecursionlimit(limit)
-        assert sizes == [12, 1584]
+        # x^150 has one quotient <x^d> per divisor d of 150, and is
+        # primitive only in <x^150>; [x^30,y] has 1,584 in all
+        assert sizes == [11, 121]
 
     def test_deterministic_order(self):
-        a = [g.serialize() for g in fringe(parse("[x,y]", 2))]
-        b = [g.serialize() for g in fringe(parse("[x,y]", 2))]
+        w = parse("x^2y^2x^-2y^-2", 2)
+        a = [g.serialize() for g in open_graphs(w)]
+        b = [g.serialize() for g in open_graphs(w)]
         assert a == b
 
 

@@ -60,6 +60,18 @@ class TestParsing:
         assert parse("x^-3", 1) == Word([-1, -1, -1], 1)
         assert parse("x^2 y^-1", 2) == Word([1, 1, -2], 2)
 
+    def test_commutator_matches_the_product(self):
+        # every pair of reduced words of rank 2 with at most 3 letters,
+        # cancelling into each other in every way
+        words = all_reduced_words(2, 3)
+        for u in words:
+            for v in words:
+                c = commutator(u, v)
+                assert c == u * v * ~u * ~v
+                assert c.letters == free_reduce(c.letters)
+        with pytest.raises(ValueError):
+            commutator(Word([1], 1), Word([2], 2))
+
     def test_nested_commutator(self):
         w = parse("[[x,y],x]", 2)
         c = commutator(commutator(Word([1], 2), Word([2], 2)), Word([1], 2))
@@ -170,6 +182,20 @@ class TestParsing:
         monkeypatch.setattr(wml.words, "free_reduce", counting_free_reduce)
         assert parse("xy" * 10000, 2) == expected
         assert sum(reduced) <= 3 * 20000
+
+    def test_commutators_reduce_in_linear_time(self, monkeypatch):
+        # [u,v] cancels only where u, v, u^-1 and v^-1 meet: only the
+        # power itself goes through free_reduce
+        reduced = []
+
+        def counting_free_reduce(letters):
+            reduced.append(len(letters))
+            return free_reduce(letters)
+
+        monkeypatch.setattr(wml.words, "free_reduce", counting_free_reduce)
+        w = parse("[x^5000,y]", 2)
+        assert w.letters == (1,) * 5000 + (2,) + (-1,) * 5000 + (-2,)
+        assert sum(reduced) < 2 * 5000
 
     def test_huge_power_refused_before_it_is_built(self):
         # 10^8 letters would take about 2.3 GB; a syntax error after the
