@@ -113,16 +113,20 @@ def _cache_dir(flag_value, settings):
 
 def _cache_lookup(directory, key):
     """The cached entry as ``(text, report)``, or None for a miss: no
-    entry, or one that is not UTF-8 text holding a JSON object."""
+    entry, or one that is not UTF-8 text holding a JSON object.  An entry
+    that cannot be read (a directory in its place, say) is bad input."""
     if not directory:
         return None
+    path = os.path.join(directory, key + ".json")
     try:
-        with open(os.path.join(directory, key + ".json"),
-                  encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
         data = json.loads(text)
     except (FileNotFoundError, UnicodeDecodeError, json.JSONDecodeError):
         return None
+    except OSError as exc:
+        raise ValueError(f"cannot use cache entry {path!r}: "
+                         f"{exc.strerror}") from None
     return (text, data) if isinstance(data, dict) else None
 
 

@@ -8,14 +8,14 @@ words readable as loops at the basepoint.
 Every graph is folded by one closure, :func:`_close`: it merges given
 vertex pairs, then identifies offending edge pairs from a worklist until
 none remain; the result is independent of the order in which pairs are
-processed.  :func:`fold` runs it once, for core graphs and the image
-subgroups of glued surfaces; :func:`fringe` runs it once per join
-while it lists the open congruences (fold-closed vertex partitions) of a
-core graph, each of which gives one fringe quotient, and rolls each join
-back from a trail of the changes it made.  Graphs are canonicalized by
-breadth-first relabeling from the basepoint with a fixed edge order, so
-two folded graphs represent the same subgroup exactly when their
-serializations coincide.
+processed, and a trail of the changes is always kept.  :func:`fold` runs
+it once, for core graphs and the image subgroups of glued surfaces, and
+drops the trail; :func:`fringe` runs it once per join while it lists the
+open congruences (fold-closed vertex partitions) of a core graph, each of
+which gives one fringe quotient, and rolls each join back from the trail.
+Canonical graphs are numbered by the breadth-first walk that gives their
+basis tree, :func:`_walk`, so two folded graphs represent the same
+subgroup exactly when their serializations coincide.
 """
 
 from __future__ import annotations
@@ -39,19 +39,16 @@ class LabeledGraph(Immutable):
     __slots__ = ("num_vertices", "edges", "basepoint", "rank", "_out", "_in")
 
     def __init__(self, num_vertices, edges, basepoint, rank):
-        object.__setattr__(self, "num_vertices", num_vertices)
-        object.__setattr__(self, "edges", tuple(sorted(edges)))
-        object.__setattr__(self, "basepoint", basepoint)
-        object.__setattr__(self, "rank", rank)
+        edges = tuple(sorted(edges))
         # per vertex, the target of each out-edge and the source of each
         # in-edge by label, the shape of the class maps of _close
-        out = [{} for _ in range(num_vertices)]
-        inc = [{} for _ in range(num_vertices)]
-        for (src, dst, lab) in self.edges:
-            if lab in out[src] or lab in inc[dst]:
-                raise ValueError("graph is not folded")
-            out[src][lab] = dst
-            inc[dst][lab] = src
+        _, out, inc, collisions = _unfolded(num_vertices, edges)
+        if collisions:
+            raise ValueError("graph is not folded")
+        object.__setattr__(self, "num_vertices", num_vertices)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "basepoint", basepoint)
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "_out", out)
         object.__setattr__(self, "_in", inc)
 
@@ -116,45 +113,26 @@ class LabeledGraph(Immutable):
         )
 
     def spanning_tree(self):
-        """BFS spanning tree: parent map {vertex: (parent, signed letter)}
-        and the list of non-tree edges in canonical order."""
-        parent = {self.basepoint: None}
-        queue = [self.basepoint]
-        tree_edges = set()
-        while queue:
-            v = queue.pop(0)
-            for lab in range(1, self.rank + 1):
-                for sign, maps in ((1, self._out), (-1, self._in)):
-                    u = maps[v].get(lab)
-                    if u is None or u in parent:
-                        continue
-                    parent[u] = (v, sign * lab)
-                    tree_edges.add((v, u, lab) if sign > 0 else (u, v, lab))
-                    queue.append(u)
+        """The tree of :func:`_walk`: parent map {vertex: (parent, signed
+        letter)}, in which every parent is numbered below its child, and
+        the list of non-tree edges in canonical order."""
+        parent = _walk(self.basepoint, self._out, self._in, self.rank)
+        # every entry after the basepoint's is a tree edge
+        tree_edges = {(p, u, a) if a > 0 else (u, p, -a)
+                      for u, (p, a) in list(parent.items())[1:]}
         non_tree = [e for e in self.edges if e not in tree_edges]
         return parent, non_tree
 
     def basis(self):
-        """Free basis of the subgroup, one word per non-tree edge."""
+        """Free basis of the subgroup, one word per non-tree edge: the tree
+        path to its source, its letter, and the tree path back from its
+        target."""
         parent, non_tree = self.spanning_tree()
-        paths = {}
-
-        def path_to(v):
-            if v not in paths:
-                letters = []
-                u = v
-                while parent[u] is not None:
-                    p, letter = parent[u]
-                    letters.append(letter)
-                    u = p
-                paths[v] = list(reversed(letters))
-            return paths[v]
-
-        out = []
-        for (src, dst, lab) in non_tree:
-            letters = path_to(src) + [lab] + [-a for a in reversed(path_to(dst))]
-            out.append(Word(letters, self.rank))
-        return out
+        path = {}
+        for v, step in parent.items():  # the walk reaches parents first
+            path[v] = [] if step is None else path[step[0]] + [step[1]]
+        return [Word(path[src] + [lab] + [-a for a in reversed(path[dst])],
+                     self.rank) for (src, dst, lab) in non_tree]
 
     def rewrite(self, word):
         """Express a loop at the basepoint in basis coordinates.
@@ -183,7 +161,7 @@ def fold(num_vertices, edges, basepoint, rank, identify=()):
     edges = tuple(edges)
     parent, out, inc, pending = _unfolded(num_vertices, edges)
     pending.extend(identify)
-    _close(parent, out, inc, pending)
+    _close(parent, out, inc, pending, [])
     return _quotient(_roots(parent), edges, basepoint, rank)
 
 
@@ -209,7 +187,7 @@ def _unfolded(num_vertices, edges):
     return parent, out, inc, pending
 
 
-def _close(parent, out, inc, pending, decided=0, trail=None):
+def _close(parent, out, inc, pending, trail, decided=0):
     """Merge the pending vertex pairs and every pair they force, in place.
 
     A worklist over the union-find whose class roots carry the per-label
@@ -218,9 +196,9 @@ def _close(parent, out, inc, pending, decided=0, trail=None):
     root of a class is always its least vertex.  Returns False, leaving
     the state part-merged, as soon as two roots below ``decided`` would
     merge; True once the partition is a congruence (closed under folding).
-    Given a ``trail`` list, each join ``a`` and each copied label, as a
-    ``(map, label)`` pair, is appended to it, so that :func:`_undo` can
-    restore the state, whichever way the closure ended.
+    Each join ``a`` and each copied label, as a ``(map, label)`` pair, is
+    appended to ``trail``, so that :func:`_undo` can restore the state,
+    whichever way the closure ended.
     """
     while pending:
         a, b = pending.pop()
@@ -235,8 +213,7 @@ def _close(parent, out, inc, pending, decided=0, trail=None):
         if a < decided:
             return False
         parent[a] = b
-        if trail is not None:
-            trail.append(a)
+        trail.append(a)
         for maps in (out, inc):
             into = maps[b]
             for lab, v in maps[a].items():
@@ -244,8 +221,7 @@ def _close(parent, out, inc, pending, decided=0, trail=None):
                     pending.append((v, into[lab]))
                 else:
                     into[lab] = v
-                    if trail is not None:
-                        trail.append((into, lab))
+                    trail.append((into, lab))
     return True
 
 
@@ -302,24 +278,32 @@ def _trim(vertices, edges, keep):
 
 
 def _canonicalize(vertices, edges, basepoint, rank):
-    """BFS renumbering from the basepoint with edges in (label, sign) order."""
-    adjacent = {v: [] for v in vertices}
-    for (src, dst, lab) in edges:
-        adjacent[src].append((lab, 0, dst))
-        adjacent[dst].append((lab, 1, src))
-    number = {basepoint: 0}
+    """Renumber a folded graph in the order that :func:`_walk` reaches its
+    vertices from the basepoint."""
+    _, out, inc, _ = _unfolded(max(vertices) + 1, edges)
+    order = _walk(basepoint, out, inc, rank)
+    if len(order) != len(vertices):
+        raise ValueError("graph is not connected")
+    number = {v: i for i, v in enumerate(order)}
+    return LabeledGraph(len(number), {(number[src], number[dst], lab)
+                                      for (src, dst, lab) in edges}, 0, rank)
+
+
+def _walk(basepoint, out, inc, rank):
+    """The breadth-first walk of a folded graph from the basepoint, labels
+    in order, each label's outgoing edge first: {vertex: (parent, signed
+    letter)} in the order reached, the basepoint's entry None."""
+    parent = {basepoint: None}
     queue = [basepoint]
     for v in queue:
-        for _, _, nxt in sorted(adjacent[v]):
-            if nxt not in number:
-                number[nxt] = len(number)
-                queue.append(nxt)
-    if len(number) != len(vertices):
-        raise ValueError("graph is not connected")
-    new_edges = {
-        (number[src], number[dst], lab) for (src, dst, lab) in edges
-    }
-    return LabeledGraph(len(number), new_edges, 0, rank)
+        targets, sources = out[v], inc[v]
+        for lab in range(1, rank + 1):
+            for u, letter in ((targets.get(lab), lab),
+                              (sources.get(lab), -lab)):
+                if u is not None and u not in parent:
+                    parent[u] = (v, letter)
+                    queue.append(u)
+    return parent
 
 
 def core_graph(generators, rank):
@@ -419,8 +403,7 @@ def fringe(w, vertex_cap=DEFAULT_FRINGE_VERTEX_CAP):
                 _undo(parent, trail, mark)
             while j < i:
                 if parent[j] == j:
-                    if _close(parent, out, inc, [(i, j)], decided=i,
-                              trail=trail):
+                    if _close(parent, out, inc, [(i, j)], trail, decided=i):
                         break
                     _undo(parent, trail, mark)
                 j += 1

@@ -8,9 +8,10 @@ reversed orientation yields a compact oriented surface whose boundary
 circles are the inner circles of the annuli.
 
 Everything topological is computed combinatorially from the outer
-corners: Euler characteristics by union-find over them, genus from
-chi = 2 - 2g - b, and the image subgroup of a component by folding them,
-with the matched pairs of the first subdivision level as labeled edges.
+corners, glued once by :func:`build_surface`: Euler characteristics by
+union-find over them, genus from chi = 2 - 2g - b, and the image subgroup
+of a component by folding the corner classes that the surface keeps, with
+the matched pairs of the first subdivision level as labeled edges.
 """
 
 from __future__ import annotations
@@ -100,44 +101,45 @@ class SurfaceComponent(Immutable):
 
 
 class SurfaceComplex(Immutable):
-    """The glued surface: cellulation counts, gluing list, components."""
+    """The glued surface: cellulation counts, gluing list, components, and
+    the class root of every outer corner, numbered as in build_surface."""
 
     __slots__ = ("spec", "sub_letters", "glue_pairs", "components", "chi",
-                 "cells")
+                 "cells", "corner_roots")
 
-    def __init__(self, spec, sub_letters, glue_pairs, components, cells):
+    def __init__(self, spec, sub_letters, glue_pairs, components, cells,
+                 corner_roots):
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "sub_letters", sub_letters)
         object.__setattr__(self, "glue_pairs", tuple(glue_pairs))
         object.__setattr__(self, "components", tuple(components))
         object.__setattr__(self, "chi", sum(c.chi for c in components))
         object.__setattr__(self, "cells", cells)  # total (V, E, F)
+        object.__setattr__(self, "corner_roots", tuple(corner_roots))
 
     def image_subgroup(self, component_index):
         """Folded graph of the subgroup generated by the images of all
         marked-point-to-marked-point paths of the component.
 
-        Its vertices are the component's outer corners, numbered and glued
-        as in :func:`build_surface`, and the corners at the annulus
-        basepoints are wedged together.  A pair above level 1 has no arc,
-        so its corners join; a first-level pair is an edge from corner q to
-        corner q + 1, since crossing its arc in word direction at the
-        positive occurrence reads the generator."""
+        Its vertices are the outer corners, each joined to its class root
+        from :func:`build_surface`, and the component's corners at the
+        annulus basepoints are wedged together.  A pair above level 1 has
+        no arc, so its corners join; a first-level pair is an edge from
+        corner q to corner q + 1, since crossing its arc in word direction
+        at the positive occurrence reads the generator.  The corner classes
+        of other components carry no edge, so the fold trims them away."""
         sub_letters = self.sub_letters
-        offset, total = {}, 0
-        for m in self.components[component_index].annuli:
-            offset[m] = total
-            total += len(sub_letters[m])
-        joins = [(start, 0) for start in offset.values()]
+        offset = [0, *accumulate(map(len, sub_letters))]
+        annuli = self.components[component_index].annuli
+        base = offset[annuli[0]]
+        joins = list(enumerate(self.corner_roots))
+        joins += [(offset[m], base) for m in annuli]
         edges = []
-        for (gen, j, (m, q), (m2, q2)) in self.glue_pairs:
-            if m not in offset:
+        for (gen, j, (m, q), _) in self.glue_pairs:
+            if m not in annuli:
                 continue
             start = offset[m] + q
             end = offset[m] + (q + 1) % len(sub_letters[m])
-            # orientation-reversing: start of one to end of the other
-            joins += [(start, offset[m2] + (q2 + 1) % len(sub_letters[m2])),
-                      (end, offset[m2] + q2)]
             if j != 1:
                 joins.append((start, end))
             elif sub_letters[m][q][1] < 0:
@@ -145,8 +147,8 @@ class SurfaceComplex(Immutable):
                     "glue pairs store the positive occurrence first")
             else:
                 edges.append((start, end, gen))
-        return fold(total, edges, 0, max(w.rank for w in self.spec.words),
-                    identify=joins)
+        return fold(offset[-1], edges, base,
+                    max(w.rank for w in self.spec.words), identify=joins)
 
     def to_json(self, images=False):
         """The surface record of ``wml surfaces``; with ``images``, every
@@ -242,13 +244,14 @@ def build_surface(spec):
             corner[_find(corner, a)] = _find(corner, b)
         annulus[_find(annulus, m)] = _find(annulus, m2)
 
+    roots = [_find(corner, x) for x in range(offset[-1])]
     members = {}
     for m in range(len(words)):
         members.setdefault(_find(annulus, m), []).append(m)
     glued = Counter(_find(annulus, m) for (_, _, (m, _), _) in glue_pairs)
     components = []
     for root in sorted(members):
-        classes = sum(corner[x] == x for m in members[root]
+        classes = sum(roots[x] == x for m in members[root]
                       for x in range(offset[m], offset[m + 1]))
         components.append(SurfaceComponent(members[root], classes - glued[root],
                                            boundary=len(members[root])))
@@ -256,7 +259,7 @@ def build_surface(spec):
     cells = (faces + sum(c.chi for c in components) + len(glue_pairs),
              2 * faces + len(glue_pairs), faces)
     return SurfaceComplex(spec, tuple(sub_letters), glue_pairs, components,
-                          cells)
+                          cells, roots)
 
 
 def _check_collection_count(counts, max_subdivision, spec_cap):

@@ -96,7 +96,6 @@ def _linear_product(contents):
     return out
 
 
-@lru_cache(maxsize=None)
 def wg(sigma_type):
     """Weingarten function Wg(sigma, n) for a cycle type sigma of S_p.
 

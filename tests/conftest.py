@@ -1,6 +1,6 @@
 import pytest
 
-from wml.weingarten import _content_terms, _wg_over_common_denominator, wg
+from wml.weingarten import _content_terms, _wg_over_common_denominator
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -9,5 +9,5 @@ def clear_weingarten_caches():
     run later in the same process (the benchmark's tracer tests) sees every
     table built through the module's own bindings again."""
     yield
-    for cached in (wg, _wg_over_common_denominator, _content_terms):
+    for cached in (_wg_over_common_denominator, _content_terms):
         cached.cache_clear()

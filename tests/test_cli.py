@@ -231,6 +231,26 @@ class TestInvariants:
             ".json"
         ]
 
+    def test_blocked_cache_entry_exits_2_before_analysis(
+            self, run, tmp_path, monkeypatch):
+        # a directory where the entry of test_cache_key_pinned belongs
+        # cannot be read or replaced: bad input, reported before the
+        # analysis runs rather than as a crash
+        cache = tmp_path / "cache"
+        entry = cache / ("98b7c6131dcfce6b7aeb467e293a8f2e31b795d89f40893"
+                         "bfab174dbddfe594b.json")
+        entry.mkdir(parents=True)
+
+        def no_analysis(*args, **kwargs):
+            raise AssertionError("analysis ran")
+
+        monkeypatch.setattr(wml.cli, "analyze", no_analysis)
+        result = run(["invariants", "[x,y]", "--rank", "2",
+                      "--cache-dir", str(cache)])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == (f"invalid input: cannot use cache entry "
+                                 f"{str(entry)!r}: Is a directory\n")
+
 
 class TestMoment:
     def test_symbolic(self, run):

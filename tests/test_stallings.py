@@ -13,6 +13,7 @@ from wml.stallings import (
     fold,
     fringe,
 )
+from wml.surfaces import build_surface, enumerate_matchings
 from wml.words import Word, parse
 
 from fringe_reference import (
@@ -294,6 +295,32 @@ class TestBasis:
         g = core_graph([parse("x^2", 2), parse("x y X", 2)], 2)
         for b in g.basis():
             assert g.rewrite(b) is not None
+
+    def test_open_fringe_graphs_number_their_basis_tree(self):
+        for text, rank in SWEPT_CORPUS:
+            for _, graphs in fringe(parse(text, rank)).uncertified():
+                for g in graphs:
+                    assert_numbered_by_basis_tree(g)
+
+    def test_image_graphs_number_their_basis_tree(self):
+        # the image subgroups of ``wml surfaces "[x,y]" "[y,x]" -K 1``
+        words = [parse("[x,y]", 2), parse("[y,x]", 2)]
+        for spec in enumerate_matchings(words, 1):
+            s = build_surface(spec)
+            for i in range(len(s.components)):
+                assert_numbered_by_basis_tree(s.image_subgroup(i))
+
+
+def assert_numbered_by_basis_tree(g):
+    """One walk numbers the graph and gives its basis tree: the vertices
+    are numbered in the order the tree reaches them, every parent below
+    its child, and the i-th basis word rewrites to the i-th letter."""
+    parent, _ = g.spanning_tree()
+    assert list(parent) == list(range(g.num_vertices))
+    assert all(step[0] < v for v, step in parent.items() if step)
+    basis = g.basis()
+    for i, b in enumerate(basis):
+        assert g.rewrite(b) == Word((i + 1,), len(basis))
 
 
 def open_graphs(w):

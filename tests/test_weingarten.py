@@ -1,7 +1,8 @@
 import math
 import random
 from collections import Counter
-from itertools import permutations
+from fractions import Fraction
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -12,6 +13,7 @@ from wml.partitions import (
     murnaghan_nakayama,
     partitions_of,
     schur_dim,
+    z_order,
 )
 from wml.ratfunc import Polynomial, RationalFunction, laurent
 from wml.weingarten import (
@@ -574,18 +576,79 @@ class TestClosedLastGenerator:
             _close_last_generator(((1, 2, -1, -2),), 1, 2, budget)
 
 
-def character_expansion(m, genus):
-    """Frobenius-Mednykh: E[tr W^m] for W = [x1,y1]...[xg,yg] equals
-    sum_{|lam| = m} chi^lam((m)) / s_lam(1^n)^(2g - 1)."""
-    total = RationalFunction(0)
-    for lam in partitions_of(m):
-        chi = murnaghan_nakayama(lam, (m,))
-        if chi:
-            term = RationalFunction(chi)
-            for _ in range(2 * genus - 1):
-                term = term / schur_dim(lam)
-            total = total + term
+def littlewood_richardson(alpha, gamma, delta):
+    """c^alpha_{gamma delta} from characters of S_|gamma| x S_|delta|:
+    sum over cycle types rho1, rho2 of chi^gamma(rho1) chi^delta(rho2)
+    chi^alpha(rho1 u rho2) / (z_rho1 z_rho2)."""
+    total = Fraction(0)
+    for rho1 in partitions_of(sum(gamma)):
+        for rho2 in partitions_of(sum(delta)):
+            union = tuple(sorted(rho1 + rho2, reverse=True))
+            total += Fraction(murnaghan_nakayama(gamma, rho1)
+                              * murnaghan_nakayama(delta, rho2)
+                              * murnaghan_nakayama(alpha, union),
+                              z_order(rho1) * z_order(rho2))
     return total
+
+
+def weyl_dimension(delta, eps, n):
+    """Dimension of the irreducible [delta, eps] of U(n), of highest weight
+    (delta, 0, ..., 0, -eps reversed), by Weyl's formula
+    prod_{i<j} (l_i - l_j + j - i) / (j - i)."""
+    weight = [*delta, *[0] * (n - len(delta) - len(eps)),
+              *(-e for e in reversed(eps))]
+    num = den = 1
+    for i, j in combinations(range(n), 2):
+        if weight[i] != weight[j]:
+            num *= weight[i] - weight[j] + j - i
+            den *= j - i
+    return num // den
+
+
+def character_expansion(exponents, genus):
+    """E[prod_m tr W^m] for W = [x1,y1]...[xg,yg], as a function of an
+    integer n at least the sum of |m|.
+
+    With mu the positive and nu the negated negative exponents,
+    p_mu(x) p_nu(xbar) = sum_{alpha, beta} chi^alpha(mu) chi^beta(nu)
+    s_alpha(x) s_beta(xbar), and by Koike's rule (Adv. Math. 74, 1989)
+    s_alpha(x) s_beta(xbar) = sum c^alpha_{gamma delta} c^beta_{gamma eps}
+    chi_[delta, eps] once n >= l(alpha) + l(beta).  Frobenius-Mednykh gives
+    E[chi(W)] = 1 / dim(chi)^(2g - 1) for every irreducible chi of U(n).
+    """
+    mu = tuple(sorted((m for m in exponents if m > 0), reverse=True))
+    nu = tuple(sorted((-m for m in exponents if m < 0), reverse=True))
+    a, b = sum(mu), sum(nu)
+    weights = Counter()  # [delta, eps] -> its multiplicity in p_mu p_nu
+    for alpha in partitions_of(a):
+        for beta in partitions_of(b):
+            chi = murnaghan_nakayama(alpha, mu) * murnaghan_nakayama(beta, nu)
+            for k in range(min(a, b) + 1):
+                for gamma, delta, eps in product(partitions_of(k),
+                                                 partitions_of(a - k),
+                                                 partitions_of(b - k)):
+                    weights[delta, eps] += (
+                        chi * littlewood_richardson(alpha, gamma, delta)
+                        * littlewood_richardson(beta, gamma, eps))
+
+    def at(n):
+        if n < a + b:
+            raise ValueError(f"Koike's rule needs n >= {a + b}, got {n}")
+        return sum(Fraction(c) / weyl_dimension(delta, eps, n)
+                   ** (2 * genus - 1) for (delta, eps), c in weights.items())
+    return at
+
+
+def assert_matches_character_expansion(text, rank, genus, exponents):
+    """``moment`` agrees with the oracle at more integers n than twice its
+    degree D = max(deg num, deg den), where no other rational function of
+    degree at most D does."""
+    f = moment(parse(text, rank), exponents)
+    expected = character_expansion(exponents, genus)
+    degree = max(f.num.degree, f.den.degree)
+    start = max(f.n_min, sum(map(abs, exponents)))
+    for n in range(start, start + 2 * degree + 2):
+        assert f.evaluate(n) == expected(n), n
 
 
 class TestCharacterExpansionOracle:
@@ -594,7 +657,24 @@ class TestCharacterExpansionOracle:
         *[("[x1,x2][x3,x4]", 4, 2, m) for m in (1, 2)],
     ])
     def test_surface_word_power_trace(self, text, rank, genus, m):
-        assert moment(parse(text, rank), (m,)) == character_expansion(m, genus)
+        assert_matches_character_expansion(text, rank, genus, (m,))
+
+    @pytest.mark.parametrize("text, rank, genus, exponents", [
+        *[("[x,y]", 2, 1, t) for t in
+          ((1, -1), (2, -2), (3, -3), (2, -1), (3, -1), (1, 1, -2))],
+        ("[x1,x2][x3,x4]", 4, 2, (1, -1)),
+    ], ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else None)
+    def test_surface_word_mixed_moment(self, text, rank, genus, exponents):
+        assert_matches_character_expansion(text, rank, genus, exponents)
+
+    def test_weyl_dimension(self):
+        # [lam, ()] has dimension s_lam(1^n); [(1), (1)] is the adjoint
+        for n in range(2, 8):
+            for lam in partitions_of(4):
+                if len(lam) <= n:
+                    assert weyl_dimension(lam, (), n) == \
+                        schur_dim(lam).evaluate(n)
+            assert weyl_dimension((1,), (1,), n) == n * n - 1
 
 
 class TestMomentInvariances:
