@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import os
 import sys
@@ -27,7 +28,8 @@ from .errors import ParseError, UndecidedError
 from .invariants import DEFAULT_GENUS_CAP, analyze
 from .montecarlo import estimate_moment
 from .stallings import DEFAULT_FRINGE_VERTEX_CAP
-from .surfaces import DEFAULT_SPEC_CAP, build_surface, enumerate_matchings
+from .surfaces import (DEFAULT_SPEC_CAP, build_surface, count_matchings,
+                       enumerate_matchings)
 from .weingarten import DEFAULT_TERM_CAP, moment, verify_word
 from .whitehead import DEFAULT_ORBIT_CAP
 from .words import parse as parse_text
@@ -35,6 +37,9 @@ from .words import parse as parse_text
 EXIT_INPUT = 2
 EXIT_UNDECIDED = 3
 EXIT_INTERNAL = 4
+
+# characters gathered into one write of a streamed payload
+WRITE_SIZE = 1 << 16
 
 
 def _load_config(path):
@@ -164,7 +169,14 @@ def _cache_key(command, word, params):
 
 
 def _echo(text):
-    """Print one stdout payload in full.
+    """Print one stdout payload in full."""
+    _echo_pieces((text,))
+
+
+def _echo_pieces(pieces):
+    """Print the text ``pieces``, then a newline, in writes of about
+    ``WRITE_SIZE`` characters, so a payload made piece by piece is never
+    held whole and costs no write per piece.
 
     Under ``python -u`` (``PYTHONUNBUFFERED``) ``sys.stdout`` hands each
     string to a single write() on the file descriptor.  On a pipe that
@@ -175,14 +187,24 @@ def _echo(text):
     """
     stream = sys.stdout
     raw = getattr(stream, "buffer", None)
-    if not isinstance(raw, io.FileIO):
-        stream.write(text + "\n")
+    if isinstance(raw, io.FileIO):
         stream.flush()
-        return
+
+        def write(text):
+            data = memoryview(text.encode(stream.encoding, stream.errors))
+            while data:
+                data = data[raw.write(data):]
+    else:
+        write = stream.write
+    pending, size = [], 0
+    for piece in itertools.chain(pieces, ("\n",)):
+        pending.append(piece)
+        size += len(piece)
+        if size >= WRITE_SIZE:
+            write("".join(pending))
+            pending, size = [], 0
+    write("".join(pending))
     stream.flush()
-    data = memoryview((text + "\n").encode(stream.encoding, stream.errors))
-    while data:
-        data = data[raw.write(data):]
 
 
 def _emit(data):
@@ -282,12 +304,29 @@ def cmd_surfaces(args, settings):
     rank = settings.get("rank", 2)
     spec_cap = settings.cap("spec_cap", DEFAULT_SPEC_CAP)
     words = [parse_text(t, rank) for t in args.word_texts]
-    records = [
-        build_surface(spec).to_json(images=args.images)
+    count = count_matchings(words, args.max_subdivision, spec_cap)
+    records = (
+        json.dumps(build_surface(spec).to_json(images=args.images), indent=2)
         for spec in enumerate_matchings(words, args.max_subdivision, spec_cap)
-    ]
-    _emit({"words": [str(w) for w in words], "count": len(records),
-           "surfaces": records})
+    )
+    # there is always a first record; it is built before the header, so
+    # an error leaves stdout empty
+    first = next(records)
+    _echo_pieces(_surfaces_text([str(w) for w in words], count,
+                                itertools.chain((first,), records)))
+
+
+def _surfaces_text(words, count, records):
+    """The pieces of ``json.dumps({"words": words, "count": count,
+    "surfaces": [...]}, indent=2)`` around the nonempty stream of
+    ``records``, each already dumped with ``indent=2``."""
+    head = json.dumps({"words": words, "count": count}, indent=2)
+    yield head[:-2] + ',\n  "surfaces": ['
+    separator = "\n"
+    for text in records:
+        yield separator + "    " + text.replace("\n", "\n    ")
+        separator = ",\n"
+    yield "\n  ]\n}"
 
 
 def cmd_verify(args, settings):

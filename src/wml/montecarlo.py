@@ -5,13 +5,16 @@ phase so the triangular factor has positive real diagonal, which makes the
 distribution exactly Haar.  The generator is counter-based (Philox keyed by
 the user seed and the chunk index), so an estimate is reproducible
 bit-for-bit for a fixed (seed, n, samples) triple.  Samples come in chunks
-of ``CHUNK`` tuples.  A chunk's normals are drawn whole and in a fixed
-order: for each generator, all real parts, then all imaginary parts.  The
-rest runs per ``BATCH`` matrices: Ginibre, QR, phase fix, unitarity check,
-word product, powers and traces, each of which treats every matrix alone.
-The traces are multiplied, and the values summed, over the whole chunk, so
-the batch size changes no bit.  Memory is about 16 r n^2 ``CHUNK`` bytes
-for a rank-r word (82 MB at r = 2, n = 16) plus one batch of work arrays.
+of ``CHUNK`` tuples.  A chunk's normals come in a fixed order: for each
+generator, all real parts, then all imaginary parts.  The first 2r - 1 of
+those 2r segments are drawn whole; the last generator's imaginary parts
+are drawn one ``BATCH`` at a time, just before that batch is used, from the
+same generator, which gives the same bits as one whole draw.  The rest
+runs per batch too: Ginibre, QR, phase fix, unitarity check, word product,
+powers and traces, each of which treats every matrix alone.  The traces
+are multiplied, and the values summed, over the whole chunk, so the batch
+size changes no bit.  Memory is about 8 (2r - 1) n^2 ``CHUNK`` bytes for a
+rank-r word (61 MB at r = 2, n = 16) plus one batch of work arrays.
 
 numpy is imported inside the functions that sample, so importing the
 package (and running every command but ``wml moment --mc``) does not load
@@ -215,8 +218,10 @@ def estimate_moment(w, exponents, n, samples, seed):
 
 def _chunk_values(w, exponents, n, count, seed, chunk_index):
     """The ``count`` sampled values prod_i tr(w(U)^{m_i}) of one chunk and
-    the chunk's largest unitarity defect.  The chunk's normals are drawn
-    whole, in a fixed order, and released on return.  Each ``BATCH`` of
+    the chunk's largest unitarity defect.  The chunk's normals keep their
+    fixed order: every segment but the last is drawn whole, and the last
+    generator's imaginary parts are drawn per batch, which continues the
+    same stream.  All are released on return.  Each ``BATCH`` of
     matrices writes its traces into one chunk-long array per exponent, and
     the traces are multiplied over the whole chunk: numpy's complex product
     can round an element differently by its place in the array (the last
@@ -225,21 +230,27 @@ def _chunk_values(w, exponents, n, count, seed, chunk_index):
     import numpy as np
 
     rng = _chunk_rng(seed, chunk_index)
-    normals = [_ginibre_normals(rng, count, n) for _ in range(w.rank)]
+    normals = [_ginibre_normals(rng, count, n) for _ in range(w.rank - 1)]
+    last_real = rng.standard_normal((count, n, n)) if w.rank else None
     max_power = max((abs(m) for m in exponents), default=1)
     traces = [np.empty(count, dtype=np.complex128) for _ in exponents]
     chunk_defect = 0.0
     for start in range(0, count, BATCH):
         batch = slice(start, min(start + BATCH, count))
-        unitaries = {g: _haar_from_normals(real[batch], imag[batch])
-                     for g, (real, imag) in enumerate(normals, 1)}
+        size = batch.stop - start
+        parts = [(real[batch], imag[batch]) for real, imag in normals]
+        if w.rank:
+            parts.append((last_real[batch],
+                          rng.standard_normal((size, n, n))))
+        unitaries = {g: _haar_from_normals(real, imag)
+                     for g, (real, imag) in enumerate(parts, 1)}
         for u in unitaries.values():
             defect = _unitarity_defect(u)
             if defect > UNITARITY_TOL:
                 raise RuntimeError(f"unitarity defect {defect:.3g} in chunk "
                                    f"{chunk_index}")
             chunk_defect = max(chunk_defect, defect)
-        base = _evaluate_word_batch(w, unitaries, batch.stop - start, n)
+        base = _evaluate_word_batch(w, unitaries, size, n)
         powers = {1: base}
         for k in range(2, max_power + 1):
             powers[k] = powers[k - 1] @ base

@@ -269,7 +269,7 @@ def _check_collection_count(counts, max_subdivision, spec_cap):
 
     A generator with p positive letters has p! single matchings, and so
     C(p! + K, K) - 1 multisets of 1..K of them (K = ``max_subdivision``);
-    the count needs no letter occurrence."""
+    the count needs no letter occurrence.  Returns the count."""
     total = 1
     for g in sorted(counts):
         singles = capped_product(range(1, counts[g] + 1), spec_cap)
@@ -282,6 +282,21 @@ def _check_collection_count(counts, max_subdivision, spec_cap):
                 f"matching enumeration needs {count_text(total, '+')} "
                 "collections, over the cap"
             )
+    return total
+
+
+def count_matchings(words, max_subdivision=1, spec_cap=DEFAULT_SPEC_CAP):
+    """The number of matching collections :func:`enumerate_matchings`
+    yields, after the same checks and without listing one: raises
+    ``ValueError`` for ``max_subdivision`` below 1 or an unbalanced
+    collection, and :class:`UndecidedError` over ``spec_cap``."""
+    if max_subdivision < 1:
+        raise ValueError(f"max_subdivision must be at least 1, got "
+                         f"{max_subdivision}")
+    balanced, counts = is_balanced(words)
+    if not balanced:
+        raise ValueError("only balanced collections bound surfaces")
+    return _check_collection_count(counts, max_subdivision, spec_cap)
 
 
 def enumerate_matchings(words, max_subdivision=1, spec_cap=DEFAULT_SPEC_CAP):
@@ -292,17 +307,11 @@ def enumerate_matchings(words, max_subdivision=1, spec_cap=DEFAULT_SPEC_CAP):
     ``spec_cap`` bounds the number of collections, counted before any
     letter occurrence is listed.  Yields :class:`MatchingSpec` objects.
     """
-    if max_subdivision < 1:
-        raise ValueError(f"max_subdivision must be at least 1, got "
-                         f"{max_subdivision}")
     words = list(words)
-    balanced, counts = is_balanced(words)
-    if not balanced:
-        raise ValueError("only balanced collections bound surfaces")
-    _check_collection_count(counts, max_subdivision, spec_cap)
+    count_matchings(words, max_subdivision, spec_cap)
 
-    gens = sorted(counts)
     occ = _occurrences(tuple(words))
+    gens = sorted(occ)
     per_gen_choices = []
     for g in gens:
         pos, neg = occ[g]

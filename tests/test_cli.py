@@ -6,6 +6,7 @@ import os
 import shlex
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from typing import NamedTuple
 
@@ -330,6 +331,67 @@ class TestSurfaces:
         assert result.stdout == ""
         assert result.stderr == \
             "invalid input: matching specs need nontrivial boundary words\n"
+
+
+def whole_surfaces_payload(texts, rank=2, max_subdivision=1, images=True):
+    """``wml surfaces`` stdout as one ``json.dumps`` of the whole payload,
+    the way it was printed before records were streamed."""
+    words = [parse(text, rank) for text in texts]
+    records = [build_surface(spec).to_json(images=images)
+               for spec in enumerate_matchings(words, max_subdivision)]
+    return json.dumps({"words": [str(w) for w in words],
+                       "count": len(records), "surfaces": records},
+                      indent=2) + "\n"
+
+
+class CountingFile(io.FileIO):
+    """A file that counts its write() calls."""
+    writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        return super().write(data)
+
+
+class TestStreamedSurfaces:
+    # the collections of ``wml surfaces`` in the benchmark's cli corpus
+    CORPUS = [
+        (["[x,y]^2", "[y,x]^2"], 1), (["[x,y]", "[y,x]"], 2),
+        (["[x,y]"], 2), (["[x,y]^2"], 2), (["[x,y^2]", "[y^2,x]"], 1),
+    ]
+
+    @pytest.mark.parametrize("texts, k", CORPUS,
+                             ids=[" ".join(c[0]) for c in CORPUS])
+    def test_same_bytes_as_whole_payload(self, texts, k):
+        code, out, err = _in_process(["surfaces", *texts, "-K", str(k),
+                                      "--images"])
+        assert code == 0, err
+        assert out == whole_surfaces_payload(texts, max_subdivision=k)
+        data = json.loads(out)
+        assert data["count"] == len(data["surfaces"])
+
+    def test_memory_and_writes_are_bounded(self, tmp_path, monkeypatch):
+        # unbuffered stdout writes straight to the file descriptor: the
+        # 2.3 MB payload goes out in writes of about WRITE_SIZE characters,
+        # one record at a time, never held whole
+        argv = ["surfaces", "[x,y]^2", "[y,x]^2", "-K", "1", "--images"]
+        expected = whole_surfaces_payload(argv[1:3]).encode()
+        path = tmp_path / "stdout"
+        with CountingFile(path, "w") as raw:
+            monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(
+                raw, encoding="utf-8", write_through=True))
+            main(argv)
+            tracemalloc.start()
+            try:
+                main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            sys.stdout.flush()
+            writes = raw.writes
+        assert path.read_bytes() == 2 * expected
+        assert peak < len(expected) / 4, (peak, len(expected))
+        assert writes <= 2 * (len(expected) // wml.cli.WRITE_SIZE + 1), writes
 
 
 class TestVerify:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from wml.montecarlo import (
+    BATCH,
     CHUNK,
     UNITARITY_TOL,
     Estimate,
@@ -142,18 +143,24 @@ class TestEstimates:
             estimate_moment(parse("x", 1), (1,), n=2, samples=10, seed=1)
 
     def test_memory_holds_one_chunk_of_draws(self):
-        # the chunk's normals, 2 r CHUNK n^2 float64s, are the one large
-        # buffer: the work arrays of a batch add a few megabytes at n = 16
-        w = parse("[x,y]", 2)
-        estimate_moment(w, (1,), n=16, samples=10, seed=1)
-        draws = 2 * w.rank * CHUNK * 16 ** 2 * 8
-        tracemalloc.start()
-        try:
-            estimate_moment(w, (1,), n=16, samples=10_000, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.25 * draws, (peak, draws)
+        # a chunk's normals, 2 r CHUNK n^2 float64s in 2 r segments, are the
+        # one large buffer, and the last segment is drawn one batch at a
+        # time, so at most 2 r - 1 segments are held; the allowance is
+        # 8 + 2 r batches of complex n x n work matrices (1 MB each at
+        # n = 16): QR and its workspace, the unitaries, adjoints, products
+        for text, rank in [("x", 1), ("[x,y]", 2), ("[[x,y],z]", 3)]:
+            w = parse(text, rank)
+            estimate_moment(w, (1,), n=16, samples=10, seed=1)
+            draws = 2 * rank * CHUNK * 16 ** 2 * 8
+            allowance = (8 + 2 * rank) * BATCH * 16 ** 2 * 16
+            tracemalloc.start()
+            try:
+                estimate_moment(w, (1,), n=16, samples=10_000, seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            bound = (2 * rank - 1) / (2 * rank) * draws + allowance
+            assert peak < bound, (text, peak, draws, bound)
 
     def test_json(self):
         est = estimate_moment(parse("x", 1), (1, -1), n=2, samples=500, seed=1)
@@ -222,26 +229,30 @@ def _whole_chunk_estimate(w, exponents, n, samples, seed):
                     samples, seed, n, unitarity_max).to_json()
 
 
-# Cases on either side of a batch (256) and of a chunk (10,000), so that a
+# Cases on either side of a batch (BATCH) and of a chunk (CHUNK), so that a
 # change to the Philox stream, the draw order or the order of any sum or
-# product shows: word text, rank, exponents, n, samples, seed.
+# product shows: word text, rank, exponents, n, samples, seed.  At
+# CHUNK + BATCH + 1 samples the per-batch draws of the last generator cross
+# a chunk edge and then a batch edge.
 S = 2 ** 63 + 1
 CASES = [
-    ("x", 1, (1,), 1, 255, 0),
+    ("x", 1, (1,), 1, BATCH - 1, 0),
     ("x", 1, (2, -2), 1, 20_000, S),
     ("x", 1, (-1, 1, 1), 3, 10_001, 0),
-    ("[x,y]", 2, (1,), 16, 256, 0),
+    ("[x,y]", 2, (1,), 16, BATCH, 0),
     ("[x,y]", 2, (1,), 16, 1, S),
-    ("x", 1, (2, -2), 3, 257, 0),
-    ("[x,y]", 2, (2, -2), 16, 257, 0),
+    ("x", 1, (2, -2), 3, BATCH + 1, 0),
+    ("[x,y]", 2, (2, -2), 16, BATCH + 1, 0),
     ("[x,y]", 2, (-1, 1, 1), 3, 10_001, 0),
     ("[x,y]", 2, (2, -2), 3, 10_000, S),
-    ("[x,y]", 2, (-1, 1, 1), 16, 257, S),
+    ("[x,y]", 2, (-1, 1, 1), 16, BATCH + 1, S),
     ("[x,y]", 2, (1,), 16, 10_001, 0),
     ("x^2 y^-3 x y", 2, (1,), 3, 20_000, 0),
-    ("[[x,y],z]", 3, (1,), 16, 255, 0),
+    ("[[x,y],z]", 3, (1,), 16, BATCH - 1, 0),
     ("[[x,y],z]", 3, (2, -2), 3, 10_001, S),
     ("[[x,y],z]", 3, (-1, 1, 1), 1, 1, 0),
+    ("x", 1, (1, -1), 3, CHUNK + BATCH + 1, S),
+    ("[[x,y],z]", 3, (1,), 2, CHUNK + BATCH + 1, 0),
 ]
 
 

@@ -9,6 +9,9 @@ is checked on the balanced classes of the longer sweeps in ``GENUS_SWEEPS``.
 """
 
 import ast
+import contextlib
+import io
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -20,6 +23,7 @@ import math
 import pytest
 
 import wml
+import wml.cli
 from wml.invariants import InvariantReport, analyze
 from wml.surfaces import build_surface, enumerate_matchings, \
     minimal_single_boundary_genus
@@ -228,3 +232,26 @@ def test_invariants_agree_across_each_orbit():
     # two images for each of the 329 classes but [x1,x2] and [x1,x2]^2,
     # which every automorphism maps to relabelings of themselves
     assert checked == 654
+
+
+def test_streamed_surfaces_match_the_whole_payload():
+    # ``wml surfaces -K 1`` on each balanced class prints, one record at a
+    # time, the bytes of one json.dumps of the whole payload
+    checked = 0
+    for rank, max_length, _ in SWEEPS:
+        for w in _classes(rank, max_length):
+            if not is_balanced([w])[0]:
+                continue
+            records = [build_surface(spec).to_json(images=True)
+                       for spec in enumerate_matchings([w], 1)]
+            expected = json.dumps({"words": [str(w)], "count": len(records),
+                                   "surfaces": records}, indent=2) + "\n"
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                wml.cli.main(["surfaces", str(w), "--rank", str(rank),
+                              "-K", "1", "--images"])
+            assert out.getvalue() == expected, str(w)
+            assert json.loads(out.getvalue())["count"] == len(records)
+            checked += 1
+    # nine classes of rank 2 and two of rank 3
+    assert checked == 11
