@@ -13,9 +13,9 @@ it once, for core graphs and the image subgroups of glued surfaces, and
 drops the trail; :func:`fringe` runs it once per join while it lists the
 open congruences (fold-closed vertex partitions) of a core graph, each of
 which gives one fringe quotient, and rolls each join back from the trail.
-Canonical graphs are numbered by the breadth-first walk that gives their
-basis tree, :func:`_walk`, so two folded graphs represent the same
-subgroup exactly when their serializations coincide.
+The :class:`LabeledGraph` constructor alone decides a graph's canonical
+form, so two graphs represent the same subgroup exactly when they are
+equal (and their serializations coincide).
 """
 
 from __future__ import annotations
@@ -29,28 +29,53 @@ DEFAULT_FRINGE_VERTEX_CAP = 12
 
 
 class LabeledGraph(Immutable):
-    """Immutable folded, trimmed, canonically numbered labeled graph.
+    """Immutable folded core graph with a basepoint, canonically numbered.
 
-    Built by :func:`fold` (which :func:`core_graph` calls) and
-    :func:`fringe`; the constructor expects data that is already folded
-    and canonical.  Subgroup membership is ``rewrite(word) is not None``.
+    The constructor takes any folded edge set ``(src, dst, label)`` on
+    vertices ``0, 1, ...`` with a basepoint.  Once each, it drops the
+    vertices of degree at most 1 but the basepoint until none is left,
+    builds the per-label maps with :func:`_unfolded` and walks the graph
+    from the basepoint with :func:`_walk`, raising ValueError when the
+    graph is not folded or not connected.  It numbers the vertices in walk
+    order (the basepoint 0, every tree parent below its child) and keeps
+    the walk's tree as the basis tree.  Subgroup membership is
+    ``rewrite(word) is not None``.
     """
 
-    __slots__ = ("num_vertices", "edges", "basepoint", "rank", "_out", "_in")
+    __slots__ = ("num_vertices", "edges", "basepoint", "rank",
+                 "_out", "_in", "_tree")
 
-    def __init__(self, num_vertices, edges, basepoint, rank):
-        edges = tuple(sorted(edges))
+    def __init__(self, edges, basepoint, rank):
+        edges = set(edges)
+        while True:
+            degree = Counter({basepoint: 2})  # the basepoint is never a tip
+            for (src, dst, _) in edges:
+                degree[src] += 1
+                degree[dst] += 1
+            tips = {v for v, d in degree.items() if d == 1}
+            if not tips:
+                break
+            edges = {e for e in edges if e[0] not in tips and e[1] not in tips}
         # per vertex, the target of each out-edge and the source of each
         # in-edge by label, the shape of the class maps of _close
-        _, out, inc, collisions = _unfolded(num_vertices, edges)
+        _, out, inc, collisions = _unfolded(max(degree) + 1, edges)
         if collisions:
             raise ValueError("graph is not folded")
-        object.__setattr__(self, "num_vertices", num_vertices)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "basepoint", basepoint)
+        walk = _walk(basepoint, out, inc, rank)
+        if len(walk) != len(degree):
+            raise ValueError("graph is not connected")
+        number = {v: i for i, v in enumerate(walk)}
+        object.__setattr__(self, "num_vertices", len(walk))
+        object.__setattr__(self, "edges", tuple(sorted(
+            (number[src], number[dst], lab) for (src, dst, lab) in edges)))
+        object.__setattr__(self, "basepoint", 0)
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "_out", out)
-        object.__setattr__(self, "_in", inc)
+        for name, maps in (("_out", out), ("_in", inc)):
+            object.__setattr__(self, name, [
+                {lab: number[u] for lab, u in maps[v].items()} for v in walk])
+        object.__setattr__(self, "_tree", tuple(
+            None if step is None else (number[step[0]], step[1])
+            for step in walk.values()))
 
     @property
     def num_edges(self):
@@ -100,11 +125,11 @@ class LabeledGraph(Immutable):
         return (
             isinstance(other, LabeledGraph)
             and self.rank == other.rank
-            and self.serialize() == other.serialize()
+            and self.edges == other.edges
         )
 
     def __hash__(self):
-        return hash((self.rank, self.serialize()))
+        return hash((self.rank, self.edges))
 
     def __repr__(self):
         return (
@@ -113,24 +138,24 @@ class LabeledGraph(Immutable):
         )
 
     def spanning_tree(self):
-        """The tree of :func:`_walk`: parent map {vertex: (parent, signed
-        letter)}, in which every parent is numbered below its child, and
-        the list of non-tree edges in canonical order."""
-        parent = _walk(self.basepoint, self._out, self._in, self.rank)
+        """The basis tree, kept by the constructor: parent map {vertex:
+        (parent, signed letter)}, the basepoint's entry None, in which
+        every parent is numbered below its child, and the list of non-tree
+        edges in canonical order."""
         # every entry after the basepoint's is a tree edge
         tree_edges = {(p, u, a) if a > 0 else (u, p, -a)
-                      for u, (p, a) in list(parent.items())[1:]}
+                      for u, (p, a) in enumerate(self._tree[1:], 1)}
         non_tree = [e for e in self.edges if e not in tree_edges]
-        return parent, non_tree
+        return dict(enumerate(self._tree)), non_tree
 
     def basis(self):
         """Free basis of the subgroup, one word per non-tree edge: the tree
         path to its source, its letter, and the tree path back from its
         target."""
-        parent, non_tree = self.spanning_tree()
-        path = {}
-        for v, step in parent.items():  # the walk reaches parents first
-            path[v] = [] if step is None else path[step[0]] + [step[1]]
+        _, non_tree = self.spanning_tree()
+        path = []
+        for step in self._tree:  # every parent is numbered below its child
+            path.append([] if step is None else path[step[0]] + [step[1]])
         return [Word(path[src] + [lab] + [-a for a in reversed(path[dst])],
                      self.rank) for (src, dst, lab) in non_tree]
 
@@ -143,7 +168,7 @@ class LabeledGraph(Immutable):
         crossed = self._loop(word)
         if crossed is None:
             return None
-        parent, non_tree = self.spanning_tree()
+        _, non_tree = self.spanning_tree()
         index = {e: i + 1 for i, e in enumerate(non_tree)}
         letters = [index[edge] if a > 0 else -index[edge]
                    for edge, a in zip(crossed, word.letters) if edge in index]
@@ -154,9 +179,9 @@ def fold(num_vertices, edges, basepoint, rank, identify=()):
     """Fold labeled edges on vertices ``0..num_vertices-1`` into a graph.
 
     Each pair in ``identify`` is merged, and then every pair of
-    equal-label edges sharing a source or a target, by :func:`_close`.
-    The folded graph is trimmed to its core (keeping the basepoint) and
-    canonicalized.
+    equal-label edges sharing a source or a target, by :func:`_close`;
+    the :class:`LabeledGraph` constructor trims the folded graph to its
+    core (keeping the basepoint) and numbers it.
     """
     edges = tuple(edges)
     parent, out, inc, pending = _unfolded(num_vertices, edges)
@@ -249,44 +274,9 @@ def _roots(parent):
 
 def _quotient(root, edges, basepoint, rank):
     """The folded graph of a congruence, given by the root of each vertex:
-    the images of the edges, trimmed and canonicalized."""
-    base = root[basepoint]
-    vertices = {v for v, r in enumerate(root) if r == v}
-    folded = {(root[src], root[dst], lab) for (src, dst, lab) in edges}
-    vertices, folded = _trim(vertices, folded, keep={base})
-    return _canonicalize(vertices, folded, base, rank)
-
-
-def _trim(vertices, edges, keep):
-    """Iteratively drop degree-1 vertices not in ``keep`` (core property)."""
-    vertices = set(vertices)
-    edges = set(edges)
-    while True:
-        degree = {v: 0 for v in vertices}
-        for (src, dst, lab) in edges:
-            degree[src] += 1
-            degree[dst] += 1
-        removable = {
-            v for v, d in degree.items() if d <= 1 and v not in keep
-        }
-        if not removable:
-            return vertices, edges
-        vertices -= removable
-        edges = {
-            e for e in edges if e[0] not in removable and e[1] not in removable
-        }
-
-
-def _canonicalize(vertices, edges, basepoint, rank):
-    """Renumber a folded graph in the order that :func:`_walk` reaches its
-    vertices from the basepoint."""
-    _, out, inc, _ = _unfolded(max(vertices) + 1, edges)
-    order = _walk(basepoint, out, inc, rank)
-    if len(order) != len(vertices):
-        raise ValueError("graph is not connected")
-    number = {v: i for i, v in enumerate(order)}
-    return LabeledGraph(len(number), {(number[src], number[dst], lab)
-                                      for (src, dst, lab) in edges}, 0, rank)
+    the images of the edges."""
+    return LabeledGraph({(root[src], root[dst], lab)
+                         for (src, dst, lab) in edges}, root[basepoint], rank)
 
 
 def _walk(basepoint, out, inc, rank):

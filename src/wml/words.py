@@ -104,6 +104,12 @@ def cyclic_key(letters):
     return c[k:] + c[:k]
 
 
+def _check_rank(rank):
+    """Refuse a negative rank; rank 0 is the trivial group."""
+    if rank < 0:
+        raise ValueError(f"rank must be at least 0, got {rank}")
+
+
 class Word(Immutable):
     """A freely reduced word in the free group of rank ``rank``.
 
@@ -119,6 +125,7 @@ class Word(Immutable):
     __slots__ = ("letters", "rank")
 
     def __init__(self, letters, rank):
+        _check_rank(rank)
         letters = free_reduce(letters)
         for a in letters:
             if a == 0 or abs(a) > rank:
@@ -438,4 +445,5 @@ class _Parser:
 def parse(text, rank):
     """Parse word text into its freely reduced :class:`Word` of rank
     ``rank``."""
+    _check_rank(rank)
     return _Parser(text, rank).parse()

@@ -75,6 +75,27 @@ class TestParse:
         result = run(["parse", "y", "--rank", "1"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["parse", "1", "--rank", "-1"],
+        ["invariants", "1", "--rank", "-3", "--no-cache"],
+        ["moment", "1", "-T", "1", "--mc", "--rank", "-1", "--n", "3",
+         "--samples", "10"],
+        ["verify", "1", "--rank", "-1", "-T", "1"],
+        ["surfaces", "1", "--rank", "-2"],
+    ], ids=["parse", "invariants", "moment", "verify", "surfaces"])
+    def test_negative_rank_refused(self, run, argv):
+        result = run(argv)
+        assert result.exit_code == 2 and result.stdout == ""
+        assert result.stderr.startswith("invalid input: rank must be at "
+                                        "least 0, got -")
+
+    def test_negative_rank_writes_no_cache_entry(self, run, tmp_path):
+        cache = tmp_path / "cache"
+        result = run(["invariants", "1", "--rank", "-3",
+                      "--cache-dir", str(cache)])
+        assert result.exit_code == 2
+        assert not cache.exists() or not os.listdir(cache)
+
 
 class TestInternalError:
     @pytest.mark.parametrize("exc", [KeyboardInterrupt, RuntimeError("bug")])
@@ -285,7 +306,7 @@ class TestMoment:
         assert est["samples"] == 2000 and est["seed"] == 7
         assert abs(est["mean"][0] - 0.1) < 4 * est["stderr"] + 1e-9
 
-    @pytest.mark.parametrize("rank", ["0", "-1"])
+    @pytest.mark.parametrize("rank", ["0"])
     def test_mc_identity_at_rank_below_one(self, run, rank):
         # a rank-0 word draws no unitaries; tr(1) is exactly n
         data = payload(run(["moment", "1", "-T", "1", "--mc", "--rank", rank,

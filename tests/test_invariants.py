@@ -410,14 +410,13 @@ class TestAnalyze:
         assert [g.subgroup_rank for g in uncertified] == [2, 2, 3, 3]
         core = core_graph([w], F2).serialize()
         built = []
-        canonicalize = wml.stallings._canonicalize
+        quotient = wml.stallings._quotient
 
-        def counting_canonicalize(*args, **kwargs):
-            built.append(canonicalize(*args, **kwargs))
+        def counting_quotient(*args, **kwargs):
+            built.append(quotient(*args, **kwargs))
             return built[-1]
 
-        monkeypatch.setattr(wml.stallings, "_canonicalize",
-                            counting_canonicalize)
+        monkeypatch.setattr(wml.stallings, "_quotient", counting_quotient)
         rep = analyze(w, F2)
         assert rep.pi == 2
         assert built[0].serialize() == core

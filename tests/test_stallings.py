@@ -6,13 +6,7 @@ import pytest
 
 import wml.stallings
 from wml.errors import UndecidedError
-from wml.stallings import (
-    _canonicalize,
-    _trim,
-    core_graph,
-    fold,
-    fringe,
-)
+from wml.stallings import LabeledGraph, core_graph, fold, fringe
 from wml.surfaces import build_surface, enumerate_matchings
 from wml.words import Word, parse
 
@@ -55,10 +49,7 @@ def restart_scan_fold(num_vertices, edges, basepoint, rank, identify=()):
         a, b = find(merge[0]), find(merge[1])
         if a != b:
             parent[a] = b
-    base = find(basepoint)
-    vertices = {base} | {v for e in edges for v in e[:2]}
-    vertices, edges = _trim(vertices, edges, keep={base})
-    return _canonicalize(vertices, edges, base, rank)
+    return LabeledGraph(edges, find(basepoint), rank)
 
 
 # the non-power words of the benchmark's invariants corpus; the sweep of
@@ -231,6 +222,65 @@ class TestCanonicalForm:
         g1 = core_graph([parse("x^2", 2), parse("x y X", 2)], 2)
         g2 = core_graph([parse("x y X", 2), parse("x^2", 2), parse("x^2", 2)], 2)
         assert g1 == g2
+
+
+class TestConstructor:
+    def test_relabelled_cycle_equals_core_graph(self):
+        g = LabeledGraph({(0, 2, 1), (2, 1, 1), (1, 0, 1)}, 0, 1)
+        core = core_graph([parse("x^3", 1)], 1)
+        assert g == core and hash(g) == hash(core)
+        assert g.serialize() == core.serialize()
+        assert_numbered_by_basis_tree(g)
+
+    def test_relabelled_core_graphs_are_equal(self):
+        rng = random.Random(29)
+        for _ in range(30):
+            w = random_reduced_word(rng, 2, rng.randint(1, 9))
+            core = core_graph([w], 2)
+            perm = rng.sample(range(10, 10 + core.num_vertices),
+                              core.num_vertices)
+            edges = [(perm[s], perm[d], lab) for (s, d, lab) in core.edges]
+            g = LabeledGraph(edges, perm[core.basepoint], 2)
+            assert g == core and hash(g) == hash(core), w
+            assert_numbered_by_basis_tree(g)
+
+    @pytest.mark.parametrize("edges, basepoint, text", [
+        ({(0, 1, 1), (1, 2, 1)}, 0, "1"),
+        ({(3, 3, 1), (3, 7, 2), (7, 1, 1)}, 3, "x"),
+        ({(5, 1, 1), (1, 4, 2), (4, 5, 1), (2, 4, 1)}, 5, "x y x"),
+        # the basepoint's own hair is kept
+        ({(4, 0, 2), (0, 0, 1), (0, 6, 2), (6, 8, 1)}, 4, "y x y^-1"),
+    ])
+    def test_hair_is_trimmed(self, edges, basepoint, text):
+        g = LabeledGraph(edges, basepoint, 2)
+        assert g == core_graph([parse(text, 2)], 2)
+        assert_numbered_by_basis_tree(g)
+
+    @pytest.mark.parametrize("edges, message", [
+        ({(0, 0, 1), (0, 1, 1), (1, 0, 1)}, "not folded"),
+        ({(0, 0, 1), (1, 1, 2)}, "not connected"),
+    ])
+    def test_refuses_unfolded_and_disconnected_edges(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            LabeledGraph(edges, 0, 2)
+
+    def test_walks_once(self, monkeypatch):
+        walks = []
+        walk = wml.stallings._walk
+
+        def counting_walk(*args):
+            walks.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(wml.stallings, "_walk", counting_walk)
+        g = LabeledGraph({(0, 1, 1), (1, 0, 1), (0, 0, 2)}, 0, 2)
+        assert len(walks) == 1
+        basis = g.basis()
+        assert [g.rewrite(b) for b in basis] == \
+            [Word((i + 1,), len(basis)) for i in range(len(basis))]
+        assert g.rewrite(parse("x^2 y", 2)) is not None
+        assert g.rewrite(parse("x y", 2)) is None
+        assert len(walks) == 1
 
 
 class TestMembershipRewrite:

@@ -83,6 +83,16 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse("x5", 4)
 
+    @pytest.mark.parametrize("text", ["1", "x", "[x,y]"])
+    def test_negative_rank_refused(self, text):
+        with pytest.raises(ValueError, match="rank must be at least 0"):
+            parse(text, -1)
+
+    def test_negative_rank_word_refused(self):
+        with pytest.raises(ValueError, match="rank must be at least 0, "
+                                             "got -3"):
+            Word((), -3)
+
     def test_syntax_errors_carry_position(self):
         with pytest.raises(ParseError) as exc:
             parse("x^", 1)
