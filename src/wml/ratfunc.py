@@ -6,14 +6,20 @@ canonical form: numerator and denominator coprime in Q[n], their integer
 contents coprime, and the denominator's leading coefficient positive.
 Polynomial arithmetic stays in Z[n]: division is integer long division, and
 the gcd is a primitive remainder sequence (pseudo-remainders over Z, each cut
-to its primitive part).
+to its primitive part), taken only when both sides have positive degree.
+A quotient over a product of known linear factors n + c takes no gcd
+(:meth:`RationalFunction.over_linear_factors`), and a value built from one
+that is already canonical (adding zero, multiplying by 1, negating,
+``with_n_min``) is not reduced again.
 
-The Laurent expansion (in powers of 1/n) is computed by exact long division
-over Q, where its coefficients live.
+The Laurent expansion (in powers of 1/n) is computed by long division in
+integers: the k-th coefficient is an integer over q0^(k+1), q0 the
+denominator's leading coefficient, and only it becomes a Fraction.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -38,6 +44,14 @@ class Polynomial(Immutable):
     @staticmethod
     def monomial(c, k):
         return Polynomial((0,) * k + (c,))
+
+    @staticmethod
+    def linear_product(contents):
+        """prod (n + c) over the integers c, repeats allowed."""
+        out = [1]
+        for c in contents:
+            out = [c * a + b for a, b in zip(out + [0], [0] + out)]
+        return Polynomial(out)
 
     @property
     def degree(self):
@@ -153,6 +167,17 @@ def _subtract_shifted(r, c, b, shift):
         r.pop()
 
 
+def _divide_linear(coeffs, c):
+    """``(quotient, remainder)`` of the ascending ``coeffs`` by n + c, by
+    synthetic division."""
+    quotient = [0] * (len(coeffs) - 1)
+    acc = 0
+    for k in range(len(coeffs) - 1, 0, -1):
+        acc = coeffs[k] - c * acc
+        quotient[k - 1] = acc
+    return quotient, coeffs[0] - c * acc
+
+
 def poly_gcd(a, b):
     """Greatest common divisor in Q[n], returned primitive over Z with
     positive leading coefficient, by a primitive remainder sequence (Brown,
@@ -192,14 +217,49 @@ class RationalFunction(Immutable):
             num, den = Polynomial(), Polynomial.const(1)
         else:
             # the gcd is primitive, so dividing by it leaves both contents
-            # as they were (Gauss's lemma): one exact division does all
+            # as they were (Gauss's lemma): one exact division does all;
+            # a constant has no common factor of positive degree
             c = gcd(num.content(), den.content())
-            g = poly_gcd(num, den) * (c if den.leading() > 0 else -c)
+            c = c if den.leading() > 0 else -c
+            g = poly_gcd(num, den) * c if num.degree and den.degree \
+                else Polynomial.const(c)
             if g.coeffs != (1,):
                 num, den = num.divmod_exact(g)[0], den.divmod_exact(g)[0]
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "n_min", n_min)
+
+    @classmethod
+    def _canonical(cls, num, den, n_min):
+        """A value from a pair already in canonical form, not reduced."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "num", num)
+        object.__setattr__(f, "den", den)
+        object.__setattr__(f, "n_min", n_min)
+        return f
+
+    @staticmethod
+    def over_linear_factors(num, scale, contents, n_min=1):
+        """``num / (scale * prod (n + c))`` over the integers ``c``, repeats
+        allowed, for an integer ``scale > 0``, put in canonical form with no
+        polynomial gcd: the two can only share the factors n + c, each
+        cancelled by synthetic division at its root -c while that leaves no
+        remainder, and then the integer content."""
+        if num.is_zero():
+            return RationalFunction._canonical(num, Polynomial.const(1), n_min)
+        coeffs = list(num.coeffs)
+        kept = []
+        for c, m in Counter(contents).items():
+            while m:
+                quotient, rest = _divide_linear(coeffs, c)
+                if rest:
+                    break
+                coeffs, m = quotient, m - 1
+            kept += [c] * m
+        g = gcd(scale, *coeffs)
+        return RationalFunction._canonical(
+            Polynomial(tuple(a // g for a in coeffs)),
+            Polynomial.linear_product(kept) * (scale // g), n_min)
 
     @staticmethod
     def n_power(k):
@@ -211,11 +271,17 @@ class RationalFunction(Immutable):
     def is_zero(self):
         return self.num.is_zero()
 
+    def _is_one(self):
+        return self.num.coeffs == (1,) and self.den.coeffs == (1,)
+
     def _meet(self, other):
         return max(self.n_min, other.n_min)
 
     def __add__(self, other):
         other = _coerce(other)
+        if other.is_zero() or self.is_zero():
+            f = self if other.is_zero() else other
+            return RationalFunction._canonical(f.num, f.den, self._meet(other))
         return RationalFunction(
             self.num * other.den + other.num * self.den,
             self.den * other.den,
@@ -225,7 +291,7 @@ class RationalFunction(Immutable):
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den, self.n_min)
+        return RationalFunction._canonical(-self.num, self.den, self.n_min)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -235,6 +301,9 @@ class RationalFunction(Immutable):
 
     def __mul__(self, other):
         other = _coerce(other)
+        if other._is_one() or self._is_one():
+            f = self if other._is_one() else other
+            return RationalFunction._canonical(f.num, f.den, self._meet(other))
         return RationalFunction(
             self.num * other.num, self.den * other.den, self._meet(other)
         )
@@ -262,7 +331,7 @@ class RationalFunction(Immutable):
         return hash((self.num, self.den))
 
     def with_n_min(self, n_min):
-        return RationalFunction(self.num, self.den, n_min)
+        return RationalFunction._canonical(self.num, self.den, n_min)
 
     def evaluate(self, n):
         if n < self.n_min:
@@ -319,7 +388,8 @@ class LaurentSeries(Immutable):
 
     def __init__(self, e0, coeffs):
         object.__setattr__(self, "e0", e0)
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", tuple(
+            c if type(c) is Fraction else Fraction(c) for c in coeffs))
 
     def serialize(self):
         return {
@@ -361,19 +431,18 @@ def laurent(f, depth):
         raise ValueError(f"Laurent depth must be nonnegative, got {depth}")
     if f.is_zero():
         return LaurentSeries(None, ())
-    dp, dq = f.num.degree, f.den.degree
-    # reverse coefficients: f(n) = n^(dp-dq) * P~(u)/Q~(u) with u = 1/n
-    p = [Fraction(c) for c in reversed(f.num.coeffs)]
-    q = [Fraction(c) for c in reversed(f.den.coeffs)]
-    coeffs = []
-    state = list(p) + [Fraction(0)] * (depth + 1)
+    # reverse coefficients: f(n) = n^(dp-dq) * P~(u)/Q~(u) with u = 1/n;
+    # the k-th coefficient c_k = s_k / q0^(k+1) has an integer s_k with
+    # s_k = p_k q0^k - sum_{j=1..k} q_j q0^(j-1) s_{k-j}
+    p, q = f.num.coeffs[::-1], f.den.coeffs[::-1]
+    powers = [1]
+    for _ in range(depth + 1):
+        powers.append(powers[-1] * q[0])
+    s = []
     for k in range(depth + 1):
-        c = state[k] / q[0]
-        coeffs.append(c)
-        for j, qc in enumerate(q):
-            if k + j < len(state):
-                state[k + j] -= c * qc
-    if coeffs[0] == 0:
-        raise RuntimeError("leading Laurent coefficient of a nonzero "
-                           "function vanished")
-    return LaurentSeries(dp - dq, coeffs)
+        acc = p[k] * powers[k] if k < len(p) else 0
+        for j in range(1, min(k, len(q) - 1) + 1):
+            acc -= q[j] * powers[j - 1] * s[k - j]
+        s.append(acc)
+    return LaurentSeries(f.num.degree - f.den.degree,
+                         [Fraction(a, powers[k + 1]) for k, a in enumerate(s)])

@@ -12,20 +12,23 @@ The pair sum does no rational-function arithmetic per pair.  Each pair adds
 sigma tau^-1, closed loops).  After the loop, every Wg(t, n) on S_p is
 written as A_t / D_p over one common denominator D_p, so the coefficient of
 a rewired monomial is the integer polynomial sum count * A_t * n^loops over
-D_p, put in canonical form once.  Wg comes from the contents c = j - i of
-the cells of the Young diagrams: D_p = p! * prod_c (n + c)^{m_c}, with m_c
-the most cells of content c in any partition of p, is closed-form, and each
-partition's share over it is an integer polynomial built from linear
-factors.  So the only polynomial gcd a Wg takes is the one that puts it in
-canonical form.  The work cap ``term_cap`` still counts the p!^2 pairs of
-every such sum.  The pairs run as (rho, tau) with rho = sigma tau^-1, so
-each cycle type is computed once per rho.  For each tau the strands are
-joined, once, into chains that end where sigma picks the next strand, and
-tau is keyed by the class of its labelled chains up to relabelling: the
-sorted least rotations of the cycles the chain ends form, each chain
-labelled by its strands, with the sorted cycles that reach no chain.  The
-p! values of rho run once per class, and each result adds the class size
-to the tally.
+D_p: the counts of each cycle type t make one integer polynomial in n,
+multiplied by A_t once, and the sum is put in canonical form once.  Wg
+comes from the contents c = j - i of the cells of the Young diagrams:
+D_p = p! * prod_c (n + c)^{m_c}, with m_c the most cells of content c in
+any partition of p, is closed-form, and each partition's share over it is
+an integer polynomial built from linear factors.  Since D_p's factors are
+known, a quotient over it (each Wg, each coefficient) is reduced by
+cancelling the factors n + c that divide its numerator and then the
+integer content, with no polynomial gcd.  The work cap ``term_cap`` still
+counts the p!^2 pairs of every such sum.  The pairs run as (rho, tau)
+with rho = sigma tau^-1, so each cycle type is computed once per rho.
+For each tau the strands are joined, once, into chains that end where
+sigma picks the next strand, and tau is keyed by the class of its labelled
+chains up to relabelling: the sorted least rotations of the cycles the
+chain ends form, each chain labelled by its strands, with the sorted
+cycles that reach no chain.  The p! values of rho run once per class, and
+each result adds the class size to the tally.
 
 Every monomial is finished by one closing step on the last two
 generators.  The last one is integrated in closed form via the classical
@@ -48,7 +51,7 @@ tagged with the validity bound n_min = max_x p_x.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import lru_cache
 from itertools import permutations
 from math import factorial, inf
@@ -70,12 +73,12 @@ DEFAULT_TERM_CAP = 10 ** 8
 @lru_cache(maxsize=None)
 def _content_terms(p):
     """The Weingarten function on S_p over its closed-form denominator:
-    ``(D_p, [(lam, d_lam, cofactor_lam) for lam |- p])``.
+    ``(contents, [(lam, d_lam, cofactor_lam) for lam |- p])``.
 
     D_p = p! * Q_p with Q_p = prod_c (n + c)^{m_c}, where m_c is the most
-    cells of content c = j - i that any lam |- p has, and cofactor_lam is
-    the integer polynomial Q_p / prod_{cells of lam} (n + c), a product of
-    linear factors.
+    cells of content c = j - i that any lam |- p has; ``contents`` lists
+    each c m_c times, and cofactor_lam is the integer polynomial
+    Q_p / prod_{cells of lam} (n + c), a product of linear factors.
     """
     counts = {lam: Counter(j - i for i, row in enumerate(lam)
                            for j in range(row))
@@ -83,17 +86,17 @@ def _content_terms(p):
     most = Counter()
     for count in counts.values():
         most |= count
-    terms = [(lam, dimension(lam), _linear_product((most - count).elements()))
+    terms = [(lam, dimension(lam),
+              Polynomial.linear_product((most - count).elements()))
              for lam, count in counts.items()]
-    return _linear_product(most.elements()) * factorial(p), terms
+    return tuple(sorted(most.elements())), terms
 
 
-def _linear_product(contents):
-    """prod (n + c) over the contents c, an integer polynomial."""
-    out = Polynomial.const(1)
-    for c in contents:
-        out = out * Polynomial((c, 1))
-    return out
+def _over_common_denominator(num, p):
+    """The integer polynomial ``num`` over D_p, in canonical form: D_p's
+    factors are known, so no polynomial gcd is taken."""
+    return RationalFunction.over_linear_factors(
+        num, factorial(p), _content_terms(p)[0], n_min=p)
 
 
 def wg(sigma_type):
@@ -109,13 +112,12 @@ def wg(sigma_type):
     p = sum(mu)
     if p < 1:
         raise ValueError("cycle type of S_p needs p >= 1")
-    den, terms = _content_terms(p)
     num = Polynomial()
-    for lam, d, cofactor in terms:
+    for lam, d, cofactor in _content_terms(p)[1]:
         chi = murnaghan_nakayama(lam, mu)
         if chi:
             num = num + cofactor * (d * chi)
-    return RationalFunction(num, den, n_min=p)
+    return _over_common_denominator(num, p)
 
 
 @lru_cache(maxsize=None)
@@ -126,10 +128,26 @@ def _wg_over_common_denominator(p):
     D_p is the closed form of :func:`_content_terms`, a multiple of every
     reduced denominator over Z, so each A_t takes one exact division.
     """
-    den, _ = _content_terms(p)
+    den = Polynomial.linear_product(_content_terms(p)[0]) * factorial(p)
     weights = {t: wg(t) for t in partitions_of(p)}
     return den, {t: f.num * den.divmod_exact(f.den)[0]
                  for t, f in weights.items()}
+
+
+def _weighted_sum(tally, p):
+    """sum count * n^loops * A_t over D_p, for a ``tally`` of integer
+    counts keyed (cycle type t, loops): one integer polynomial in n per
+    cycle type, multiplied by A_t once."""
+    _, numerators = _wg_over_common_denominator(p)
+    rows = {}
+    for (ctype, loops), count in tally.items():
+        row = rows.setdefault(ctype, [])
+        row += [0] * (loops + 1 - len(row))
+        row[loops] += count
+    num = Polynomial()
+    for ctype, row in rows.items():
+        num = num + Polynomial(row) * numerators[ctype]
+    return _over_common_denominator(num, p)
 
 
 class TraceMonomial(Immutable):
@@ -326,7 +344,7 @@ def _integrate_letter(monomial, gen, term_budget):
     if not segments:
         return {tuple(sorted(passthrough)): RationalFunction(1)}
 
-    tally = Counter()
+    tallies = defaultdict(Counter)  # new monomial -> (t, loops) -> count
     for ctype, cycles, count in _rewirings(arrive, segments):
         new_words = list(passthrough)
         loops = 0
@@ -336,15 +354,10 @@ def _integrate_letter(monomial, gen, term_budget):
                 new_words.append(key)
             else:
                 loops += 1
-        tally[tuple(sorted(new_words)), ctype, loops] += count
+        tallies[tuple(sorted(new_words))][ctype, loops] += count
 
     p = len(arrive) // 2
-    den, numerators = _wg_over_common_denominator(p)
-    sums = {}
-    for (key, ctype, loops), count in tally.items():
-        sums[key] = sums.get(key, Polynomial()) + \
-            Polynomial.monomial(count, loops) * numerators[ctype]
-    return {key: RationalFunction(num, den, n_min=p) for key, num in sums.items()}
+    return {key: _weighted_sum(tally, p) for key, tally in tallies.items()}
 
 
 def _exponent_sum(letters, gen):
@@ -401,15 +414,12 @@ def _close_last_generator(monomial, gen, final, term_budget):
     for ctype, cycle_sums, count in _rewirings(arrive, strands):
         tally[ctype, tuple(sorted(cycle_sums))] += count
 
-    p = len(arrive) // 2
-    den, numerators = _wg_over_common_denominator(p)
-    num = Polynomial()
+    weights = Counter()
     for (ctype, cycle_sums), count in tally.items():
         value = _power_sum_expectation(fixed + [s for s in cycle_sums if s])
         if value:
-            num = num + Polynomial.monomial(count * value, cycle_sums.count(0)) \
-                * numerators[ctype]
-    return RationalFunction(num, den, n_min=p)
+            weights[ctype, cycle_sums.count(0)] += count * value
+    return _weighted_sum(weights, len(arrive) // 2)
 
 
 def word_moment(words, term_cap=DEFAULT_TERM_CAP, force_pair_sum=False):

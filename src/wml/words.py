@@ -22,6 +22,7 @@ parser.  No power, product or commutator may spell more than
 :data:`MAX_WORD_LENGTH` letters before free reduction, and an exponent or
 index is a run of ASCII digits with at most :data:`MAX_DIGITS` digits after
 its leading zeros.  At most :data:`MAX_NESTING` brackets may be open at once.
+The rank lies between 0 and :data:`MAX_RANK`.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ _LETTER_INDEX = {c: i + 1 for i, c in enumerate(_ALPHABET)}
 
 # Most letters the parser spells for one word, counted before free reduction.
 MAX_WORD_LENGTH = 10 ** 6
+
+# Largest ambient rank: a word carries per-generator data of this length
+# (its abelianization), so a larger rank costs memory and output alone.
+MAX_RANK = 10_000
 
 # Most significant digits in an exponent or index: the least limit that
 # Python's int() conversion of a digit string can be set to, so converting a
@@ -105,9 +110,11 @@ def cyclic_key(letters):
 
 
 def _check_rank(rank):
-    """Refuse a negative rank; rank 0 is the trivial group."""
+    """Refuse a rank outside 0..MAX_RANK; rank 0 is the trivial group."""
     if rank < 0:
         raise ValueError(f"rank must be at least 0, got {rank}")
+    if rank > MAX_RANK:
+        raise ValueError(f"rank must be at most {MAX_RANK}, got {rank}")
 
 
 class Word(Immutable):

@@ -97,6 +97,35 @@ class TestParse:
         assert not cache.exists() or not os.listdir(cache)
 
 
+    @pytest.mark.parametrize("argv", [
+        ["parse", "x", "--rank", "1000000"],
+        ["invariants", "1", "--rank", "10001", "--no-cache"],
+        ["moment", "1", "-T", "1", "--mc", "--rank", "1000000", "--n", "3",
+         "--samples", "10"],
+        ["verify", "x", "--rank", "10001", "-T", "1"],
+        ["surfaces", "1", "--rank", "1000000"],
+    ], ids=["parse", "invariants", "moment", "verify", "surfaces"])
+    def test_rank_above_max_refused(self, run, argv):
+        result = run(argv)
+        assert result.exit_code == 2 and result.stdout == ""
+        assert result.stderr == "invalid input: rank must be at most 10000, " \
+            f"got {argv[argv.index('--rank') + 1]}\n"
+
+    def test_config_rank_above_max_writes_no_cache_entry(self, run, tmp_path):
+        cfg = tmp_path / "wml.cfg"
+        cfg.write_text("rank = 100000\n")
+        cache = tmp_path / "cache"
+        result = run(["invariants", "x", "--config", str(cfg),
+                      "--cache-dir", str(cache)])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == \
+            "invalid input: rank must be at most 10000, got 100000\n"
+        assert not cache.exists() or not os.listdir(cache)
+
+    def test_max_rank_accepted(self, run):
+        assert payload(run(["parse", "x", "--rank", "10000"]))["rank"] == 10000
+
+
 class TestInternalError:
     @pytest.mark.parametrize("exc", [KeyboardInterrupt, RuntimeError("bug")])
     def test_unmapped_exception_exits_4(self, run, monkeypatch, exc):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -266,3 +267,166 @@ class TestLaurent:
         f = rf((0, 0, 3), (1, 1))  # 3n^2/(n+1): order 1
         assert f.laurent_order == 1
         assert laurent(f, 0).e0 == 1
+
+
+def assert_canonical(f):
+    """Numerator and denominator coprime in Q[n], their contents coprime,
+    the denominator's leading coefficient positive; zero is 0 / 1."""
+    if f.is_zero():
+        assert f.den.coeffs == (1,)
+        return
+    assert reference_gcd(f.num, f.den).coeffs == (1,)
+    assert math.gcd(f.num.content(), f.den.content()) == 1
+    assert f.den.leading() > 0
+
+
+@pytest.fixture
+def gcd_calls(monkeypatch):
+    """The calls made to ``poly_gcd`` through its module global."""
+    import wml.ratfunc
+
+    calls = []
+
+    def counting_gcd(a, b):
+        calls.append((a, b))
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(wml.ratfunc, "poly_gcd", counting_gcd)
+    return calls
+
+
+def random_poly(rng, degree, bound=30):
+    return Polynomial([rng.randint(-bound, bound) for _ in range(degree)] +
+                      [rng.choice((-1, 1)) * rng.randint(1, bound)])
+
+
+class TestOverLinearFactors:
+    @staticmethod
+    def check(calls, num, scale, contents, n_min=1):
+        taken = len(calls)
+        f = RationalFunction.over_linear_factors(num, scale, contents, n_min)
+        assert len(calls) == taken
+        expected = RationalFunction(
+            num, Polynomial.linear_product(contents) * scale, n_min)
+        assert f == expected and f.serialize() == expected.serialize()
+        assert_canonical(f)
+        return f
+
+    def test_cases(self, gcd_calls):
+        lin = Polynomial.linear_product
+        cases = [
+            (Polynomial(), 6, (0, 1, 1)),  # zero
+            (Polynomial((5,)), 10, (-1, 2)),  # constant
+            (Polynomial((12,)), 4, ()),  # no linear factor
+            (lin((1, 1, -2)) * 6, 6, (-2, 1, 1)),  # cancels fully
+            (lin((1, 1, 1)) * 3, 2, (1, 1)),  # more copies than the den
+            (lin((0, 3)) * -4, 24, (-1, 0, 3, 3)),  # negative leading
+            (lin((2,)) * Polynomial((6, 0, 9)), 12, (2, 2)),  # non-primitive
+            (Polynomial((1, 0, 1)), 1, (-1, 0, 1)),  # coprime, nothing cancels
+        ]
+        for num, scale, contents in cases:
+            self.check(gcd_calls, num, scale, contents, n_min=3)
+
+    def test_seeded(self, gcd_calls):
+        # numerators built from some of the linear factors of the
+        # denominator, some others, a random cofactor and an integer
+        # factor, over content multisets with repeats
+        rng = random.Random(30)
+        for trial in range(400):
+            contents = [rng.randint(-4, 4) for _ in range(rng.randint(0, 7))]
+            scale = rng.choice((1, 2, 6, 24, 120, 720, 5040))
+            shared = [c for c in contents if rng.random() < 0.6]
+            other = [rng.randint(-6, 6) for _ in range(rng.randint(0, 2))]
+            num = Polynomial.linear_product(shared + other) * \
+                random_poly(rng, rng.randint(0, 3)) * \
+                rng.choice((1, -1, 2, -6, 35, scale))
+            if trial % 10 == 0:
+                num = Polynomial()
+            self.check(gcd_calls, num, scale, contents, rng.randint(1, 5))
+
+    def test_weingarten_takes_no_gcd(self, gcd_calls):
+        for p in range(1, 8):
+            for t in partitions_of(p):
+                assert_canonical(wg(t))
+        assert gcd_calls == []
+
+
+def reference_laurent(f, depth):
+    """``(e0, coeffs)``: the expansion in 1/n by long division over Q."""
+    p = [Fraction(c) for c in reversed(f.num.coeffs)]
+    q = [Fraction(c) for c in reversed(f.den.coeffs)]
+    coeffs = []
+    state = list(p) + [Fraction(0)] * (depth + 1)
+    for k in range(depth + 1):
+        c = state[k] / q[0]
+        coeffs.append(c)
+        for j, qc in enumerate(q):
+            if k + j < len(state):
+                state[k + j] -= c * qc
+    return f.num.degree - f.den.degree, tuple(coeffs)
+
+
+class TestIntegerLaurent:
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_weingarten_matches_reference(self, p):
+        for t in partitions_of(p):
+            f = wg(t)
+            for depth in range(9):
+                s = laurent(f, depth)
+                assert (s.e0, s.coeffs) == reference_laurent(f, depth)
+
+    def test_seeded_matches_reference(self):
+        # canonical functions with denominators whose leading coefficient
+        # is not 1, numerators of any degree
+        rng = random.Random(31)
+        for _ in range(200):
+            f = RationalFunction(random_poly(rng, rng.randint(0, 6)),
+                                 random_poly(rng, rng.randint(0, 6)))
+            assert_canonical(f)
+            for depth in range(9):
+                s = laurent(f, depth)
+                assert (s.e0, s.coeffs) == reference_laurent(f, depth)
+                assert all(type(c) is Fraction for c in s.coeffs)
+
+
+class TestCanonicalFastPaths:
+    F = RationalFunction(Polynomial((1, 2)), Polynomial((3, 0, 2)), n_min=4)
+
+    @pytest.mark.parametrize("other_n_min", [1, 4, 9])
+    def test_adding_zero_keeps_the_larger_n_min(self, gcd_calls, other_n_min):
+        zero = RationalFunction(0, n_min=other_n_min)
+        for total in (self.F + zero, zero + self.F, self.F - zero):
+            assert total == self.F
+            assert total.n_min == max(4, other_n_min)
+            assert_canonical(total)
+        assert (zero + zero).is_zero()
+        assert (zero + zero).n_min == other_n_min
+        assert (self.F + 0).n_min == (0 + self.F).n_min == 4
+        assert gcd_calls == []
+
+    @pytest.mark.parametrize("other_n_min", [1, 4, 9])
+    def test_multiplying_by_one_keeps_the_larger_n_min(self, gcd_calls,
+                                                       other_n_min):
+        one = RationalFunction(1, n_min=other_n_min)
+        for product in (self.F * one, one * self.F):
+            assert product == self.F
+            assert product.n_min == max(4, other_n_min)
+            assert_canonical(product)
+        assert (self.F * 1).n_min == (1 * self.F).n_min == 4
+        assert gcd_calls == []
+
+    def test_with_n_min(self, gcd_calls):
+        g = self.F.with_n_min(7)
+        assert g == self.F and g.n_min == 7 and self.F.n_min == 4
+        assert g.serialize()["num_coeffs"] == list(self.F.num.coeffs)
+        assert_canonical(g)
+        assert_canonical(-self.F)
+        assert (-self.F).n_min == 4
+        assert gcd_calls == []
+
+    def test_a_constant_takes_no_gcd(self, gcd_calls):
+        for f in (rf((6,), (0, 4, 2)), rf((0, 4, 2), (6,)), rf((-3,), (-9,)),
+                  RationalFunction.n_power(-3), RationalFunction(5)):
+            assert_canonical(f)
+        assert rf((6,), (0, 4, 2)) == RationalFunction(3) / rf((0, 2, 1))
+        assert gcd_calls == []

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from collections import Counter
@@ -30,7 +32,7 @@ from wml.weingarten import (
     wg,
     word_moment,
 )
-from wml.words import Word, cyclic_key, parse
+from wml.words import Word, cyclic_key, is_balanced, parse
 
 ONE = RationalFunction(1)
 N = RationalFunction.n_power(1)
@@ -485,6 +487,32 @@ class TestRewiringClasses:
             assert total == math.factorial(p) ** 2
 
 
+class TestReducedOverCommonDenominator:
+    # each pair sum's coefficients are quotients over D_p, whose factors are
+    # known: they are put in canonical form with no polynomial gcd
+    @pytest.mark.parametrize("monomial", [
+        ((1, 2, -1, -2),),
+        ((1, 2), (-2, -1)),
+        ((1, 2, -1, -2) * 3,),
+        ((1, 2, -1, -2) * 4,),
+        ((1, 2, -1, -2) * 2, (2, 1, -2, -1) * 2),
+        ((1, 1, 1, 1, 2, -1, -1, -1, -1, -2),),
+    ])
+    def test_pair_sums_take_no_gcd(self, monkeypatch, monomial):
+        import wml.ratfunc
+
+        calls = []
+        gcd = wml.ratfunc.poly_gcd
+        monkeypatch.setattr(wml.ratfunc, "poly_gcd",
+                            lambda a, b: calls.append((a, b)) or gcd(a, b))
+        values = list(_integrate_letter(monomial, 1, [10 ** 6]).values())
+        values.append(_close_last_generator(monomial, 1, 2, [10 ** 6]))
+        assert calls == []
+        for v in values:
+            reduced = RationalFunction(v.num, v.den, v.n_min)
+            assert v.serialize() == reduced.serialize()
+
+
 class TestClosedLastGenerator:
     # the last pair sum is closed with integer strand sums; the general
     # rewiring of every generator must give the same bytes
@@ -855,3 +883,66 @@ class TestVerifyWord:
         assert row["two_term_expansion"]["passed"]
         assert row["trace_pair_bound"] == {"bound_exponent": None,
                                            "passed": True}
+
+
+# The eight (word, rank, exponents) cases of the benchmark's ``moments``
+# workload, pair sizes p = 1..4.
+MOMENT_CORPUS = (
+    ("[x,y]", 2, (1,)), ("[x,y]", 2, (3,)), ("[x1,x2][x3,x4]", 4, (2,)),
+    ("[x,y]", 2, (2, -2)), ("[x,y]", 2, (4,)), ("[x,y]", 2, (2, -1, -1)),
+    ("[x,[x,y]]", 2, (1, -1)), ("x^2y^2x^-2y^-2", 2, (1, -1)),
+)
+
+PIN_EXPONENTS = ((1,), (2,), (3,), (1, -1), (1, 1), (2, -1), (2, -2),
+                 (1, -2), (1, 1, -1), (1, -1, 1, -1))
+
+
+def pinned_moment_cases():
+    """The ``moments`` corpus, then 150 seeded (word, exponents) pairs of
+    ranks 2-3 and lengths 1-6 whose pair sizes are at most 4."""
+    cases = [(parse(text, rank), exps) for text, rank, exps in MOMENT_CORPUS]
+    rng = random.Random(30)
+    while len(cases) < len(MOMENT_CORPUS) + 150:
+        rank, length = rng.randint(2, 3), rng.randint(1, 6)
+        letters = []
+        while len(letters) < length:
+            a = rng.choice((1, -1)) * rng.randint(1, rank)
+            if not letters or a != -letters[-1]:
+                letters.append(a)
+        w, exps = Word(letters, rank), rng.choice(PIN_EXPONENTS)
+        counts = is_balanced([w ** m for m in exps])[1]
+        if max(counts.values(), default=0) <= 4:
+            cases.append((w, exps))
+    return cases
+
+
+PINNED_MOMENTS = \
+    "8ebf5e7106d139f481fc4a6653707cf6841ce0fceadb3b86d5f11dc6e29568a6"
+PINNED_WEINGARTEN = \
+    "628e8cb36c4d790973b2af3d8dfcb4f19cddac91fb058ea61f1bb1570d1eb73d"
+
+
+class TestExactPins:
+    # recorded before the Weingarten quotients were reduced by cancelling
+    # linear factors and the Laurent expansion divided in integers: the
+    # canonical form is unique, so neither may change a byte
+
+    def test_moments_pinned(self):
+        digest = hashlib.sha256()
+        for w, exps in pinned_moment_cases():
+            f = moment(w, exps)
+            digest.update(json.dumps([str(w), exps, f.serialize(),
+                                      laurent(f, 6).serialize(), str(f)])
+                          .encode() + b"\n")
+        assert digest.hexdigest() == PINNED_MOMENTS
+
+    def test_weingarten_pinned(self):
+        digest = hashlib.sha256()
+        for p in range(1, 8):
+            for t in partitions_of(p):
+                digest.update(json.dumps([t, wg(t).serialize(), str(wg(t))])
+                              .encode() + b"\n")
+            den, numerators = _wg_over_common_denominator(p)
+            table = sorted((t, a.coeffs) for t, a in numerators.items())
+            digest.update(json.dumps([den.coeffs, table]).encode() + b"\n")
+        assert digest.hexdigest() == PINNED_WEINGARTEN

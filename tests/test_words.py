@@ -93,6 +93,23 @@ class TestParsing:
                                              "got -3"):
             Word((), -3)
 
+    @pytest.mark.parametrize("text", ["1", "x", "[x,y]"])
+    def test_rank_above_max_refused(self, text):
+        with pytest.raises(ValueError, match="rank must be at most 10000"):
+            parse(text, wml.words.MAX_RANK + 1)
+
+    def test_rank_above_max_word_refused(self):
+        with pytest.raises(ValueError, match="rank must be at most 10000, "
+                                             "got 1000000"):
+            Word((), 10 ** 6)
+
+    @pytest.mark.parametrize("rank", [*range(13), 10_000])
+    def test_ranks_up_to_max_valid(self, rank):
+        assert wml.words.MAX_RANK == 10_000
+        assert parse("1", rank).rank == Word((), rank).rank == rank
+        if rank:
+            assert parse(f"x{rank}", rank).letters == (rank,)
+
     def test_syntax_errors_carry_position(self):
         with pytest.raises(ParseError) as exc:
             parse("x^", 1)
