@@ -27,6 +27,7 @@ from . import __version__
 from .errors import ParseError, UndecidedError
 from .invariants import DEFAULT_GENUS_CAP, analyze
 from .montecarlo import estimate_moment
+from .ratfunc import MAX_LAURENT_DEPTH
 from .stallings import DEFAULT_FRINGE_VERTEX_CAP
 from .surfaces import (DEFAULT_SPEC_CAP, build_surface, count_matchings,
                        enumerate_matchings)
@@ -256,8 +257,13 @@ def cmd_invariants(args, settings):
     cached = _cache_lookup(directory, key)
     if cached is not None:
         text, data = cached
-        _echo(text.rstrip("\n"))
-        sys.exit(EXIT_UNDECIDED if data.get("undecided") else 0)
+        # an entry serves only the word and rank it names; any other is a
+        # miss, which the fresh report below overwrites
+        entry_rank = data.get("rank")
+        if data.get("word") == str(w) and type(entry_rank) is int \
+                and entry_rank == rank:
+            _echo(text.rstrip("\n"))
+            sys.exit(EXIT_UNDECIDED if data.get("undecided") else 0)
 
     report = analyze(w, rank, **caps)
     payload = json.dumps(report.to_json(), indent=2)
@@ -337,6 +343,9 @@ def cmd_verify(args, settings):
     w = parse_text(args.word_text, rank)
     exponent_sets = [_parse_exponents(t) for t in
                      args.exponents or ("1", "-1", "1,-1", "2,-2")]
+    if args.depth is not None and not 0 <= args.depth <= MAX_LAURENT_DEPTH:
+        raise ValueError(f"--depth must be between 0 and "
+                         f"{MAX_LAURENT_DEPTH}, got {args.depth}")
 
     started = time.perf_counter()
     report = analyze(w, rank, **caps)

@@ -106,11 +106,8 @@ def is_algebraic_extension(graph, w, orbit_cap=DEFAULT_ORBIT_CAP):
 def _least_genus(w):
     """Uncapped cl(w) from the subdivision-1 surface search: 0 for the
     identity, infinite when an exponent total is nonzero."""
-    if w.is_identity():
-        return 0
-    if any(w.abelianization()):
-        return INFINITY
-    return minimal_single_boundary_genus(w)
+    genus = minimal_single_boundary_genus(w)
+    return INFINITY if genus is None else genus
 
 
 def _capped(genus, genus_cap):

@@ -422,13 +422,24 @@ class LaurentSeries(Immutable):
         return f"LaurentSeries({self})"
 
 
+# Deepest Laurent expansion.  Coefficients grow with the depth: about 0.48
+# digits a term for the moment of [x,y] at trace exponents (2, -2), and at
+# depth 1,000 at most 782 digits (from wg((7,))) over every Weingarten value
+# with p <= 7, so each stays far below Python's 4,300-digit printing limit.
+MAX_LAURENT_DEPTH = 1000
+
+
 def laurent(f, depth):
     """Expand a rational function in powers of 1/n by exact long division.
 
-    Returns ``depth + 1`` coefficients starting at the true leading exponent.
+    Returns ``depth + 1`` coefficients starting at the true leading exponent;
+    ``depth`` lies in 0..MAX_LAURENT_DEPTH.
     """
     if depth < 0:
         raise ValueError(f"Laurent depth must be nonnegative, got {depth}")
+    if depth > MAX_LAURENT_DEPTH:
+        raise ValueError(f"Laurent depth must be at most {MAX_LAURENT_DEPTH}, "
+                         f"got {depth}")
     if f.is_zero():
         return LaurentSeries(None, ())
     # reverse coefficients: f(n) = n^(dp-dq) * P~(u)/Q~(u) with u = 1/n;

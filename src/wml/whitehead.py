@@ -118,9 +118,10 @@ def type_i_canonical(letters):
 
 
 def _core_in_rank(w, rank):
-    """The cyclic core of w, checked to use only generators 1..rank."""
+    """The cyclic core of w, checked to use only generators 1..rank; the
+    letters of w already lie within ``w.rank``."""
     core = cyclic_core(w.letters)
-    if any(abs(a) > rank for a in core):
+    if rank < w.rank and any(abs(a) > rank for a in core):
         raise ValueError(f"{w} has letters outside rank {rank}")
     return core
 

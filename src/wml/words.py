@@ -28,6 +28,7 @@ The rank lies between 0 and :data:`MAX_RANK`.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import groupby
 
 from .errors import Immutable, ParseError
 
@@ -146,8 +147,10 @@ class Word(Immutable):
 
     @classmethod
     def _reduced(cls, letters, rank):
-        """The word of a freely reduced tuple of letters known to lie
-        within ``rank``, taken as it is."""
+        """The word of ``letters``, taken as it is: nothing is checked.
+        The caller guarantees a tuple of nonzero integers of absolute value
+        at most ``rank``, no letter next to its inverse, and a ``rank`` in
+        0..MAX_RANK."""
         word = object.__new__(cls)
         object.__setattr__(word, "letters", letters)
         object.__setattr__(word, "rank", rank)
@@ -162,10 +165,13 @@ class Word(Immutable):
     def __mul__(self, other):
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        return Word(self.letters + other.letters, self.rank)
+        letters = list(self.letters)
+        _cancel_onto(letters, other.letters)
+        return Word._reduced(tuple(letters), self.rank)
 
     def __invert__(self):
-        return Word(tuple(-a for a in reversed(self.letters)), self.rank)
+        return Word._reduced(tuple(-a for a in reversed(self.letters)),
+                             self.rank)
 
     def __pow__(self, k):
         if self.is_identity():
@@ -200,15 +206,10 @@ class Word(Immutable):
 
     def syllables(self):
         """Return the word as a list of (generator, nonzero exponent) runs."""
-        runs = []
-        for a in self.letters:
-            g = abs(a)
-            e = 1 if a > 0 else -1
-            if runs and runs[-1][0] == g and (runs[-1][1] > 0) == (e > 0):
-                runs[-1][1] += e
-            else:
-                runs.append([g, e])
-        return [(g, e) for g, e in runs]
+        # a reduced word never has a letter next to its inverse, so each run
+        # is a run of one repeated letter
+        return [(abs(a), len(list(run)) * (1 if a > 0 else -1))
+                for a, run in groupby(self.letters)]
 
     def cyclic_reduce(self):
         """Split off the conjugating prefix.
@@ -223,10 +224,8 @@ class Word(Immutable):
 
     def abelianization(self):
         """Total exponent of each generator, as a tuple of length ``rank``."""
-        totals = [0] * self.rank
-        for a in self.letters:
-            totals[abs(a) - 1] += 1 if a > 0 else -1
-        return tuple(totals)
+        counts = Counter(self.letters)
+        return tuple(counts[g] - counts[-g] for g in range(1, self.rank + 1))
 
     def is_proper_power(self):
         """Decide whether the word is ``root**d`` with ``d >= 2``.
@@ -240,7 +239,7 @@ class Word(Immutable):
         _, p = _least_rotation(c)
         if p == len(c):
             return False, self, 1
-        root = conj * Word(c[:p], self.rank) * ~conj
+        root = conj * Word._reduced(c[:p], self.rank) * ~conj
         return True, root, len(c) // p
 
     def canonical_key(self):
@@ -251,8 +250,8 @@ class Word(Immutable):
         if not c:
             return "|"
         best_i, _ = _least_rotation(c)
-        rot = Word(c[best_i:] + c[:best_i], self.rank)
-        conj_adj = conj * Word(c[:best_i], self.rank)
+        rot = Word._reduced(c[best_i:] + c[:best_i], self.rank)
+        conj_adj = conj * Word._reduced(c[:best_i], self.rank)
         return f"{conj_adj}|{rot}"
 
 

@@ -218,6 +218,29 @@ class TestInvariants:
         assert os.listdir(cache) == [name]
         assert (cache / name).read_bytes() == entry
 
+    @pytest.mark.parametrize("forgery", ["another report", "another word",
+                                         "another rank", "rank true"])
+    def test_entry_for_another_word_is_a_miss(self, run, tmp_path, forgery):
+        # an entry is printed only when it names the word and the rank
+        # asked for; any other is analysed again and overwritten
+        args = ["invariants", "x^2", "--rank", "1", "--cache-dir"]
+        fresh = run(args + [str(tmp_path / "fresh")])
+        (name,) = os.listdir(tmp_path / "fresh")
+        entry = (tmp_path / "fresh" / name).read_bytes()
+        other = {"another report": {"pi": 99},
+                 "another word": payload(run(["invariants", "x^3", "--rank",
+                                              "1", "--no-cache"])),
+                 "another rank": payload(run(["invariants", "x^2", "--rank",
+                                              "2", "--no-cache"])),
+                 "rank true": {**json.loads(entry), "rank": True}}[forgery]
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / name).write_text(json.dumps(other, indent=2))
+        result = run(args + [str(cache)])
+        assert (result.exit_code, result.stdout) == (0, fresh.stdout)
+        assert os.listdir(cache) == [name]
+        assert (cache / name).read_bytes() == entry
+
     def test_no_cache_computes_no_key(self, run, monkeypatch):
         # the key reads the whole word; with no cache it is never needed
         import wml.cli
@@ -564,6 +587,26 @@ class TestInvalidInput:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr.startswith("invalid input: ")
+
+    @pytest.mark.parametrize("depth", ["-3", "1001", "20000"])
+    def test_depth_out_of_range_exits_2_before_analysis(self, run,
+                                                        monkeypatch, depth):
+        def no_analysis(*args, **kwargs):
+            raise AssertionError("analysis ran")
+
+        monkeypatch.setattr(wml.cli, "analyze", no_analysis)
+        result = run(["verify", "[x,y]", "-T", "2,-2", "--depth", depth])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == ("invalid input: --depth must be between 0 "
+                                 f"and 1000, got {depth}\n")
+
+    def test_deepest_expansion_prints(self, run):
+        # every coefficient of the deepest expansion prints as an integer
+        (row,) = payload(run(["verify", "[x,y]", "-T", "2,-2",
+                              "--depth", "1000"]))["rows"]
+        assert len(row["laurent"]) == 1001
+        assert max(len(str(c)) for term in row["laurent"]
+                   for c in term["coefficient"]) == 476
 
     def test_negative_config_cap_exits_2_before_the_cache(self, run,
                                                           tmp_path):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wml.partitions import partitions_of
-from wml.ratfunc import Polynomial, RationalFunction, laurent, poly_gcd
+from wml.ratfunc import (MAX_LAURENT_DEPTH, Polynomial, RationalFunction,
+                         laurent, poly_gcd)
 from wml.weingarten import wg
 
 N = RationalFunction.n_power(1)
@@ -247,6 +248,16 @@ class TestLaurent:
         for f in (ONE / N, rf(())):
             with pytest.raises(ValueError):
                 laurent(f, -1)
+
+    def test_depth_above_the_bound_rejected(self):
+        f = ONE / (N + 1)
+        assert len(laurent(f, MAX_LAURENT_DEPTH).coeffs) == \
+            MAX_LAURENT_DEPTH + 1
+        for g in (f, rf(())):
+            with pytest.raises(ValueError) as exc:
+                laurent(g, MAX_LAURENT_DEPTH + 1)
+            assert str(exc.value) == \
+                "Laurent depth must be at most 1000, got 1001"
 
     @given(small_polys, small_polys, st.integers(min_value=0, max_value=6))
     def test_resubstitution(self, p, q, depth):

@@ -7,6 +7,7 @@ import pytest
 import wml.whitehead
 from wml.errors import UndecidedError
 from wml.whitehead import (
+    _core_in_rank,
     _minimal_core,
     _whitehead_certificate,
     in_proper_free_factor,
@@ -214,6 +215,19 @@ class TestMinimize:
             with pytest.raises(ValueError):
                 check(parse("x^2 z^2", 3), 2)
 
+    def test_core_in_rank_refuses_letters_above_a_smaller_rank(self):
+        # a word's letters lie within its own rank, so only a smaller
+        # requested rank can find one outside it
+        w = parse("y x^2 z^-1 Y", 3)
+        for rank in (1, 2):
+            with pytest.raises(ValueError) as exc:
+                _core_in_rank(w, rank)
+            assert str(exc.value) == \
+                f"x2 x1^2 x3^-1 x2^-1 has letters outside rank {rank}"
+        assert _core_in_rank(parse("y x^2 Y", 3), 2) == (1, 1)
+        for rank in (3, 4):
+            assert _core_in_rank(w, rank) == (1, 1, -3)
+
     def test_search_builds_at_most_one_word(self, monkeypatch):
         # the search runs on letter tuples; only the returned word is a Word
         built = []
@@ -372,6 +386,29 @@ class TestOrbitEquivalence:
         for u, v in [("x z", "x y"), ("x y", "x z")]:
             with pytest.raises(ValueError):
                 orbit_equivalent(parse(u, 3), parse(v, 3), 2)
+
+    @pytest.mark.parametrize("u, v", [
+        ("x y^-1 X y^-1", "x y^-2 x"),
+        ("x y x y^-2", "y^-1 x^2 y^-2"),
+        ("y x y^-2 x", "x y^-3 x"),
+    ])
+    def test_level_search_finds_the_target(self, u, v):
+        # minimal words of different keys: only a length-preserving move
+        # of the breadth-first search joins them
+        u, v = parse(u, 2), parse(v, 2)
+        assert len(minimize(u, 2)) == len(u) == len(minimize(v, 2)) == len(v)
+        assert type_i_canonical(u.letters) != type_i_canonical(v.letters)
+        assert orbit_equivalent(u, v, 2)
+        assert orbit_equivalent(v, u, 2)
+
+    def test_level_search_can_miss_at_equal_length(self):
+        # x^3 y^2 and x^2 y x y^-1 are both minimal of length 5, and the
+        # level of x^3 y^2 (which holds x^2 y x^-1 y too) misses the other
+        u, v = parse("x^3 y^2", 2), parse("x^2 y x y^-1", 2)
+        assert len(minimize(u, 2)) == len(minimize(v, 2)) == 5
+        assert orbit_equivalent(u, parse("x^2 y x^-1 y", 2), 2)
+        assert not orbit_equivalent(u, v, 2)
+        assert not orbit_equivalent(v, u, 2)
 
     def test_relabelings_need_no_search(self):
         # the greedy minimizations of these two end in words of different

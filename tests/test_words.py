@@ -540,3 +540,105 @@ class TestPowers:
         for _ in range(abs(k)):
             expected = expected * (w if k > 0 else ~w)
         assert w ** k == expected
+
+
+def reference_syllables(w):
+    """The runs of w as the hand-written loop found them, letter by letter."""
+    runs = []
+    for a in w.letters:
+        g = abs(a)
+        e = 1 if a > 0 else -1
+        if runs and runs[-1][0] == g and (runs[-1][1] > 0) == (e > 0):
+            runs[-1][1] += e
+        else:
+            runs.append([g, e])
+    return [(g, e) for g, e in runs]
+
+
+def reference_abelianization(w):
+    """The exponent totals of w, one letter at a time."""
+    totals = [0] * w.rank
+    for a in w.letters:
+        totals[abs(a) - 1] += 1 if a > 0 else -1
+    return tuple(totals)
+
+
+def checked_canonical_key(w):
+    """``w.canonical_key()`` with every piece built by the checking
+    constructor."""
+    core, conj = w.cyclic_reduce()
+    c = core.letters
+    if not c:
+        return "|"
+    k = reference_least_rotation(c)
+    rot = Word(c[k:] + c[:k], w.rank)
+    return f"{Word(conj.letters + c[:k], w.rank)}|{rot}"
+
+
+class TestDerivedWords:
+    """Products, inverses, roots and key pieces are built unchecked; each
+    equals the word the checking constructor builds from the same
+    letters."""
+
+    @staticmethod
+    def seeded_words(seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            rank = rng.randint(1, 4)
+
+            def letters(most):
+                return [rng.choice((1, -1)) * rng.randint(1, rank)
+                        for _ in range(rng.randint(0, most))]
+
+            root, conj = Word(letters(6), rank), Word(letters(4), rank)
+            yield (Word(letters(12), rank), Word(letters(12), rank),
+                   conj * root ** rng.randint(1, 5) * ~conj)
+
+    def test_products_and_inverses_match_checked_builds(self):
+        for u, v, _ in self.seeded_words(31, 500):
+            assert u * v == Word(u.letters + v.letters, u.rank)
+            assert ~u == Word([-a for a in reversed(u.letters)], u.rank)
+            # the unchecked builds hold tuples, as the constructor's do
+            assert type((u * v).letters) is type((~u).letters) is tuple
+
+    def test_roots_and_keys_match_checked_builds(self):
+        for u, v, w in self.seeded_words(32, 500):
+            for word in (u, v, w):
+                got = word.is_proper_power()
+                assert got == divisor_scan_power(word), word
+                power, root, d = got
+                if power:
+                    core, conj = word.cyclic_reduce()
+                    p = len(core) // d
+                    inverse = [-a for a in reversed(conj.letters)]
+                    assert root == Word(conj.letters + core.letters[:p]
+                                        + tuple(inverse), word.rank)
+                assert word.canonical_key() == checked_canonical_key(word)
+
+    def test_products_and_inverses_reduce_nothing(self, monkeypatch):
+        # a product cancels only at its junction and an inverse is reduced
+        # as it stands: no letter goes through free_reduce
+        u = parse("[x^5000,y] x^300", 2)
+        v = parse("x^-300 [y,x^5000]", 2)
+        reduced = []
+
+        def counting_free_reduce(letters):
+            reduced.append(len(letters))
+            return free_reduce(letters)
+
+        monkeypatch.setattr(wml.words, "free_reduce", counting_free_reduce)
+        assert (u * v).is_identity()
+        assert ~u == v
+        assert len(u * u) == 2 * len(u)
+        assert sum(reduced) == 0
+
+    def test_syllables_and_abelianization_match_letter_loops(self):
+        for u, v, w in self.seeded_words(33, 500):
+            for word in (u, v, w, u * v):
+                assert word.syllables() == reference_syllables(word), word
+                assert word.abelianization() == \
+                    reference_abelianization(word), word
+        long = parse("[x^4999,y] z^-7 x1 x4^3", 4)
+        assert long.syllables() == reference_syllables(long)
+        assert long.abelianization() == reference_abelianization(long) == \
+            (1, 0, -7, 3)
