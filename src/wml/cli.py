@@ -24,7 +24,8 @@ import sys
 import time
 
 from . import __version__
-from .errors import ParseError, UndecidedError
+from .errors import _MAX_PRINTED_COUNT, _PRINTED_DIGITS, ParseError, \
+    UndecidedError
 from .invariants import DEFAULT_GENUS_CAP, analyze
 from .montecarlo import estimate_moment
 from .ratfunc import MAX_LAURENT_DEPTH
@@ -298,6 +299,9 @@ def cmd_moment(args, settings):
     }
     if args.numeric is not None:
         value = f.evaluate(args.numeric)
+        if max(abs(value.numerator), value.denominator) > _MAX_PRINTED_COUNT:
+            raise ValueError(f"--numeric gives a value of more than "
+                             f"{_PRINTED_DIGITS} digits")
         data["value_at_n"] = {
             "n": args.numeric,
             "value": [value.numerator, value.denominator],

@@ -26,7 +26,7 @@ from .stallings import DEFAULT_FRINGE_VERTEX_CAP, core_graph, fringe
 from .surfaces import minimal_single_boundary_genus
 from .whitehead import DEFAULT_ORBIT_CAP, in_proper_free_factor, is_primitive, \
     orbit_equivalent
-from .words import Word, _least_rotation, cyclic_core
+from .words import Word, cyclic_core
 
 INFINITY = math.inf
 DEFAULT_GENUS_CAP = 3
@@ -59,18 +59,14 @@ def _primitivity_rank(w, rank, fringe_cap, proper_power):
     if power:
         return 1, [(core_graph([root], rank), Word((1,) * exponent, 1))]
     # primitivity is invariant under conjugation, so each word is tested
-    # once per rank and least rotation of its cyclic core, and the test
-    # runs on that rotation
+    # once per rank and cyclic core
     primitive = {}
 
     def primitive_in(word, r):
-        core = cyclic_core(word.letters)
-        k, _ = _least_rotation(core)
-        least = core[k:] + core[:k]
-        if (r, least) not in primitive:
-            word = Word._reduced(least, word.rank)
-            primitive[r, least] = is_primitive(word, r)
-        return primitive[r, least]
+        key = r, cyclic_core(word.letters)
+        if key not in primitive:
+            primitive[key] = is_primitive(word, r)
+        return primitive[key]
 
     # a primitive element is primitive in every subgroup containing it, so
     # the fringe could only confirm pi = infinity

@@ -101,13 +101,6 @@ def _unitarity_defect(u):
         np.swapaxes(u.conj(), -1, -2) @ u - np.eye(u.shape[-1]))))
 
 
-def _ginibre_normals(rng, count, n):
-    """The real and the imaginary parts of ``count`` n x n Ginibre
-    matrices, drawn in that order."""
-    shape = (count, n, n)
-    return rng.standard_normal(shape), rng.standard_normal(shape)
-
-
 def _haar_from_normals(real, imag):
     """Haar unitaries from Ginibre normals: QR, then the phases of R's
     diagonal moved into Q."""
@@ -122,8 +115,10 @@ def _haar_from_normals(real, imag):
 
 
 def _haar_batch(rng, count, n):
-    """Batch of Haar unitaries: Ginibre, QR, diagonal phase correction."""
-    return _haar_from_normals(*_ginibre_normals(rng, count, n))
+    """Batch of Haar unitaries: Ginibre (real parts first), QR, phase fix."""
+    shape = (count, n, n)
+    return _haar_from_normals(rng.standard_normal(shape),
+                              rng.standard_normal(shape))
 
 
 def sample_haar(n, rng_state):
@@ -230,20 +225,19 @@ def _chunk_values(w, exponents, n, count, seed, chunk_index):
     import numpy as np
 
     rng = _chunk_rng(seed, chunk_index)
-    normals = [_ginibre_normals(rng, count, n) for _ in range(w.rank - 1)]
-    last_real = rng.standard_normal((count, n, n)) if w.rank else None
+    # the segments real_1, imag_1, ..., real_r, all but the last
+    whole = [rng.standard_normal((count, n, n)) for _ in range(2 * w.rank - 1)]
     max_power = max((abs(m) for m in exponents), default=1)
     traces = [np.empty(count, dtype=np.complex128) for _ in exponents]
     chunk_defect = 0.0
     for start in range(0, count, BATCH):
         batch = slice(start, min(start + BATCH, count))
         size = batch.stop - start
-        parts = [(real[batch], imag[batch]) for real, imag in normals]
+        parts = [segment[batch] for segment in whole]
         if w.rank:
-            parts.append((last_real[batch],
-                          rng.standard_normal((size, n, n))))
-        unitaries = {g: _haar_from_normals(real, imag)
-                     for g, (real, imag) in enumerate(parts, 1)}
+            parts.append(rng.standard_normal((size, n, n)))
+        unitaries = {g: _haar_from_normals(parts[2 * g - 2], parts[2 * g - 1])
+                     for g in range(1, w.rank + 1)}
         for u in unitaries.values():
             defect = _unitarity_defect(u)
             if defect > UNITARITY_TOL:

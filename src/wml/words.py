@@ -174,11 +174,16 @@ class Word(Immutable):
                              self.rank)
 
     def __pow__(self, k):
-        if self.is_identity():
-            return self  # any exponent, however large
+        if self.is_identity() or k == 0:
+            return Word._reduced((), self.rank)  # 1^k for any k, however large
         if k < 0:
             return (~self) ** (-k)
-        return Word(self.letters * k, self.rank)
+        # w = u c u^-1, c cyclically reduced: u c^k u^-1 is reduced as spelled
+        letters = self.letters
+        core = cyclic_core(letters)
+        h = (len(letters) - len(core)) // 2
+        return Word._reduced(letters[:h] + core * k + letters[len(core) + h:],
+                             self.rank)
 
     def __eq__(self, other):
         return (

@@ -348,6 +348,20 @@ class TestMoment:
         )
         assert data["value_at_n"]["value"] == [1, 10]
 
+    def test_numeric_value_past_printing_limit_refused(self, run):
+        # the value at a 2,000-digit n has more digits than str() writes
+        result = run(["moment", "[x,y]", "-T", "2,-2",
+                      "--numeric", "9" * 2000])
+        assert result.exit_code == 2 and result.stdout == ""
+        assert result.stderr == ("invalid input: --numeric gives a value of "
+                                 "more than 4300 digits\n")
+
+    def test_numeric_at_long_n_prints(self, run):
+        n = 10 ** 999
+        data = payload(run(["moment", "[x,y]", "-T", "1",
+                            "--numeric", str(n)]))
+        assert data["value_at_n"] == {"n": n, "value": [1, n]}
+
     def test_mc(self, run):
         data = payload(
             run(["moment", "[x,y]", "-T", "1", "--rank", "2",
@@ -839,4 +853,25 @@ IMAGE_PINS = [
 def test_surface_images_pinned(argv, digest):
     code, out, err = _in_process(["surfaces", *argv, "--images"])
     assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the stdout and the exit code of the long-word commands, the
+# first two at the 10^6-letter bound; the moment's w^2 spells 999,996
+# letters and its value is -124999500000 / (n^3 - n)
+LONG_WORD_PINS = [
+    (["parse", "[x^499999,y]"], 0,
+     "f242f63858d1bf60966792ae69566042443ee67b1a84fc11ae609b3dc0f1a210"),
+    (["invariants", "[x^499999,y]", "--no-cache"], 3,
+     "06e91136ed4cd7e8e401e03948cba062c08d64fb48a96008ceb2440767def4a8"),
+    (["moment", "[x^249999,y]", "-T", "2"], 0,
+     "e1e17d1beb289a9941a659658eff45ad79d3ccbc83310eaf1afa96eb9cbc446c"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", LONG_WORD_PINS,
+                         ids=[" ".join(case[0]) for case in LONG_WORD_PINS])
+def test_long_words_pinned(argv, code, digest):
+    got, out, err = _in_process(argv)
+    assert got == code, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest

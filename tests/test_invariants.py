@@ -461,11 +461,35 @@ class TestAnalyze:
             assert rep.undecided == {}
             assert rep.to_json()["pi"] == "inf"
 
+    def test_one_least_rotation_per_long_word(self, monkeypatch):
+        # the proper-power test scans the cyclic core for its period; the
+        # primitivity memo keys on the core as it stands, and holds no
+        # binding of its own that the count below would miss
+        import wml.invariants
+        import wml.words
+
+        assert not hasattr(wml.invariants, "_least_rotation")
+
+        least_rotation = wml.words._least_rotation
+        scans = []
+
+        def counting_least_rotation(c):
+            scans.append(len(c))
+            return least_rotation(c)
+
+        w = parse("[x^5000,y]", 2)
+        monkeypatch.setattr(wml.words, "_least_rotation",
+                            counting_least_rotation)
+        rep = analyze(w, 2)
+        assert rep.proper_power == (False, w, 1)
+        assert scans == [10002]
+
     def test_one_primitivity_test_per_distinct_word(self, monkeypatch):
         # a graph whose loop crosses an edge once is certified without a
-        # test; the sweep tests each (rank, least rotation of the cyclic
-        # core) of the other rewrites once, so conjugate rewrites share
-        # the verdict
+        # test; the sweep tests each (rank, cyclic core) of the other
+        # rewrites once.  On these words no two rewrites have cores that
+        # are distinct rotations of one another, so the tests number the
+        # least rotations
         import wml.invariants
         from wml.whitehead import is_primitive
 

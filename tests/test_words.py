@@ -211,8 +211,9 @@ class TestParsing:
         assert sum(reduced) <= 3 * 20000
 
     def test_commutators_reduce_in_linear_time(self, monkeypatch):
-        # [u,v] cancels only where u, v, u^-1 and v^-1 meet: only the
-        # power itself goes through free_reduce
+        # [u,v] cancels only where u, v, u^-1 and v^-1 meet, and a power is
+        # built from its base's cyclic core: only the generators go through
+        # free_reduce
         reduced = []
 
         def counting_free_reduce(letters):
@@ -631,6 +632,28 @@ class TestDerivedWords:
         assert ~u == v
         assert len(u * u) == 2 * len(u)
         assert sum(reduced) == 0
+
+    def test_powers_match_checked_builds(self, monkeypatch):
+        # w^k is built from w's cyclic core and conjugator as they stand:
+        # no letter goes through free_reduce
+        words = [w for _, _, w in self.seeded_words(34, 300)]
+        reduced = []
+
+        def counting_free_reduce(letters):
+            reduced.append(len(letters))
+            return free_reduce(letters)
+
+        monkeypatch.setattr(wml.words, "free_reduce", counting_free_reduce)
+        powers = [(w, k, w ** k) for w in words for k in range(-4, 5)]
+        assert sum(reduced) == 0
+        monkeypatch.undo()
+        assert any(w.is_identity() for w in words)
+        assert any(len(w.cyclic_reduce()[1]) for w in words)
+        for w, k, power in powers:
+            letters = w.letters if k >= 0 else \
+                tuple(-a for a in reversed(w.letters))
+            assert power == Word(letters * abs(k), w.rank), (w, k)
+            assert type(power.letters) is tuple
 
     def test_syllables_and_abelianization_match_letter_loops(self):
         for u, v, w in self.seeded_words(33, 500):
