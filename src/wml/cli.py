@@ -210,7 +210,11 @@ def _echo_pieces(pieces):
 
 
 def _emit(data):
-    _echo(json.dumps(data, indent=2))
+    """Print ``json.dumps(data, indent=2)`` as the encoder makes it, 1024
+    tokens at a time, so neither the text nor its tokens (a few small
+    strings per letter of a long word) are held whole."""
+    pieces = json.JSONEncoder(indent=2).iterencode(data)
+    _echo_pieces(iter(lambda: "".join(itertools.islice(pieces, 1024)), ""))
 
 
 class _UsageError(Exception):

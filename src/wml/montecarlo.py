@@ -6,15 +6,19 @@ distribution exactly Haar.  The generator is counter-based (Philox keyed by
 the user seed and the chunk index), so an estimate is reproducible
 bit-for-bit for a fixed (seed, n, samples) triple.  Samples come in chunks
 of ``CHUNK`` tuples.  A chunk's normals come in a fixed order: for each
-generator, all real parts, then all imaginary parts.  The first 2r - 1 of
-those 2r segments are drawn whole; the last generator's imaginary parts
-are drawn one ``BATCH`` at a time, just before that batch is used, from the
-same generator, which gives the same bits as one whole draw.  The rest
+generator, all real parts, then all imaginary parts.  No segment is held
+whole.  The chunk's generator first runs once through the first 2r - 1 of
+those 2r segments, drawing into one batch-sized buffer, and a side
+generator is started at each segment's first state; this second draw is
+the price of the bound below.  Each batch then draws its slice of every
+segment from that segment's generator, and of the last segment from the
+chunk's generator, which gives the same bits as whole draws.  The rest
 runs per batch too: Ginibre, QR, phase fix, unitarity check, word product,
 powers and traces, each of which treats every matrix alone.  The traces
 are multiplied, and the values summed, over the whole chunk, so the batch
-size changes no bit.  Memory is about 8 (2r - 1) n^2 ``CHUNK`` bytes for a
-rank-r word (61 MB at r = 2, n = 16) plus one batch of work arrays.
+size changes no bit.  A batch is ``BATCH`` matrices up to n = 16 and at
+most ``BATCH`` 16^2 matrix entries (but at least one matrix) beyond, so
+memory is O(r n^2 batch) for every n, plus a few chunk-long value arrays.
 
 numpy is imported inside the functions that sample, so importing the
 package (and running every command but ``wml moment --mc``) does not load
@@ -44,7 +48,8 @@ class UnitarySample(Immutable):
             raise ValueError(f"a unitary sample is a square matrix, got "
                              f"shape {matrix.shape}")
         defect = _unitarity_defect(matrix)
-        if defect > UNITARITY_TOL:
+        # a NaN defect compares false with everything
+        if not defect <= UNITARITY_TOL:
             raise ValueError(f"unitarity defect {defect:.3g} over tolerance")
         object.__setattr__(self, "n", matrix.shape[0])
         object.__setattr__(self, "matrix", matrix)
@@ -94,11 +99,14 @@ def _chunk_rng(seed, chunk_index):
 
 
 def _unitarity_defect(u):
-    """max |u^H u - I| over the last two axes of one matrix or a batch."""
+    """max |u^H u - I| over the last two axes of one matrix or a batch,
+    NaN if an entry is NaN.  1 is subtracted on the diagonal only."""
     import numpy as np
 
-    return float(np.max(np.abs(
-        np.swapaxes(u.conj(), -1, -2) @ u - np.eye(u.shape[-1]))))
+    gram = np.swapaxes(u.conj(), -1, -2) @ u
+    diagonal = np.arange(u.shape[-1])
+    gram[..., diagonal, diagonal] -= 1
+    return float(np.max(np.abs(gram)))
 
 
 def _haar_from_normals(real, imag):
@@ -106,12 +114,14 @@ def _haar_from_normals(real, imag):
     diagonal moved into Q."""
     import numpy as np
 
-    z = real + 1j * imag
+    z = np.empty(real.shape, dtype=np.complex128)
+    z.real = real
+    z.imag = imag
     z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     diag = np.einsum("bii->bi", r)
-    phases = diag / np.abs(diag)
-    return q * phases[:, None, :]
+    q *= (diag / np.abs(diag))[:, None, :]
+    return q
 
 
 def _haar_batch(rng, count, n):
@@ -199,7 +209,7 @@ def estimate_moment(w, exponents, n, samples, seed):
         count = min(CHUNK, samples - total)
         values, defect = _chunk_values(w, exponents, n, count, seed,
                                        chunk_index)
-        unitarity_max = max(unitarity_max, defect)
+        unitarity_max = max(unitarity_max, defect)  # never NaN
         sum_value += values.sum()
         moments_re = _merge_moments(moments_re, _chunk_moments(values.real))
         moments_im = _merge_moments(moments_im, _chunk_moments(values.imag))
@@ -211,48 +221,82 @@ def estimate_moment(w, exponents, n, samples, seed):
     return Estimate(mean, stderr, samples, seed, n, unitarity_max)
 
 
-def _chunk_values(w, exponents, n, count, seed, chunk_index):
-    """The ``count`` sampled values prod_i tr(w(U)^{m_i}) of one chunk and
-    the chunk's largest unitarity defect.  The chunk's normals keep their
-    fixed order: every segment but the last is drawn whole, and the last
-    generator's imaginary parts are drawn per batch, which continues the
-    same stream.  All are released on return.  Each ``BATCH`` of
-    matrices writes its traces into one chunk-long array per exponent, and
-    the traces are multiplied over the whole chunk: numpy's complex product
-    can round an element differently by its place in the array (the last
-    sample of 257, multiplied alone, lost the imaginary part 8.5e-18 it
-    has in the whole chunk)."""
+def _batch_size(n):
+    """Matrices per batch: ``BATCH`` up to n = 16, beyond that at most
+    ``BATCH`` 16^2 matrix entries, but at least one matrix."""
+    return max(1, min(BATCH, BATCH * 16 ** 2 // n ** 2))
+
+
+def _batch_traces(w, exponents, n, generators, real, imag, chunk_index):
+    """One batch's traces tr(w(U)^m), one array per exponent m, and its
+    largest unitarity defect.  U_g is made from the normals that the
+    generators 2g - 1 and 2g draw into the scratch arrays ``real`` and
+    ``imag``, whose length is the batch's.  The batch's matrices are
+    released on return, before the next batch draws."""
     import numpy as np
 
+    size = len(real)
+    unitaries = {g: _haar_from_normals(
+        generators[2 * g - 2].standard_normal(out=real),
+        generators[2 * g - 1].standard_normal(out=imag))
+        for g in range(1, w.rank + 1)}
+    batch_defect = 0.0
+    for u in unitaries.values():
+        defect = _unitarity_defect(u)
+        # a NaN defect compares false with everything
+        if not defect <= UNITARITY_TOL:
+            raise RuntimeError(f"unitarity defect {defect:.3g} in chunk "
+                               f"{chunk_index}")
+        batch_defect = max(batch_defect, defect)
+    base = _evaluate_word_batch(w, unitaries, size, n)
+    powers = {1: base}
+    for k in range(2, max((abs(m) for m in exponents), default=1) + 1):
+        powers[k] = powers[k - 1] @ base
+    traces = []
+    for m in exponents:
+        mat = powers[abs(m)]
+        if m < 0:
+            mat = mat.conj().transpose(0, 2, 1)
+        traces.append(np.einsum("bii->b", mat))
+    return traces, batch_defect
+
+
+def _chunk_values(w, exponents, n, count, seed, chunk_index):
+    """The ``count`` sampled values prod_i tr(w(U)^{m_i}) of one chunk and
+    the chunk's largest unitarity defect.  The chunk's generator runs once
+    through the segments real_1, imag_1, ..., real_r, all but the last,
+    and a side generator starts at each one's first state.  Each batch
+    then draws its slice of a segment from that segment's generator and
+    its slice of the last segment from the chunk's generator, so the
+    normals keep their fixed order and no segment is held whole.  Each
+    batch of matrices writes its traces into one chunk-long array per
+    exponent, and the traces are multiplied over the whole chunk: numpy's
+    complex product can round an element differently by its place in the
+    array (the last sample of 257, multiplied alone, lost the imaginary
+    part 8.5e-18 it has in the whole chunk)."""
+    import numpy as np
+
+    batch = min(count, _batch_size(n))
+    real, imag = np.empty((2, batch, n, n))
     rng = _chunk_rng(seed, chunk_index)
-    # the segments real_1, imag_1, ..., real_r, all but the last
-    whole = [rng.standard_normal((count, n, n)) for _ in range(2 * w.rank - 1)]
-    max_power = max((abs(m) for m in exponents), default=1)
+    generators = []
+    for _ in range(2 * w.rank - 1):
+        side = _chunk_rng(seed, chunk_index)
+        side.bit_generator.state = rng.bit_generator.state
+        generators.append(side)
+        for start in range(0, count, batch):
+            rng.standard_normal(out=real[:min(batch, count - start)])
+    generators.append(rng)
     traces = [np.empty(count, dtype=np.complex128) for _ in exponents]
     chunk_defect = 0.0
-    for start in range(0, count, BATCH):
-        batch = slice(start, min(start + BATCH, count))
-        size = batch.stop - start
-        parts = [segment[batch] for segment in whole]
-        if w.rank:
-            parts.append(rng.standard_normal((size, n, n)))
-        unitaries = {g: _haar_from_normals(parts[2 * g - 2], parts[2 * g - 1])
-                     for g in range(1, w.rank + 1)}
-        for u in unitaries.values():
-            defect = _unitarity_defect(u)
-            if defect > UNITARITY_TOL:
-                raise RuntimeError(f"unitarity defect {defect:.3g} in chunk "
-                                   f"{chunk_index}")
-            chunk_defect = max(chunk_defect, defect)
-        base = _evaluate_word_batch(w, unitaries, size, n)
-        powers = {1: base}
-        for k in range(2, max_power + 1):
-            powers[k] = powers[k - 1] @ base
-        for m, trace in zip(exponents, traces):
-            mat = powers[abs(m)]
-            if m < 0:
-                mat = mat.conj().transpose(0, 2, 1)
-            trace[batch] = np.einsum("bii->b", mat)
+    for start in range(0, count, batch):
+        stop = min(start + batch, count)
+        batch_traces, defect = _batch_traces(
+            w, exponents, n, generators, real[:stop - start],
+            imag[:stop - start], chunk_index)
+        chunk_defect = max(chunk_defect, defect)
+        for trace, part in zip(traces, batch_traces):
+            trace[start:stop] = part
     values = np.ones(count, dtype=np.complex128)
     for trace in traces:
         values *= trace

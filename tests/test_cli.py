@@ -875,3 +875,27 @@ def test_long_words_pinned(argv, code, digest):
     got, out, err = _in_process(argv)
     assert got == code, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_emit_streams_the_encoder_tokens(tmp_path, monkeypatch):
+    # json.dumps(data, indent=2) holds one small string per token, two or
+    # more per list item, before it joins them; _emit prints the same
+    # bytes while holding neither the tokens nor the text whole: its peak
+    # is a few writes of about WRITE_SIZE characters, whatever the payload
+    data = {"word": "x", "letters": list(range(-50_000, 50_000)),
+            "nested": [{"a": [1.5, None, True]}, [], {}]}
+    expected = (json.dumps(data, indent=2) + "\n").encode()
+    path = tmp_path / "stdout"
+    with CountingFile(path, "w") as raw:
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(
+            raw, encoding="utf-8", write_through=True))
+        tracemalloc.start()
+        try:
+            wml.cli._emit(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sys.stdout.flush()
+    assert path.read_bytes() == expected
+    assert peak < 8 * wml.cli.WRITE_SIZE < len(expected), \
+        (peak, len(expected))

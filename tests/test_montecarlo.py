@@ -15,9 +15,11 @@ from wml.montecarlo import (
     _evaluate_word_batch,
     _haar_batch,
     _merge_moments,
+    _batch_size,
     estimate_moment,
     sample_haar,
 )
+import wml.montecarlo
 from wml.weingarten import moment
 from wml.words import Word, parse
 
@@ -44,6 +46,15 @@ class TestSampling:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             UnitarySample(np.ones((3, 3)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_nan_and_inf(self, value):
+        # a NaN defect compared false with the tolerance, so a NaN matrix
+        # was accepted
+        for matrix in (np.full((2, 2), value), np.diag([1.0, value])):
+            with pytest.raises(ValueError, match="unitarity defect"), \
+                    np.errstate(invalid="ignore"):
+                UnitarySample(matrix)
 
     @pytest.mark.parametrize("shape", [(3, 2), (3,), (2, 2, 2)])
     def test_rejects_non_square(self, shape):
@@ -142,6 +153,52 @@ class TestEstimates:
         with pytest.raises(RuntimeError):
             estimate_moment(parse("x", 1), (1,), n=2, samples=10, seed=1)
 
+    def test_nan_batch_is_a_sampling_fault(self, monkeypatch):
+        # a NaN unitarity defect must raise, not pass the check and vanish
+        # from unitarity_max, whose max keeps the value it had before
+        haar = wml.montecarlo._haar_from_normals
+        monkeypatch.setattr("wml.montecarlo._haar_from_normals",
+                            lambda *normals: haar(*normals) * np.nan)
+        with pytest.raises(RuntimeError, match="unitarity defect nan"):
+            estimate_moment(parse("[x,y]", 2), (1,), n=2, samples=10, seed=1)
+
+    def test_memory_does_not_grow_with_chunk(self):
+        # no segment of normals is held whole, so a chunk of CHUNK samples
+        # outgrows one batch only by its chunk-long arrays: the traces, one
+        # per exponent, and the values (complex, 16 bytes a sample)
+        w, exponents = parse("[x,y]", 2), (1, -1)
+        estimate_moment(w, exponents, n=16, samples=10, seed=1)
+        peaks = []
+        for samples in (BATCH, CHUNK):
+            tracemalloc.start()
+            try:
+                estimate_moment(w, exponents, n=16, samples=samples, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        chunk_arrays = (len(exponents) + 1) * CHUNK * 16
+        assert peaks[1] - peaks[0] <= chunk_arrays, (peaks, chunk_arrays)
+
+    def test_batch_shrinks_beyond_n_16(self):
+        # beyond n = 16 a batch holds at most BATCH 16^2 matrix entries,
+        # so a batch of work matrices is no larger than at n = 16, and the
+        # peak at n = 64 stays under the n = 16 allowance of
+        # test_memory_holds_one_chunk_of_draws
+        assert [_batch_size(n) for n in (1, 16, 17, 32, 64, 256, 257, 1000)] \
+            == [BATCH, BATCH, 226, 64, 16, 1, 1, 1]
+        rank, n = 2, 64
+        w = parse("[x,y]", rank)
+        samples = 2 * _batch_size(n) + 1
+        estimate_moment(w, (1,), n=n, samples=2, seed=1)
+        tracemalloc.start()
+        try:
+            estimate_moment(w, (1,), n=n, samples=samples, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        allowance = (8 + 2 * rank) * BATCH * 16 ** 2 * 16
+        assert peak < allowance, (peak, allowance)
+
     def test_memory_holds_one_chunk_of_draws(self):
         # a chunk's normals, 2 r CHUNK n^2 float64s in 2 r segments, are the
         # one large buffer, and the last segment is drawn one batch at a
@@ -233,7 +290,8 @@ def _whole_chunk_estimate(w, exponents, n, samples, seed):
 # change to the Philox stream, the draw order or the order of any sum or
 # product shows: word text, rank, exponents, n, samples, seed.  At
 # CHUNK + BATCH + 1 samples the per-batch draws of the last generator cross
-# a chunk edge and then a batch edge.
+# a chunk edge and then a batch edge.  Beyond n = 16 the batch shrinks
+# (_batch_size): 40 matrices at n = 40, 113 at n = 24 and one at n = 300.
 S = 2 ** 63 + 1
 CASES = [
     ("x", 1, (1,), 1, BATCH - 1, 0),
@@ -253,6 +311,9 @@ CASES = [
     ("[[x,y],z]", 3, (-1, 1, 1), 1, 1, 0),
     ("x", 1, (1, -1), 3, CHUNK + BATCH + 1, S),
     ("[[x,y],z]", 3, (1,), 2, CHUNK + BATCH + 1, 0),
+    ("[x,y]", 2, (1, -1), 40, 300, S),
+    ("[[x,y],z]", 3, (2, -1), 24, 2 * 113 + 1, 0),
+    ("[x,y]", 2, (1, -1), 300, 3, S),
 ]
 
 
