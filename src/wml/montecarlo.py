@@ -16,9 +16,11 @@ chunk's generator, which gives the same bits as whole draws.  The rest
 runs per batch too: Ginibre, QR, phase fix, unitarity check, word product,
 powers and traces, each of which treats every matrix alone.  The traces
 are multiplied, and the values summed, over the whole chunk, so the batch
-size changes no bit.  A batch is ``BATCH`` matrices up to n = 16 and at
-most ``BATCH`` 16^2 matrix entries (but at least one matrix) beyond, so
-memory is O(r n^2 batch) for every n, plus a few chunk-long value arrays.
+size changes no bit.  A batch holds at most ``BATCH`` 16^2 matrix entries,
+but at least one matrix, for every n: 256 matrices at n = 4, 16 at
+n = 16, one from n = 64 up.  So memory is O(r n^2 batch) for every n,
+plus a few chunk-long value arrays, and a batch's dozen or so complex
+work arrays (64 KB each at n = 16) stay in cache.
 
 numpy is imported inside the functions that sample, so importing the
 package (and running every command but ``wml moment --mc``) does not load
@@ -31,7 +33,7 @@ from .errors import Immutable
 
 RNG_ALGORITHM = "philox4x64"
 CHUNK = 10_000
-BATCH = 256
+BATCH = 16
 UNITARITY_TOL = 1e-10
 
 
@@ -47,6 +49,8 @@ class UnitarySample(Immutable):
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"a unitary sample is a square matrix, got "
                              f"shape {matrix.shape}")
+        if matrix.size == 0:
+            raise ValueError("need n >= 1, got an empty matrix")
         defect = _unitarity_defect(matrix)
         # a NaN defect compares false with everything
         if not defect <= UNITARITY_TOL:
@@ -135,6 +139,8 @@ def sample_haar(n, rng_state):
     """One Haar unitary from a numpy Generator (or an integer seed)."""
     import numpy as np
 
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
     if isinstance(rng_state, (int, np.integer)):
         rng_state = _chunk_rng(int(rng_state), 0)
     return UnitarySample(_haar_batch(rng_state, 1, n)[0])
@@ -222,9 +228,9 @@ def estimate_moment(w, exponents, n, samples, seed):
 
 
 def _batch_size(n):
-    """Matrices per batch: ``BATCH`` up to n = 16, beyond that at most
-    ``BATCH`` 16^2 matrix entries, but at least one matrix."""
-    return max(1, min(BATCH, BATCH * 16 ** 2 // n ** 2))
+    """Matrices per batch: at most ``BATCH`` 16^2 matrix entries, but at
+    least one matrix, for every n."""
+    return max(1, BATCH * 16 ** 2 // n ** 2)
 
 
 def _batch_traces(w, exponents, n, generators, real, imag, chunk_index):

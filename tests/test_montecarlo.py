@@ -56,6 +56,16 @@ class TestSampling:
                     np.errstate(invalid="ignore"):
                 UnitarySample(matrix)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_sample_haar_rejects_n_below_1(self, n):
+        # n = 0 failed inside numpy's reduction, n = -1 inside its shape check
+        with pytest.raises(ValueError, match="need n >= 1"):
+            sample_haar(n, 1)
+
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            UnitarySample(np.zeros((0, 0)))
+
     @pytest.mark.parametrize("shape", [(3, 2), (3,), (2, 2, 2)])
     def test_rejects_non_square(self, shape):
         # a 3 x 2 isometry has u^H u = I but is no unitary
@@ -179,13 +189,17 @@ class TestEstimates:
         chunk_arrays = (len(exponents) + 1) * CHUNK * 16
         assert peaks[1] - peaks[0] <= chunk_arrays, (peaks, chunk_arrays)
 
-    def test_batch_shrinks_beyond_n_16(self):
-        # beyond n = 16 a batch holds at most BATCH 16^2 matrix entries,
-        # so a batch of work matrices is no larger than at n = 16, and the
-        # peak at n = 64 stays under the n = 16 allowance of
-        # test_memory_holds_one_chunk_of_draws
-        assert [_batch_size(n) for n in (1, 16, 17, 32, 64, 256, 257, 1000)] \
-            == [BATCH, BATCH, 226, 64, 16, 1, 1, 1]
+    def test_one_batch_rule_for_every_n(self):
+        # a batch holds at most BATCH 16^2 matrix entries, but at least one
+        # matrix, for every n, so up to n = 64 a batch of work matrices is
+        # no larger than at n = 16, and the peak at n = 64 stays under the
+        # n = 16 allowance of test_memory_holds_one_chunk_of_draws
+        assert [_batch_size(n) for n in (1, 4, 8, 16, 17, 32, 64, 65, 300)] \
+            == [4096, 256, 64, 16, 14, 4, 1, 1, 1]
+        for n in range(1, 301):
+            batch = _batch_size(n)
+            assert batch >= 1, n
+            assert batch * n ** 2 <= BATCH * 16 ** 2 or batch == 1, n
         rank, n = 2, 64
         w = parse("[x,y]", rank)
         samples = 2 * _batch_size(n) + 1
@@ -193,6 +207,23 @@ class TestEstimates:
         tracemalloc.start()
         try:
             estimate_moment(w, (1,), n=n, samples=samples, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        allowance = (8 + 2 * rank) * BATCH * 16 ** 2 * 16
+        assert peak < allowance, (peak, allowance)
+
+    def test_memory_at_n_8_under_the_n_16_allowance(self):
+        # a batch at n = 8 holds as many entries as one at n = 16, so a
+        # whole chunk at n = 8, its chunk-long trace and value arrays
+        # included, stays under the n = 16 allowance of
+        # test_memory_holds_one_chunk_of_draws
+        rank = 2
+        w = parse("[x,y]", rank)
+        estimate_moment(w, (1,), n=8, samples=2, seed=1)
+        tracemalloc.start()
+        try:
+            estimate_moment(w, (1,), n=8, samples=CHUNK, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -286,34 +317,39 @@ def _whole_chunk_estimate(w, exponents, n, samples, seed):
                     samples, seed, n, unitarity_max).to_json()
 
 
-# Cases on either side of a batch (BATCH) and of a chunk (CHUNK), so that a
-# change to the Philox stream, the draw order or the order of any sum or
-# product shows: word text, rank, exponents, n, samples, seed.  At
-# CHUNK + BATCH + 1 samples the per-batch draws of the last generator cross
-# a chunk edge and then a batch edge.  Beyond n = 16 the batch shrinks
-# (_batch_size): 40 matrices at n = 40, 113 at n = 24 and one at n = 300.
+# Cases on either side of a batch and of a chunk (CHUNK), so that a change
+# to the Philox stream, the draw order or the order of any sum or product
+# shows: word text, rank, exponents, n, samples, seed.  A batch is
+# _batch_size(n) matrices: 16 at n = 16, so 255, 256 and 257 samples end
+# inside, on and just past a batch edge there, and 2 _batch_size(n) + 1
+# samples at n = 8 and n = 16 cross two batch edges.  At CHUNK + 257
+# samples the per-batch draws of the last generator cross a chunk edge.
+# A batch is 4096 matrices at n = 1, 1024 at n = 2, 455 at n = 3, 7 at
+# n = 24, 2 at n = 40 and one at n = 300.
 S = 2 ** 63 + 1
 CASES = [
-    ("x", 1, (1,), 1, BATCH - 1, 0),
+    ("x", 1, (1,), 1, 255, 0),
     ("x", 1, (2, -2), 1, 20_000, S),
     ("x", 1, (-1, 1, 1), 3, 10_001, 0),
-    ("[x,y]", 2, (1,), 16, BATCH, 0),
+    ("[x,y]", 2, (1,), 16, 256, 0),
     ("[x,y]", 2, (1,), 16, 1, S),
-    ("x", 1, (2, -2), 3, BATCH + 1, 0),
-    ("[x,y]", 2, (2, -2), 16, BATCH + 1, 0),
+    ("x", 1, (2, -2), 3, 257, 0),
+    ("[x,y]", 2, (2, -2), 16, 257, 0),
     ("[x,y]", 2, (-1, 1, 1), 3, 10_001, 0),
     ("[x,y]", 2, (2, -2), 3, 10_000, S),
-    ("[x,y]", 2, (-1, 1, 1), 16, BATCH + 1, S),
+    ("[x,y]", 2, (-1, 1, 1), 16, 257, S),
     ("[x,y]", 2, (1,), 16, 10_001, 0),
     ("x^2 y^-3 x y", 2, (1,), 3, 20_000, 0),
-    ("[[x,y],z]", 3, (1,), 16, BATCH - 1, 0),
+    ("[[x,y],z]", 3, (1,), 16, 255, 0),
     ("[[x,y],z]", 3, (2, -2), 3, 10_001, S),
     ("[[x,y],z]", 3, (-1, 1, 1), 1, 1, 0),
-    ("x", 1, (1, -1), 3, CHUNK + BATCH + 1, S),
-    ("[[x,y],z]", 3, (1,), 2, CHUNK + BATCH + 1, 0),
+    ("x", 1, (1, -1), 3, CHUNK + 257, S),
+    ("[[x,y],z]", 3, (1,), 2, CHUNK + 257, 0),
     ("[x,y]", 2, (1, -1), 40, 300, S),
     ("[[x,y],z]", 3, (2, -1), 24, 2 * 113 + 1, 0),
     ("[x,y]", 2, (1, -1), 300, 3, S),
+    ("[x,y]", 2, (1, -1), 8, 2 * _batch_size(8) + 1, S),
+    ("[[x,y],z]", 3, (2, -1), 16, 2 * _batch_size(16) + 1, 0),
 ]
 
 
