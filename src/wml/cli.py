@@ -43,8 +43,14 @@ EXIT_INTERNAL = 4
 # characters gathered into one write of a streamed payload
 WRITE_SIZE = 1 << 16
 
+# every key a config file may set, whichever command reads it
+CONFIG_KEYS = ("rank", "fringe_cap", "orbit_cap", "genus_cap", "term_cap",
+               "spec_cap", "seed", "samples", "n", "cache_dir")
+
 
 def _load_config(path):
+    """The ``key = value`` pairs of the config file at ``path``; a key
+    outside ``CONFIG_KEYS`` is refused, so a misspelt one is not lost."""
     values = {}
     if not path:
         return values
@@ -61,6 +67,9 @@ def _load_config(path):
             if "=" not in line:
                 raise ValueError(f"bad config line: {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key not in CONFIG_KEYS:
+                raise ValueError(f"config file {path!r}: unknown key "
+                                 f"{key!r} (known: {', '.join(CONFIG_KEYS)})")
             values[key] = value
     return values
 
@@ -400,10 +409,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 _CAP_OPTIONS = (
-    ("--fringe-cap", "largest core-graph vertex count enumerated"),
-    ("--orbit-cap", "most minimal-level states explored by the orbit search"),
-    ("--genus-cap", "largest commutator length reported exactly"),
+    ("--fringe-cap", "largest core-graph vertex count enumerated "
+     f"(default {DEFAULT_FRINGE_VERTEX_CAP})"),
+    ("--orbit-cap", "most minimal-level states explored by the orbit search "
+     f"(default {DEFAULT_ORBIT_CAP})"),
+    ("--genus-cap", "largest commutator length reported exactly "
+     f"(default {DEFAULT_GENUS_CAP})"),
 )
+_TERM_CAP_HELP = ("most Weingarten pair-sum terms charged per moment "
+                  f"(default {DEFAULT_TERM_CAP})")
 
 
 def _parser():
@@ -415,9 +429,15 @@ def _parser():
         sub = commands.add_parser(name, help=run.__doc__,
                                   description=run.__doc__)
         sub.set_defaults(run=run)
-        sub.add_argument("word_texts" if nargs else "word_text", nargs=nargs)
-        sub.add_argument("--rank", type=int, help="ambient rank")
-        sub.add_argument("--config", help="key = value config file")
+        if nargs:
+            sub.add_argument("word_texts", nargs=nargs,
+                             help='balanced words, e.g. "[x,y]" "[y,x]"')
+        else:
+            sub.add_argument("word_text", help='a word, e.g. "[x,y]" or '
+                             '"x^2 y^-3 x y"')
+        sub.add_argument("--rank", type=int, help="ambient rank (default 2)")
+        sub.add_argument("--config", help="key = value file of fallback "
+                         "settings (default none)")
         for flag, text in _CAP_OPTIONS if caps else ():
             sub.add_argument(flag, type=int, help=text)
         return sub
@@ -425,35 +445,56 @@ def _parser():
     command("parse", cmd_parse)
 
     sub = command("invariants", cmd_invariants, caps=True)
-    sub.add_argument("--cache-dir")
-    sub.add_argument("--no-cache", action="store_true")
+    sub.add_argument("--cache-dir", help="directory of cached reports "
+                     "(default $WML_CACHE, else no cache)")
+    sub.add_argument("--no-cache", action="store_true",
+                     help="neither read nor write a cache (default off)")
 
     sub = command("moment", cmd_moment)
     sub.add_argument("-T", "--exponents", default="1",
-                     help="comma-separated trace exponents, e.g. 1,-1")
+                     help="comma-separated trace exponents, e.g. 1,-1 "
+                          "(default 1)")
     sub.add_argument("--symbolic", dest="mode", action="store_const",
-                     const="symbolic", default="symbolic")
-    sub.add_argument("--mc", dest="mode", action="store_const", const="mc")
+                     const="symbolic", default="symbolic",
+                     help="the exact moment as a rational function of n "
+                          "(the default)")
+    sub.add_argument("--mc", dest="mode", action="store_const", const="mc",
+                     help="a seeded Monte Carlo estimate over Haar "
+                          "unitaries instead")
     sub.add_argument("--numeric", type=int,
-                     help="evaluate the exact value at this matrix size")
-    for flag in ("--n", "--samples", "--seed", "--term-cap"):
-        sub.add_argument(flag, type=int)
+                     help="also evaluate the exact value at this matrix "
+                          "size (default none)")
+    sub.add_argument("--n", type=int,
+                     help="matrix size of --mc (default 8)")
+    sub.add_argument("--samples", type=int,
+                     help="sample count of --mc (default 100000)")
+    sub.add_argument("--seed", type=int,
+                     help="Philox seed of --mc, 0 to 2^64 - 1 (default 1)")
+    sub.add_argument("--term-cap", type=int, help=_TERM_CAP_HELP)
 
     sub = command("surfaces", cmd_surfaces, nargs="+")
-    sub.add_argument("-K", "--max-subdivision", type=int, default=1)
-    sub.add_argument("--spec-cap", type=int)
+    sub.add_argument("-K", "--max-subdivision", type=int, default=1,
+                     help="most matchings per generator (default 1)")
+    sub.add_argument("--spec-cap", type=int,
+                     help="most matching collections enumerated "
+                          f"(default {DEFAULT_SPEC_CAP})")
     sub.add_argument("--images", action=argparse.BooleanOptionalAction,
                      default=False,
-                     help="include image subgroup data per component")
+                     help="include image subgroup data per component "
+                          "(default off)")
 
     sub = command("verify", cmd_verify, caps=True)
     # "append" adds to a default list, so cmd_verify fills in the default
     sub.add_argument("-T", "--exponents", action="append",
                      help="repeatable comma-separated exponent lists "
                           "(default: 1, -1, 1,-1 and 2,-2)")
-    sub.add_argument("--depth", type=int)
-    sub.add_argument("--csv", action="store_true")
-    sub.add_argument("--term-cap", type=int)
+    sub.add_argument("--depth", type=int,
+                     help="Laurent terms past the leading one, 0 to "
+                          f"{MAX_LAURENT_DEPTH} (default pi + 2; 4 for "
+                          "infinite pi)")
+    sub.add_argument("--csv", action="store_true",
+                     help="print the table as CSV, not JSON (default off)")
+    sub.add_argument("--term-cap", type=int, help=_TERM_CAP_HELP)
     return parser
 
 

@@ -14,13 +14,14 @@ the price of the bound below.  Each batch then draws its slice of every
 segment from that segment's generator, and of the last segment from the
 chunk's generator, which gives the same bits as whole draws.  The rest
 runs per batch too: Ginibre, QR, phase fix, unitarity check, word product,
-powers and traces, each of which treats every matrix alone.  The traces
-are multiplied, and the values summed, over the whole chunk, so the batch
-size changes no bit.  A batch holds at most ``BATCH`` 16^2 matrix entries,
-but at least one matrix, for every n: 256 matrices at n = 4, 16 at
-n = 16, one from n = 64 up.  So memory is O(r n^2 batch) for every n,
-plus a few chunk-long value arrays, and a batch's dozen or so complex
-work arrays (64 KB each at n = 16) stay in cache.
+and one running power, traced at each |m| of the exponents; each treats
+every matrix alone.  The traces are multiplied, and the values summed,
+over the whole chunk, so the batch size changes no bit.  A batch holds at
+most ``BATCH`` 16^2 matrix entries, but at least one matrix, for every n:
+256 matrices at n = 4, 16 at n = 16, one from n = 64 up.  So memory is
+O(r n^2 batch + d CHUNK), d being the number of distinct |m|, for every n
+and every exponent list, and a batch's dozen or so complex work arrays
+(64 KB each at n = 16) stay in cache.
 
 numpy is imported inside the functions that sample, so importing the
 package (and running every command but ``wml moment --mc``) does not load
@@ -233,11 +234,13 @@ def _batch_size(n):
     return max(1, BATCH * 16 ** 2 // n ** 2)
 
 
-def _batch_traces(w, exponents, n, generators, real, imag, chunk_index):
-    """One batch's traces tr(w(U)^m), one array per exponent m, and its
-    largest unitarity defect.  U_g is made from the normals that the
-    generators 2g - 1 and 2g draw into the scratch arrays ``real`` and
-    ``imag``, whose length is the batch's.  The batch's matrices are
+def _batch_traces(w, traces, start, n, generators, real, imag, chunk_index):
+    """Write one batch's traces tr(w(U)^k) into ``traces[k]``, one
+    chunk-long array per distinct |m|, from ``start`` on; return the
+    batch's largest unitarity defect.  One running power steps k up to
+    the largest |m|, so a batch holds O(r n^2 batch).  U_g is made from
+    the normals that generators 2g - 1 and 2g draw into the batch-long
+    scratch arrays ``real`` and ``imag``.  The batch's matrices are
     released on return, before the next batch draws."""
     import numpy as np
 
@@ -254,17 +257,13 @@ def _batch_traces(w, exponents, n, generators, real, imag, chunk_index):
             raise RuntimeError(f"unitarity defect {defect:.3g} in chunk "
                                f"{chunk_index}")
         batch_defect = max(batch_defect, defect)
-    base = _evaluate_word_batch(w, unitaries, size, n)
-    powers = {1: base}
-    for k in range(2, max((abs(m) for m in exponents), default=1) + 1):
-        powers[k] = powers[k - 1] @ base
-    traces = []
-    for m in exponents:
-        mat = powers[abs(m)]
-        if m < 0:
-            mat = mat.conj().transpose(0, 2, 1)
-        traces.append(np.einsum("bii->b", mat))
-    return traces, batch_defect
+    base = power = _evaluate_word_batch(w, unitaries, size, n)
+    for k in range(1, max(traces, default=0) + 1):
+        if k > 1:
+            power = power @ base
+        if k in traces:
+            traces[k][start:start + size] = np.einsum("bii->b", power)
+    return batch_defect
 
 
 def _chunk_values(w, exponents, n, count, seed, chunk_index):
@@ -275,11 +274,14 @@ def _chunk_values(w, exponents, n, count, seed, chunk_index):
     then draws its slice of a segment from that segment's generator and
     its slice of the last segment from the chunk's generator, so the
     normals keep their fixed order and no segment is held whole.  Each
-    batch of matrices writes its traces into one chunk-long array per
-    exponent, and the traces are multiplied over the whole chunk: numpy's
+    batch writes its traces into one chunk-long array per distinct |m|,
+    so memory is O(r n^2 batch + d CHUNK) for d distinct |m|, and the
+    traces are multiplied over the whole chunk in the order of the
+    exponents, a negative m's conjugated (to the bit the adjoint's trace:
+    the same diagonal in the same order, and negation is exact).  numpy's
     complex product can round an element differently by its place in the
-    array (the last sample of 257, multiplied alone, lost the imaginary
-    part 8.5e-18 it has in the whole chunk)."""
+    array: the last sample of 257, multiplied alone, lost the imaginary
+    part 8.5e-18 it has in the whole chunk."""
     import numpy as np
 
     batch = min(count, _batch_size(n))
@@ -293,17 +295,15 @@ def _chunk_values(w, exponents, n, count, seed, chunk_index):
         for start in range(0, count, batch):
             rng.standard_normal(out=real[:min(batch, count - start)])
     generators.append(rng)
-    traces = [np.empty(count, dtype=np.complex128) for _ in exponents]
+    traces = {abs(m): np.empty(count, dtype=np.complex128)
+              for m in exponents}
     chunk_defect = 0.0
     for start in range(0, count, batch):
-        stop = min(start + batch, count)
-        batch_traces, defect = _batch_traces(
-            w, exponents, n, generators, real[:stop - start],
-            imag[:stop - start], chunk_index)
-        chunk_defect = max(chunk_defect, defect)
-        for trace, part in zip(traces, batch_traces):
-            trace[start:stop] = part
+        size = min(batch, count - start)
+        chunk_defect = max(chunk_defect, _batch_traces(
+            w, traces, start, n, generators, real[:size], imag[:size],
+            chunk_index))
     values = np.ones(count, dtype=np.complex128)
-    for trace in traces:
-        values *= trace
+    for m in exponents:
+        values *= traces[m] if m > 0 else np.conj(traces[-m])
     return values, chunk_defect

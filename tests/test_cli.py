@@ -674,6 +674,45 @@ class TestConfig:
             "invalid input: cannot read config file ")
 
 
+    def test_unknown_key_exits_2_before_any_work(self, run, tmp_path):
+        # a misspelt key was ignored: fringe-cap = 3 ran with the default
+        # cap and exited 0, where fringe_cap = 3 exits 3
+        cfg = tmp_path / "wml.cfg"
+        cfg.write_text("fringe-cap = 3\n")
+        cache = tmp_path / "cache"
+        result = run(["invariants", "[x,y]", "--config", str(cfg),
+                      "--cache-dir", str(cache)])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr.startswith(
+            f"invalid input: config file {str(cfg)!r}: unknown key "
+            "'fringe-cap'")
+        assert not cache.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["parse", "x"],
+        ["moment", "x", "-T", "1,-1", "--mc"],
+        ["surfaces", "[x,y]"],
+    ])
+    def test_one_file_serves_every_command(self, run, tmp_path, argv):
+        # every documented key is accepted by every command, whether the
+        # command reads it or not
+        cfg = tmp_path / "wml.cfg"
+        cfg.write_text(
+            "rank = 2\nfringe_cap = 12\norbit_cap = 1000\ngenus_cap = 3\n"
+            "term_cap = 1000\nspec_cap = 1000\nseed = 1\nsamples = 10\n"
+            f"n = 2\ncache_dir = {tmp_path / 'cache'}\n")
+        payload(run([*argv, "--config", str(cfg)]))
+
+
+def test_every_option_has_help():
+    # an argument without help text prints a bare name under --help
+    commands = next(action for action in wml.cli._parser()._actions
+                    if action.choices)
+    for name, sub in commands.choices.items():
+        for action in sub._actions:
+            assert action.help, (name, action.dest)
+
+
 def _readme_cli_lines():
     """The ``wml ...`` command lines of README's ``## CLI`` block, each
     split into arguments with its trailing comment."""

@@ -189,6 +189,22 @@ class TestEstimates:
         chunk_arrays = (len(exponents) + 1) * CHUNK * 16
         assert peaks[1] - peaks[0] <= chunk_arrays, (peaks, chunk_arrays)
 
+    def test_memory_does_not_grow_with_the_exponent(self):
+        # a batch keeps one running power, and a chunk one trace array per
+        # distinct |m|, so tr(w^200) outgrows tr(w) by at most one
+        # chunk-long complex array (16 bytes a sample)
+        w, samples = parse("[x,y]", 2), 2000
+        peaks = []
+        for exponents in ((1,), (200,)):
+            estimate_moment(w, exponents, n=16, samples=10, seed=1)
+            tracemalloc.start()
+            try:
+                estimate_moment(w, exponents, n=16, samples=samples, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= samples * 16, peaks
+
     def test_one_batch_rule_for_every_n(self):
         # a batch holds at most BATCH 16^2 matrix entries, but at least one
         # matrix, for every n, so up to n = 64 a batch of work matrices is
@@ -350,6 +366,10 @@ CASES = [
     ("[x,y]", 2, (1, -1), 300, 3, S),
     ("[x,y]", 2, (1, -1), 8, 2 * _batch_size(8) + 1, S),
     ("[[x,y],z]", 3, (2, -1), 16, 2 * _batch_size(16) + 1, 0),
+    ("[x,y]", 2, (1, 1, -1), 16, 2 * _batch_size(16) + 1, S),
+    ("[x,y]", 2, (-3,), 4, 2 * _batch_size(4) + 1, 0),
+    ("[x,y^2]", 2, (2, -1, -1, 3), 5, 257, S),
+    ("[x,y]", 2, (40,), 8, 2 * _batch_size(8) + 1, 0),
 ]
 
 
@@ -368,6 +388,24 @@ class TestPinnedEstimates:
         w = parse(text, rank)
         got = estimate_moment(w, exponents, n, samples, seed).to_json()
         assert got == _whole_chunk_estimate(w, exponents, n, samples, seed)
+
+    @pytest.mark.parametrize("text, rank, exponents, n", [
+        ("[x,y]", 2, (1, 1, -1), 16),
+        ("[x,y^2]", 2, (2, -1, -1, 3), 5),
+        ("[[x,y],z]", 3, (-3, 1, -2), 4),
+    ])
+    def test_negated_exponents_conjugate_the_mean(self, text, rank,
+                                                  exponents, n):
+        # tr(W^-m) is the conjugate of tr(W^m) for unitary W, and both are
+        # taken from the same diagonal in the same order, so negating T
+        # conjugates every value bit for bit
+        w = parse(text, rank)
+        got = estimate_moment(w, tuple(-m for m in exponents), n, 300, 5)
+        ref = estimate_moment(w, exponents, n, 300, 5)
+        assert got.mean.real == ref.mean.real
+        assert got.mean.imag == -ref.mean.imag
+        assert (got.stderr, got.unitarity_max) == (ref.stderr,
+                                                  ref.unitarity_max)
 
     @pytest.mark.parametrize("exponents, n, samples, seed, mean", [
         ((1,), 3, 1, 0, 3.0),
