@@ -11,11 +11,18 @@ invocations are safe.
 
 Exit codes: 0 ok, 2 parse error, invalid input or usage error, 3
 undecided at a resource cap, 4 internal.
+
+The ``wml`` process (the console script, or ``python -m wml.cli``) runs
+:func:`entry`, which calls :func:`main` and then freezes the heap, so
+interpreter finalization skips its last full garbage collection over the
+containers that the imports left.  ``main`` is the in-process call, and
+changes nothing process-wide.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import itertools
 import json
@@ -289,6 +296,9 @@ def cmd_invariants(args, settings):
 
 def cmd_moment(args, settings):
     """Exact or Monte Carlo moment of a word measure."""
+    if args.mode == "mc" and args.numeric is not None:
+        raise ValueError("--numeric evaluates the exact moment, so it "
+                         "cannot be combined with --mc")
     rank = settings.get("rank", 2)
     term_cap = settings.cap("term_cap", DEFAULT_TERM_CAP)
     exponents = _parse_exponents(args.exponents)
@@ -529,5 +539,18 @@ def main(argv=None):
     sys.exit(code)
 
 
+def entry():
+    """The ``wml`` program: :func:`main`, then :func:`gc.freeze` on the way
+    out, whatever the exit code.  The freeze moves every tracked object to
+    the permanent generation, which the collection run by interpreter
+    finalization skips; refcount teardown, atexit and the std-stream flush
+    are unchanged.  ``main`` itself does not freeze, so a call in process
+    leaves the collector as it found it."""
+    try:
+        main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    main()
+    entry()

@@ -31,6 +31,7 @@ it.
 from __future__ import annotations
 
 from .errors import Immutable
+from .words import MAX_WORD_LENGTH
 
 RNG_ALGORITHM = "philox4x64"
 CHUNK = 10_000
@@ -197,13 +198,17 @@ def estimate_moment(w, exponents, n, samples, seed):
     Deterministic for fixed (seed, n, samples); the per-chunk generators are
     keyed by (seed, chunk index) and combined in fixed order.  The
     variance of the real and imaginary parts is merged from per-chunk
-    (count, mean, M2) summaries.
+    (count, mean, M2) summaries.  Like :func:`wml.weingarten.moment`,
+    refuses a power w^m of more than ``MAX_WORD_LENGTH`` letters with a
+    ``ValueError``, since a batch takes max|m| - 1 products.
     """
     import numpy as np
 
     exponents = tuple(int(m) for m in exponents)
     if any(m == 0 for m in exponents):
         raise ValueError("trace exponents must be nonzero")
+    if len(w) * max(map(abs, exponents), default=0) > MAX_WORD_LENGTH:
+        raise ValueError(f"word power longer than {MAX_WORD_LENGTH} letters")
     if n < 1 or samples < 1:
         raise ValueError(f"need n >= 1 and samples >= 1, got n={n}, "
                          f"samples={samples}")

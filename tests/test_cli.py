@@ -1,9 +1,11 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
 import os
 import shlex
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -595,12 +597,35 @@ class TestInvalidInput:
         ["verify", "[x,y]", "--orbit-cap", "-1"],
         ["moment", "[x,y]", "--term-cap", "-1"],
         ["surfaces", "[x,y]", "--spec-cap", "-1"],
+        ["moment", "[x,y]", "-T", "1", "--mc", "--numeric", "5",
+         "--samples", "10"],
+        ["moment", "x", "-T", "1000001", "--mc", "--n", "1", "--samples",
+         "1"],
     ])
     def test_out_of_range_exits_2(self, run, args):
         result = run(args)
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr.startswith("invalid input: ")
+
+    def test_numeric_under_mc_names_both_options(self, run, monkeypatch):
+        # --numeric evaluates the exact moment, which --mc does not compute
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(wml.cli, "estimate_moment", no_sampling)
+        result = run(["moment", "[x,y]", "-T", "1", "--mc", "--numeric", "5",
+                      "--samples", "10"])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == ("invalid input: --numeric evaluates the "
+                                 "exact moment, so it cannot be combined "
+                                 "with --mc\n")
+
+    def test_mc_refuses_the_power_the_exact_path_refuses(self, run):
+        message = "invalid input: word power longer than 1000000 letters\n"
+        for mode in (["--symbolic"], ["--mc", "--n", "1", "--samples", "1"]):
+            result = run(["moment", "x", "-T", "1000001", *mode])
+            assert result == (2, "", message)
 
     @pytest.mark.parametrize("depth", ["-3", "1001", "20000"])
     def test_depth_out_of_range_exits_2_before_analysis(self, run,
@@ -750,17 +775,17 @@ class TestReadmeCli:
             ["invariants", "moment", "parse", "surfaces", "verify"]
 
 
-def _in_process(argv):
+def _in_process(argv, program=None):
     """Run one command line the way the traced benchmark does: through
-    ``main()`` with ``sys.argv`` set and stdout redirected to a string.
-    Returns ``(exit code, stdout, stderr)``."""
+    ``main()`` (or ``program()``) with ``sys.argv`` set and stdout
+    redirected to a string.  Returns ``(exit code, stdout, stderr)``."""
     out, err = io.StringIO(), io.StringIO()
     saved_argv = sys.argv
     sys.argv = ["wml", *argv]
     code = 0
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            wml.cli.main()
+            (program or wml.cli.main)()
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) \
             else (0 if exc.code is None else 1)
@@ -847,6 +872,15 @@ def test_option_surface(tmp_path, argv, code, stdout_ok):
         assert err.startswith("invalid input: ")
 
 
+# (interpreter flags, argv, exit code) of the program entry's checks
+ENTRY_CASES = [
+    ([], ["parse", "[x,y]"], 0),
+    ([], ["parse", "[x,y"], 2),
+    ([], ["invariants", "[x,y]", "--fringe-cap", "3", "--no-cache"], 3),
+    (["-u"], ["surfaces", "[x,y]", "[y,x]", "-K", "2", "--images"], 0),
+]
+
+
 class TestInProcessCall:
     """The traced benchmark calls ``main()`` with no arguments inside
     ``redirect_stdout``; a break here would only crash the traced run."""
@@ -870,6 +904,35 @@ class TestInProcessCall:
                                       "3", "--no-cache"])
         assert code == 3
         assert json.loads(out)["pi"] == "undecided"
+
+    def test_main_leaves_the_collector_unfrozen(self):
+        before = gc.get_freeze_count()
+        for argv in (["parse", "[x,y]"], ["parse", "[x,y"]):
+            _in_process(argv)
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("flags, argv, code", ENTRY_CASES,
+                             ids=[" ".join(case[1]) for case in ENTRY_CASES])
+    def test_program_entry_freezes_on_every_exit(self, monkeypatch, flags,
+                                                 argv, code):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append(code))
+        assert _in_process(argv, program=wml.cli.entry)[0] == code
+        assert calls == [code]
+
+
+@pytest.mark.parametrize("flags, argv, code", ENTRY_CASES,
+                         ids=[" ".join(case[1]) for case in ENTRY_CASES])
+def test_main_block_matches_in_process(flags, argv, code):
+    # ``python -m wml.cli`` runs the program entry, as the benchmark's
+    # subprocess calls do; it prints what the in-process call prints
+    env = {**os.environ, "PYTHONPATH": str(Path(wml.__file__).parent.parent)}
+    result = subprocess.run([sys.executable, *flags, "-m", "wml.cli", *argv],
+                            env=env, capture_output=True, timeout=300)
+    got_code, out, err = _in_process(argv)
+    assert got_code == code
+    assert (result.returncode, result.stdout, result.stderr.decode()) == \
+        (code, out.encode(), err)
 
 
 # sha256 of the stdout of ``wml surfaces ... --images`` on collections of

@@ -156,6 +156,26 @@ class TestEstimates:
             with pytest.raises(ValueError):
                 estimate_moment(w, (1,), n=n, samples=samples, seed=1)
 
+    @pytest.mark.parametrize("text, exponents", [
+        ("x", (1_000_001,)), ("[x,y]", (1, -250_001)), ("x^2", (500_001,))])
+    def test_rejects_a_power_past_the_word_length_bound(self, text,
+                                                        exponents):
+        # the exact moment refuses the same powers: a batch would take
+        # max|m| - 1 products
+        w = parse(text, 2)
+        for compute in (moment, lambda w, exponents: estimate_moment(
+                w, exponents, n=1, samples=1, seed=1)):
+            with pytest.raises(ValueError, match="^word power longer than "
+                               "1000000 letters$"):
+                compute(w, exponents)
+
+    def test_power_bound_counts_letters_times_exponent(self, monkeypatch):
+        monkeypatch.setattr("wml.montecarlo.MAX_WORD_LENGTH", 8)
+        w = parse("[x,y]", 2)
+        estimate_moment(w, (2, -2), n=2, samples=3, seed=1)
+        with pytest.raises(ValueError, match="longer than 8 letters"):
+            estimate_moment(w, (1, -3), n=2, samples=3, seed=1)
+
     def test_sampling_defect_is_not_an_input_error(self, monkeypatch):
         # a sampled matrix off the unitary group is a numerical fault, which
         # the command line reports as internal, not as invalid input
