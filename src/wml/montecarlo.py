@@ -31,7 +31,7 @@ it.
 from __future__ import annotations
 
 from .errors import Immutable
-from .words import MAX_WORD_LENGTH
+from .words import check_power_length
 
 RNG_ALGORITHM = "philox4x64"
 CHUNK = 10_000
@@ -207,8 +207,7 @@ def estimate_moment(w, exponents, n, samples, seed):
     exponents = tuple(int(m) for m in exponents)
     if any(m == 0 for m in exponents):
         raise ValueError("trace exponents must be nonzero")
-    if len(w) * max(map(abs, exponents), default=0) > MAX_WORD_LENGTH:
-        raise ValueError(f"word power longer than {MAX_WORD_LENGTH} letters")
+    check_power_length(w, exponents)
     if n < 1 or samples < 1:
         raise ValueError(f"need n >= 1 and samples >= 1, got n={n}, "
                          f"samples={samples}")

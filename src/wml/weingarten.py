@@ -65,7 +65,7 @@ from .partitions import (
     z_order,
 )
 from .ratfunc import Polynomial, RationalFunction, laurent
-from .words import MAX_WORD_LENGTH, _least_rotation, cyclic_key, is_balanced
+from .words import _least_rotation, check_power_length, cyclic_key, is_balanced
 
 DEFAULT_TERM_CAP = 10 ** 8
 
@@ -475,9 +475,7 @@ def moment(w, trace_monomial, term_cap=DEFAULT_TERM_CAP):
     """
     if isinstance(trace_monomial, (tuple, list)):
         trace_monomial = TraceMonomial(trace_monomial)
-    if len(w) * max(map(abs, trace_monomial.exponents), default=0) > \
-            MAX_WORD_LENGTH:
-        raise ValueError(f"word power longer than {MAX_WORD_LENGTH} letters")
+    check_power_length(w, trace_monomial.exponents)
     boundary = [w ** m for m in trace_monomial.exponents]
     return word_moment(boundary, term_cap=term_cap)
 

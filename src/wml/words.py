@@ -299,6 +299,14 @@ def is_balanced(words):
 # --- parser -----------------------------------------------------------------
 
 
+def check_power_length(w, exponents):
+    """Refuse, with a ``ValueError`` and before any is built, a power w^m
+    (m in ``exponents``) of more than ``MAX_WORD_LENGTH`` letters before
+    free reduction, the parser's bound."""
+    if len(w) * max(map(abs, exponents), default=0) > MAX_WORD_LENGTH:
+        raise ValueError(f"word power longer than {MAX_WORD_LENGTH} letters")
+
+
 class _Parser:
     """Recursive descent over the word text, building :class:`Word` values
     as it goes; generator indices are checked against ``rank`` at their

@@ -916,9 +916,9 @@ class TestInProcessCall:
     def test_program_entry_freezes_on_every_exit(self, monkeypatch, flags,
                                                  argv, code):
         calls = []
-        monkeypatch.setattr(gc, "freeze", lambda: calls.append(code))
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
         assert _in_process(argv, program=wml.cli.entry)[0] == code
-        assert calls == [code]
+        assert calls == ["freeze"]
 
 
 @pytest.mark.parametrize("flags, argv, code", ENTRY_CASES,

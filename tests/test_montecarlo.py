@@ -170,7 +170,7 @@ class TestEstimates:
                 compute(w, exponents)
 
     def test_power_bound_counts_letters_times_exponent(self, monkeypatch):
-        monkeypatch.setattr("wml.montecarlo.MAX_WORD_LENGTH", 8)
+        monkeypatch.setattr("wml.words.MAX_WORD_LENGTH", 8)
         w = parse("[x,y]", 2)
         estimate_moment(w, (2, -2), n=2, samples=3, seed=1)
         with pytest.raises(ValueError, match="longer than 8 letters"):
