@@ -2,15 +2,15 @@
 
 An argparse shell over the library: every command parses its flags, reads
 config fallbacks and the library's default caps, calls one library entry
-point and prints the result.  Output is JSON by default (CSV for verify
-tables on request).  Exact rational functions are printed as
-integer-coefficient fraction strings, never floats.  Results that only
-depend on the word and the flags are cached by canonical word form under
-``--cache-dir`` (or ``$WML_CACHE``), written atomically so concurrent
-invocations are safe.
+point and prints the result.  ``SETTINGS`` declares each integer flag
+and config key once.  Output is JSON by default (CSV for verify tables on
+request).  Exact rational functions are printed as integer-coefficient
+fraction strings, never floats.  Results that only depend on the word and
+the flags are cached by canonical word form under ``--cache-dir`` (or
+``$WML_CACHE``), written atomically so concurrent invocations are safe.
 
 Exit codes: 0 ok, 2 parse error, invalid input or usage error, 3
-undecided at a resource cap, 4 internal.
+undecided at a resource cap, 4 internal, 141 stdout closed by its reader.
 
 The ``wml`` process (the console script, or ``python -m wml.cli``) runs
 :func:`entry`, which calls :func:`main` and then freezes the heap, so
@@ -18,8 +18,6 @@ interpreter finalization skips its last full garbage collection over the
 containers that the imports left.  ``main`` is the in-process call, and
 changes nothing process-wide.
 """
-
-from __future__ import annotations
 
 import argparse
 import gc
@@ -46,18 +44,37 @@ from .words import parse as parse_text
 EXIT_INPUT = 2
 EXIT_UNDECIDED = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as if the signal had ended wml
 
 # characters gathered into one write of a streamed payload
 WRITE_SIZE = 1 << 16
 
+# each integer flag and config key: its default and its help text, in the
+# order in which the unknown-key error lists the config keys
+SETTINGS = {
+    "rank": (2, "ambient rank"),
+    "fringe_cap": (DEFAULT_FRINGE_VERTEX_CAP,
+                   "largest core-graph vertex count enumerated"),
+    "orbit_cap": (DEFAULT_ORBIT_CAP,
+                  "most minimal-level states explored by the orbit search"),
+    "genus_cap": (DEFAULT_GENUS_CAP,
+                  "largest commutator length reported exactly"),
+    "term_cap": (DEFAULT_TERM_CAP,
+                 "most Weingarten pair-sum terms charged per moment"),
+    "spec_cap": (DEFAULT_SPEC_CAP, "most matching collections enumerated"),
+    "seed": (1, "Philox seed of --mc, 0 to 2^64 - 1"),
+    "samples": (100_000, "sample count of --mc"),
+    "n": (8, "matrix size of --mc"),
+}
+ANALYSIS_CAPS = ("fringe_cap", "orbit_cap", "genus_cap")
+
 # every key a config file may set, whichever command reads it
-CONFIG_KEYS = ("rank", "fringe_cap", "orbit_cap", "genus_cap", "term_cap",
-               "spec_cap", "seed", "samples", "n", "cache_dir")
+CONFIG_KEYS = (*SETTINGS, "cache_dir")
 
 
 def _load_config(path):
-    """The ``key = value`` pairs of the config file at ``path``; a key
-    outside ``CONFIG_KEYS`` is refused, so a misspelt one is not lost."""
+    """The ``key = value`` pairs of the config file at ``path``, each
+    ``SETTINGS`` value an int; an unknown key or a non-int value is refused."""
     values = {}
     if not path:
         return values
@@ -77,6 +94,12 @@ def _load_config(path):
             if key not in CONFIG_KEYS:
                 raise ValueError(f"config file {path!r}: unknown key "
                                  f"{key!r} (known: {', '.join(CONFIG_KEYS)})")
+            if key in SETTINGS:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise ValueError(f"config file {path!r}: {key} must be "
+                                     f"an integer, got {value!r}") from None
             values[key] = value
     return values
 
@@ -88,37 +111,25 @@ class Settings:
         self.args = args
         self.config = _load_config(args.config)
 
-    def get(self, name, default):
+    def get(self, name):
         """The flag stored under ``name``, else the config file's ``name``,
-        else ``default``."""
-        flag_value = getattr(self.args, name)
-        if flag_value is not None:
-            return flag_value
-        if name in self.config:
-            value = self.config[name]
-            try:
-                return int(value)
-            except ValueError:
-                raise ValueError(
-                    f"config file {self.args.config!r}: {name} must be an "
-                    f"integer, got {value!r}") from None
-        return default
+        else the ``SETTINGS`` default."""
+        value = getattr(self.args, name)
+        if value is None:
+            value = self.config.get(name, SETTINGS[name][0])
+        return value
 
-    def cap(self, name, default):
+    def cap(self, name):
         """The resource cap ``name``, read as :meth:`get` reads it.  A
         negative cap bounds nothing, so it is refused."""
-        value = self.get(name, default)
+        value = self.get(name)
         if value < 0:
             raise ValueError(f"{name} must be at least 0, got {value}")
         return value
 
     def analysis_caps(self):
         """The caps of :func:`wml.invariants.analyze`, by parameter name."""
-        return {
-            "fringe_cap": self.cap("fringe_cap", DEFAULT_FRINGE_VERTEX_CAP),
-            "orbit_cap": self.cap("orbit_cap", DEFAULT_ORBIT_CAP),
-            "genus_cap": self.cap("genus_cap", DEFAULT_GENUS_CAP),
-        }
+        return {name: self.cap(name) for name in ANALYSIS_CAPS}
 
 
 def _cache_dir(flag_value, settings):
@@ -250,7 +261,7 @@ def _parse_exponents(text):
 
 def cmd_parse(args, settings):
     """Parse a word and print its canonical form."""
-    rank = settings.get("rank", 2)
+    rank = settings.get("rank")
     w = parse_text(args.word_text, rank)
     core, conj = w.cyclic_reduce()
     _emit(
@@ -268,7 +279,7 @@ def cmd_parse(args, settings):
 
 def cmd_invariants(args, settings):
     """Primitivity rank, commutator length, and critical-subgroup data."""
-    rank = settings.get("rank", 2)
+    rank = settings.get("rank")
     caps = settings.analysis_caps()
     w = parse_text(args.word_text, rank)
 
@@ -299,16 +310,15 @@ def cmd_moment(args, settings):
     if args.mode == "mc" and args.numeric is not None:
         raise ValueError("--numeric evaluates the exact moment, so it "
                          "cannot be combined with --mc")
-    rank = settings.get("rank", 2)
-    term_cap = settings.cap("term_cap", DEFAULT_TERM_CAP)
+    rank = settings.get("rank")
+    term_cap = settings.cap("term_cap")
     exponents = _parse_exponents(args.exponents)
     w = parse_text(args.word_text, rank)
 
     if args.mode == "mc":
-        est = estimate_moment(w, exponents,
-                              n=settings.get("n", 8),
-                              samples=settings.get("samples", 100_000),
-                              seed=settings.get("seed", 1))
+        est = estimate_moment(w, exponents, n=settings.get("n"),
+                              samples=settings.get("samples"),
+                              seed=settings.get("seed"))
         _emit({"word": str(w), "exponents": list(exponents),
                "estimate": est.to_json()})
         return
@@ -334,8 +344,8 @@ def cmd_moment(args, settings):
 
 def cmd_surfaces(args, settings):
     """Enumerate matching-built surfaces for a balanced word collection."""
-    rank = settings.get("rank", 2)
-    spec_cap = settings.cap("spec_cap", DEFAULT_SPEC_CAP)
+    rank = settings.get("rank")
+    spec_cap = settings.cap("spec_cap")
     words = [parse_text(t, rank) for t in args.word_texts]
     count = count_matchings(words, args.max_subdivision, spec_cap)
     records = (
@@ -364,9 +374,9 @@ def _surfaces_text(words, count, records):
 
 def cmd_verify(args, settings):
     """Check the expansion statements instance-by-instance for one word."""
-    rank = settings.get("rank", 2)
+    rank = settings.get("rank")
     caps = settings.analysis_caps()
-    term_cap = settings.cap("term_cap", DEFAULT_TERM_CAP)
+    term_cap = settings.cap("term_cap")
     w = parse_text(args.word_text, rank)
     exponent_sets = [_parse_exponents(t) for t in
                      args.exponents or ("1", "-1", "1,-1", "2,-2")]
@@ -418,16 +428,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-_CAP_OPTIONS = (
-    ("--fringe-cap", "largest core-graph vertex count enumerated "
-     f"(default {DEFAULT_FRINGE_VERTEX_CAP})"),
-    ("--orbit-cap", "most minimal-level states explored by the orbit search "
-     f"(default {DEFAULT_ORBIT_CAP})"),
-    ("--genus-cap", "largest commutator length reported exactly "
-     f"(default {DEFAULT_GENUS_CAP})"),
-)
-_TERM_CAP_HELP = ("most Weingarten pair-sum terms charged per moment "
-                  f"(default {DEFAULT_TERM_CAP})")
+def _setting(sub, name):
+    """Declare the flag of the integer setting ``name`` on ``sub``."""
+    default, text = SETTINGS[name]
+    sub.add_argument("--" + name.replace("_", "-"), type=int,
+                     help=f"{text} (default {default})")
 
 
 def _parser():
@@ -445,11 +450,11 @@ def _parser():
         else:
             sub.add_argument("word_text", help='a word, e.g. "[x,y]" or '
                              '"x^2 y^-3 x y"')
-        sub.add_argument("--rank", type=int, help="ambient rank (default 2)")
+        _setting(sub, "rank")
         sub.add_argument("--config", help="key = value file of fallback "
                          "settings (default none)")
-        for flag, text in _CAP_OPTIONS if caps else ():
-            sub.add_argument(flag, type=int, help=text)
+        for name in ANALYSIS_CAPS if caps else ():
+            _setting(sub, name)
         return sub
 
     command("parse", cmd_parse)
@@ -474,20 +479,13 @@ def _parser():
     sub.add_argument("--numeric", type=int,
                      help="also evaluate the exact value at this matrix "
                           "size (default none)")
-    sub.add_argument("--n", type=int,
-                     help="matrix size of --mc (default 8)")
-    sub.add_argument("--samples", type=int,
-                     help="sample count of --mc (default 100000)")
-    sub.add_argument("--seed", type=int,
-                     help="Philox seed of --mc, 0 to 2^64 - 1 (default 1)")
-    sub.add_argument("--term-cap", type=int, help=_TERM_CAP_HELP)
+    for name in ("n", "samples", "seed", "term_cap"):
+        _setting(sub, name)
 
     sub = command("surfaces", cmd_surfaces, nargs="+")
     sub.add_argument("-K", "--max-subdivision", type=int, default=1,
                      help="most matchings per generator (default 1)")
-    sub.add_argument("--spec-cap", type=int,
-                     help="most matching collections enumerated "
-                          f"(default {DEFAULT_SPEC_CAP})")
+    _setting(sub, "spec_cap")
     sub.add_argument("--images", action=argparse.BooleanOptionalAction,
                      default=False,
                      help="include image subgroup data per component "
@@ -504,7 +502,7 @@ def _parser():
                           "infinite pi)")
     sub.add_argument("--csv", action="store_true",
                      help="print the table as CSV, not JSON (default off)")
-    sub.add_argument("--term-cap", type=int, help=_TERM_CAP_HELP)
+    _setting(sub, "term_cap")
     return parser
 
 
@@ -533,6 +531,8 @@ def main(argv=None):
         message, code = f"undecided: {exc}", EXIT_UNDECIDED
     except _UsageError as exc:
         message, code = f"error: {exc}", EXIT_INPUT
+    except BrokenPipeError:  # the reader went away; entry() ends quietly
+        raise
     except (Exception, KeyboardInterrupt) as exc:  # noqa: BLE001 - the CLI boundary
         message, code = f"internal error: {exc}", EXIT_INTERNAL
     print(message, file=sys.stderr)
@@ -545,9 +545,14 @@ def entry():
     the permanent generation, which the collection run by interpreter
     finalization skips; refcount teardown, atexit and the std-stream flush
     are unchanged.  ``main`` itself does not freeze, so a call in process
-    leaves the collector as it found it."""
+    leaves the collector as it found it.  A closed stdout (``wml ... |
+    head``) exits quietly: fd 1 is pointed at the null device first, so the
+    interpreter's last flush fails no more."""
     try:
         main()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(EXIT_BROKEN_PIPE)
     finally:
         gc.freeze()
 

@@ -17,8 +17,6 @@ Resource caps raise :class:`~wml.errors.UndecidedError`; the report format
 records "undecided" rather than guessing a value.
 """
 
-from __future__ import annotations
-
 import math
 
 from .errors import Immutable, UndecidedError

@@ -28,14 +28,13 @@ package (and running every command but ``wml moment --mc``) does not load
 it.
 """
 
-from __future__ import annotations
-
 from .errors import Immutable
 from .words import check_power_length
 
 RNG_ALGORITHM = "philox4x64"
 CHUNK = 10_000
 BATCH = 16
+MAX_MATRIX_SIZE = 1024  # a batch's work arrays then take 16 MB each
 UNITARITY_TOL = 1e-10
 
 
@@ -143,6 +142,8 @@ def sample_haar(n, rng_state):
 
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
+    if n > MAX_MATRIX_SIZE:
+        raise ValueError(f"need n <= {MAX_MATRIX_SIZE}, got n={n}")
     if isinstance(rng_state, (int, np.integer)):
         rng_state = _chunk_rng(int(rng_state), 0)
     return UnitarySample(_haar_batch(rng_state, 1, n)[0])
@@ -211,6 +212,8 @@ def estimate_moment(w, exponents, n, samples, seed):
     if n < 1 or samples < 1:
         raise ValueError(f"need n >= 1 and samples >= 1, got n={n}, "
                          f"samples={samples}")
+    if n > MAX_MATRIX_SIZE:
+        raise ValueError(f"need n <= {MAX_MATRIX_SIZE}, got n={n}")
     total = 0
     sum_value = 0.0 + 0.0j
     moments_re = moments_im = (0, 0.0, 0.0)

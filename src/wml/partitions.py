@@ -7,8 +7,6 @@ the cell contents directly, and the tests keep ``schur_dim`` as its
 independent oracle.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from math import factorial
 

@@ -17,8 +17,6 @@ integers: the k-th coefficient is an integer over q0^(k+1), q0 the
 denominator's leading coefficient, and only it becomes a Fraction.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from fractions import Fraction
 from math import gcd

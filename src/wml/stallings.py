@@ -18,8 +18,6 @@ form, so two graphs represent the same subgroup exactly when they are
 equal (and their serializations coincide).
 """
 
-from __future__ import annotations
-
 from collections import Counter
 
 from .errors import Immutable, UndecidedError

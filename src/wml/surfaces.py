@@ -14,8 +14,6 @@ of a component by folding the corner classes that the surface keeps, with
 the matched pairs of the first subdivision level as labeled edges.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from itertools import (accumulate, combinations_with_replacement,
                        permutations, product)

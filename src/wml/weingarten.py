@@ -49,8 +49,6 @@ Every returned value is an exact :class:`~wml.ratfunc.RationalFunction`
 tagged with the validity bound n_min = max_x p_x.
 """
 
-from __future__ import annotations
-
 from collections import Counter, defaultdict
 from functools import lru_cache
 from itertools import permutations

@@ -31,8 +31,6 @@ at each position where a choice is still open, and the positions before
 it do not depend on that choice.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import product
 

@@ -25,8 +25,6 @@ its leading zeros.  At most :data:`MAX_NESTING` brackets may be open at once.
 The rank lies between 0 and :data:`MAX_RANK`.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from itertools import groupby
 

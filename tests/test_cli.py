@@ -639,6 +639,13 @@ class TestInvalidInput:
         assert result.stderr == ("invalid input: --depth must be between 0 "
                                  f"and 1000, got {depth}\n")
 
+    def test_matrix_size_past_the_bound_exits_2(self, run):
+        # n = 100000 exited 4 after numpy failed to allocate 149 GiB
+        result = run(["moment", "[x,y]", "-T", "1", "--mc", "--n", "100000",
+                      "--samples", "1"])
+        assert result == (2, "", "invalid input: need n <= 1024, got "
+                                 "n=100000\n")
+
     def test_deepest_expansion_prints(self, run):
         # every coefficient of the deepest expansion prints as an integer
         (row,) = payload(run(["verify", "[x,y]", "-T", "2,-2",
@@ -727,6 +734,34 @@ class TestConfig:
             "term_cap = 1000\nspec_cap = 1000\nseed = 1\nsamples = 10\n"
             f"n = 2\ncache_dir = {tmp_path / 'cache'}\n")
         payload(run([*argv, "--config", str(cfg)]))
+
+    @pytest.mark.parametrize("argv", [
+        ["parse", "x"],
+        ["invariants", "[x,y]", "--no-cache"],
+        ["moment", "[x,y]", "-T", "1"],
+        ["moment", "[x,y]", "-T", "1", "--mc", "--seed", "1"],
+        ["surfaces", "[x,y]", "[y,x]"],
+        ["verify", "[x,y]"],
+    ])
+    def test_malformed_value_refused_by_every_command(self, run, tmp_path,
+                                                      argv):
+        # seed = abc was refused only where the seed was read: wml parse
+        # exited 0, and so did --mc when the --seed flag was given
+        cfg = tmp_path / "wml.cfg"
+        cfg.write_text("rank = 2\nseed = abc\n")
+        result = run([*argv, "--config", str(cfg)])
+        assert result == (2, "", f"invalid input: config file {str(cfg)!r}: "
+                                 "seed must be an integer, got 'abc'\n")
+
+    def test_malformed_value_refused_before_any_work(self, run, tmp_path):
+        cfg = tmp_path / "wml.cfg"
+        cfg.write_text("n = 2.5\n")
+        cache = tmp_path / "cache"
+        result = run(["invariants", "[x,y]", "--config", str(cfg),
+                      "--cache-dir", str(cache)])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr.endswith("n must be an integer, got '2.5'\n")
+        assert not cache.exists()
 
 
 def test_every_option_has_help():
@@ -933,6 +968,24 @@ def test_main_block_matches_in_process(flags, argv, code):
     assert got_code == code
     assert (result.returncode, result.stdout, result.stderr.decode()) == \
         (code, out.encode(), err)
+
+
+@pytest.mark.parametrize("flags", [[], ["-u"]])
+@pytest.mark.parametrize("argv", [
+    ["parse", "[x^49999,y]"],
+    ["surfaces", "[x,y]^2", "[y,x]^2", "-K", "1", "--images"],
+])
+def test_closed_stdout_exits_141_quietly(flags, argv):
+    # a reader that stops early (``wml ... | head -c 10``) was reported as
+    # "internal error: [Errno 32] Broken pipe" with exit 4
+    env = {**os.environ, "PYTHONPATH": str(Path(wml.__file__).parent.parent)}
+    with subprocess.Popen([sys.executable, *flags, "-m", "wml.cli", *argv],
+                          env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert (proc.wait(timeout=300), stderr) == (141, b"")
 
 
 # sha256 of the stdout of ``wml surfaces ... --images`` on collections of

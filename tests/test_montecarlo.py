@@ -7,6 +7,7 @@ import pytest
 from wml.montecarlo import (
     BATCH,
     CHUNK,
+    MAX_MATRIX_SIZE,
     UNITARITY_TOL,
     Estimate,
     UnitarySample,
@@ -61,6 +62,17 @@ class TestSampling:
         # n = 0 failed inside numpy's reduction, n = -1 inside its shape check
         with pytest.raises(ValueError, match="need n >= 1"):
             sample_haar(n, 1)
+
+    def test_sample_haar_rejects_n_past_the_bound(self, monkeypatch):
+        # n = 100000 asked numpy for a 149 GiB batch
+        def no_draw(*args):
+            raise AssertionError("drew")
+
+        monkeypatch.setattr(wml.montecarlo, "_haar_batch", no_draw)
+        for n in (MAX_MATRIX_SIZE + 1, 100_000):
+            with pytest.raises(ValueError, match=f"^need n <= 1024, got "
+                               f"n={n}$"):
+                sample_haar(n, 1)
 
     def test_rejects_empty_matrix(self):
         with pytest.raises(ValueError, match="need n >= 1"):
@@ -155,6 +167,29 @@ class TestEstimates:
         for n, samples in [(4, 0), (4, -5), (0, 100), (-1, 100)]:
             with pytest.raises(ValueError):
                 estimate_moment(w, (1,), n=n, samples=samples, seed=1)
+
+    def test_rejects_matrix_size_past_the_bound(self, monkeypatch):
+        # the check comes before any draw
+        def no_draw(*args):
+            raise AssertionError("drew")
+
+        monkeypatch.setattr(wml.montecarlo, "_chunk_values", no_draw)
+        w = parse("[x,y]", 2)
+        for n in (MAX_MATRIX_SIZE + 1, 100_000):
+            with pytest.raises(ValueError, match=f"^need n <= 1024, got "
+                               f"n={n}$"):
+                estimate_moment(w, (1,), n=n, samples=1, seed=1)
+
+    def test_matrix_size_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(wml.montecarlo, "MAX_MATRIX_SIZE", 3)
+        w = parse("[x,y]", 2)
+        assert estimate_moment(w, (1,), n=3, samples=2, seed=1).n == 3
+        assert sample_haar(3, 1).n == 3
+        for sample in (lambda: estimate_moment(w, (1,), n=4, samples=2,
+                                               seed=1),
+                       lambda: sample_haar(4, 1)):
+            with pytest.raises(ValueError, match="^need n <= 3, got n=4$"):
+                sample()
 
     @pytest.mark.parametrize("text, exponents", [
         ("x", (1_000_001,)), ("[x,y]", (1, -250_001)), ("x^2", (500_001,))])
