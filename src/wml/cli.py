@@ -170,15 +170,19 @@ def _cache_store(directory, key, payload_text):
     import tempfile
 
     path = os.path.join(directory, key + ".json")
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(payload_text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(payload_text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ValueError(f"cannot use cache directory {directory!r}: "
+                         f"{exc.strerror}") from None
 
 
 def _cache_key(command, word, params):
@@ -195,11 +199,6 @@ def _cache_key(command, word, params):
         sort_keys=True,
     )
     return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _echo(text):
-    """Print one stdout payload in full."""
-    _echo_pieces((text,))
 
 
 def _echo_pieces(pieces):
@@ -294,13 +293,13 @@ def cmd_invariants(args, settings):
         entry_rank = data.get("rank")
         if data.get("word") == str(w) and type(entry_rank) is int \
                 and entry_rank == rank:
-            _echo(text.rstrip("\n"))
+            _echo_pieces((text.rstrip("\n"),))
             sys.exit(EXIT_UNDECIDED if data.get("undecided") else 0)
 
     report = analyze(w, rank, **caps)
     payload = json.dumps(report.to_json(), indent=2)
     _cache_store(directory, key, payload)
-    _echo(payload)
+    _echo_pieces((payload,))
     if report.undecided:
         sys.exit(EXIT_UNDECIDED)
 
@@ -410,7 +409,7 @@ def cmd_verify(args, settings):
                 else ("pass" if expansion["passed"] else "FAIL"),
                 "n/a" if pair is None else ("pass" if pair["passed"] else "FAIL"),
             ]))
-        _echo("\n".join(lines))
+        _echo_pieces(("\n".join(lines),))
         return
     _emit({"rows": rows, "timings": {"total_seconds": elapsed}})
 

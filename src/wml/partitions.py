@@ -8,7 +8,7 @@ independent oracle.
 """
 
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from .ratfunc import Polynomial, RationalFunction
 
@@ -50,14 +50,14 @@ def hook_lengths(lam):
     ]
 
 
+def _hook_product(lam):
+    """Product of the hook lengths of all cells."""
+    return prod(h for row in hook_lengths(lam) for h in row)
+
+
 def dimension(lam):
     """Number of standard Young tableaux (hook length formula)."""
-    p = sum(lam)
-    d = factorial(p)
-    for row in hook_lengths(lam):
-        for h in row:
-            d //= h
-    return d
+    return factorial(sum(lam)) // _hook_product(lam)
 
 
 @lru_cache(maxsize=None)
@@ -111,14 +111,9 @@ def z_order(mu):
 def schur_dim(lam):
     """s_lambda(1^n): prod over cells (n + j - i) / hook(i, j), exactly."""
     lam = check_partition(lam)
-    num = Polynomial.const(1)
-    den = 1
-    hooks = hook_lengths(lam)
-    for i in range(len(lam)):
-        for j in range(lam[i]):
-            num = num * Polynomial((j - i, 1))
-            den *= hooks[i][j]
-    return RationalFunction(num, Polynomial.const(den))
+    num = Polynomial.linear_product(
+        j - i for i in range(len(lam)) for j in range(lam[i]))
+    return RationalFunction(num, Polynomial.const(_hook_product(lam)))
 
 
 def cycle_type(perm):

@@ -63,10 +63,7 @@ class Polynomial(Immutable):
         return self.coeffs[-1] if self.coeffs else 0
 
     def content(self):
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, abs(c))
-        return g
+        return gcd(*self.coeffs)
 
     def primitive(self):
         g = self.content()
@@ -293,9 +290,6 @@ class RationalFunction(Immutable):
 
     def __sub__(self, other):
         return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) - self
 
     def __mul__(self, other):
         other = _coerce(other)

@@ -344,14 +344,13 @@ def minimal_single_boundary_genus(word):
     if not balanced:
         return None
     _check_collection_count(counts, 1, DEFAULT_SPEC_CAP)
-    letters = word.letters
-    size = len(letters)
-    inverses = {}
-    for q, a in enumerate(letters):
-        if a < 0:
-            inverses.setdefault(-a, []).append(q)
-    slots = [(q, inverses[a]) for a, q in
-             sorted((a, q) for q, a in enumerate(letters) if a > 0)]
+    size = len(word.letters)
+    occ = _occurrences((word,))
+    slots = []
+    for g in sorted(occ):
+        pos, neg = occ[g]
+        candidates = [q for _, q in neg]
+        slots += [(q, candidates) for _, q in pos]
 
     parent, weight, trail = list(range(size)), [1] * size, []
 

@@ -551,12 +551,11 @@ def verify_word(w, exponent_sets, pi, comm_crit_count, depth=None,
 
         trace_pair = None
         if sorted(exponents) == [-1, 1]:
-            d1 = f - 1
             bound = 2 * (1 - pi) if finite_pi else None
             trace_pair = {
                 "bound_exponent": bound,
-                "passed": d1.is_zero() or
-                (finite_pi and d1.laurent_order <= bound),
+                "passed": diff.is_zero() or
+                (finite_pi and diff.laurent_order <= bound),
             }
 
         series = laurent(f, depth if depth is not None else

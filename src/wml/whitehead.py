@@ -79,14 +79,7 @@ def type_ii_autos(rank):
 def _image(images, core):
     """The cyclic core of the image of a cyclic core under an automorphism
     table."""
-    out = []
-    for letter in core:
-        for x in images[letter]:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-    return cyclic_core(out)
+    return cyclic_core(free_reduce([x for a in core for x in images[a]]))
 
 
 def type_i_canonical(letters):
@@ -209,26 +202,23 @@ def _minimal_level(w, core, rank, orbit_cap, stop):
     seen = {start}
     if len(seen) > orbit_cap:
         raise UndecidedError(f"orbit level of {w} exceeds the cap {orbit_cap}")
-    frontier = [core]
-    while frontier:
-        next_frontier = []
-        for state in frontier:
-            for images in type_ii_autos(rank):
-                image = _image(images, state)
-                if len(image) != len(core):
-                    continue
-                key = type_i_canonical(image)
-                if key in seen:
-                    continue
-                if len(seen) >= orbit_cap:
-                    raise UndecidedError(
-                        f"orbit level of {w} exceeds the cap {orbit_cap}"
-                    )
-                seen.add(key)
-                if stop(key):
-                    return True
-                next_frontier.append(key)
-        frontier = next_frontier
+    queue = [core]
+    for state in queue:
+        for images in type_ii_autos(rank):
+            image = _image(images, state)
+            if len(image) != len(core):
+                continue
+            key = type_i_canonical(image)
+            if key in seen:
+                continue
+            if len(seen) >= orbit_cap:
+                raise UndecidedError(
+                    f"orbit level of {w} exceeds the cap {orbit_cap}"
+                )
+            seen.add(key)
+            if stop(key):
+                return True
+            queue.append(key)
     return False
 
 

@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -160,6 +161,11 @@ class TestUnbufferedStdout:
         assert path.read_text() == run(args).stdout
 
 
+def _unwritable(*args, **kwargs):
+    """``tempfile.mkstemp`` in a directory that takes no new file."""
+    raise PermissionError(13, "Permission denied")
+
+
 class TestInvariants:
     def test_commutator(self, run):
         data = payload(
@@ -285,6 +291,31 @@ class TestInvariants:
         assert (result.exit_code, result.stdout) == (2, "")
         assert result.stderr.startswith(
             "invalid input: cannot use cache directory ")
+
+    def test_unwritable_cache_dir_miss_exits_2(self, run, tmp_path,
+                                               monkeypatch):
+        # an entry that cannot be written is bad input, as an unusable
+        # directory is, not an internal error
+        cache = str(tmp_path / "cache")
+
+        monkeypatch.setattr(tempfile, "mkstemp", _unwritable)
+        result = run(["invariants", "[x,y]", "--rank", "2",
+                      "--cache-dir", cache])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == ("invalid input: cannot use cache directory "
+                                 f"{cache!r}: Permission denied\n")
+        assert os.listdir(cache) == []
+
+    def test_unwritable_cache_dir_serves_hits(self, run, tmp_path,
+                                              monkeypatch):
+        # writability is not checked up front: a hit only reads
+        args = ["invariants", "[x,y]", "--rank", "2",
+                "--cache-dir", str(tmp_path / "cache")]
+        filled = run(args)
+        assert filled.exit_code == 0
+
+        monkeypatch.setattr(tempfile, "mkstemp", _unwritable)
+        assert run(args) == filled
 
     def test_cache_key_depends_on_caps(self, run, tmp_path):
         cache = str(tmp_path / "cache")
